@@ -9,6 +9,9 @@ content hash over everything that determines its output:
 * the full :class:`~repro.sim.params.SystemConfig`,
 * the warmup fraction and a cache-format version salt.
 
+The prefetcher state is encoded by :func:`canonical`, which hashes a
+Q-table or counter table in one C-level pass rather than value by value.
+
 Results are stored one JSON file per key under ``<dir>/results/``, in the
 :meth:`SimResult.to_dict` form, so a warm-cache rerun of any experiment
 matrix replays the exact numbers without a single new simulation.  The
@@ -20,6 +23,16 @@ payload, verified on read.  An entry that fails to parse or to verify is
 manifest reports the count) — rather than silently treated as a miss and
 deleted, so corruption is visible and the bytes stay available for
 post-mortem.
+
+**Versions**: :data:`CACHE_VERSION` salts every key, so entries written
+under an older version are never read again; they stay behind as dead
+files until ``clear()``.
+
+1. The first format.
+2. Added the per-entry integrity checksum.
+3. Bulk, type-tagged key encoding (every key changed).  Resuming a run
+   journal written under version 2 re-simulates its jobs, because the
+   journal is keyed by the same job keys.
 """
 
 from __future__ import annotations
@@ -27,8 +40,11 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import fields as dataclass_fields, is_dataclass
+import os
+from array import array
+from collections import OrderedDict
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -36,65 +52,147 @@ import numpy as np
 from ..prefetchers.base import Prefetcher
 from ..sim.stats import SimResult
 
-#: Bump whenever SimResult semantics, simulator behaviour, or the entry
-#: format changes in a way that invalidates stored numbers.  Version 2
-#: added the per-entry integrity checksum (version-1 entries hash to
-#: different keys, so they are never read — just dead files).
-CACHE_VERSION = 2
+#: Salt of every key.  Bump whenever SimResult semantics, simulator
+#: behaviour, the entry format or the key encoding changes in a way that
+#: invalidates stored entries (history in the module docstring).
+CACHE_VERSION = 3
 
 log = logging.getLogger("repro.experiments.cache")
 
 _MAX_DEPTH = 16
 
+#: ``array`` typecodes of the element types a bulk token packs.
+_TYPECODES = {float: "d", int: "q"}
+
 
 def canonical(obj, depth: int = 0):
-    """A deterministic, JSON-serialisable view of (nearly) any object.
+    """A deterministic, type-tagged, JSON-serialisable view of (nearly) any object.
 
-    Used to fingerprint prefetcher state and system configs.  Enum check
-    precedes int (FillLevel is an IntEnum); floats go through ``repr`` so
-    distinct values never collide via formatting.
+    Used to fingerprint prefetcher state.  ``None``, bools, ints and strs
+    stand for themselves (JSON keeps ``1`` and ``true`` apart); every other
+    value becomes a list headed by a tag:
+
+    * ``["f", repr]``: a float; ``repr`` keeps ``-0.0`` apart from ``0.0``.
+    * ``["d" | "q", shape, sha256]``: a non-empty list or tuple whose
+      elements are all exactly ``float`` (``"d"``) or all exactly ``int``
+      (``"q"``), or a list of equal-length such rows (a 2-entry shape),
+      hashed as ``array('d' | 'q')`` bytes.  Bools and IntEnums are not
+      exact ints, so they never join one.
+    * ``["int-repr", shape, sha256]``: the same for ints beyond 64 bits,
+      hashing the ``repr`` of the values.
+    * ``["list", items]``: any other list or tuple.
+    * ``["dict", [[key, value], ...]]``: items sorted by encoded key.
+    * ``["set", items]``, ``["bytes", sha256]`` and
+      ``["ndarray", dtype, shape, sha256]`` (numpy scalars too).
+    * ``["enum", class, value]``: an Enum member, IntEnums such as
+      ``FillLevel`` included.
+    * ``["obj", class, state]``: any other object, by its ``__dict__`` or
+      ``__slots__``.
+    * ``["repr", class, repr]``: an object with no attribute state, or one
+      nested deeper than ``_MAX_DEPTH``.
+
+    Exact types (and ``OrderedDict``) dispatch through a table; other
+    subclasses (enums, named tuples, ``defaultdict``) take the isinstance
+    chain.  By design a tuple aliases the list of the same items, and a
+    dict (or ``OrderedDict``) aliases any reordering of its items.
     """
     if depth > _MAX_DEPTH:
-        return repr(obj)
-    if obj is None or isinstance(obj, (bool, str)):
-        return obj
+        return _opaque(obj)
+    encode = _BY_TYPE.get(type(obj))
+    if encode is not None:
+        return encode(obj, depth)
     if isinstance(obj, Enum):
-        return [type(obj).__name__, canonical(obj.value, depth + 1)]
-    if isinstance(obj, int):
-        return obj
-    if isinstance(obj, float):
-        return ["f", repr(obj)]
-    if isinstance(obj, bytes):
-        return ["bytes", hashlib.sha256(obj).hexdigest()]
-    if isinstance(obj, np.ndarray):
-        data = np.ascontiguousarray(obj)
+        return ["enum", _qualname(obj), canonical(obj.value, depth + 1)]
+    if isinstance(obj, (np.ndarray, np.generic)):
+        data = np.asarray(obj)
         return ["ndarray", str(data.dtype), list(data.shape),
-                hashlib.sha256(data.tobytes()).hexdigest()]
-    if isinstance(obj, (np.integer, np.bool_)):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return ["f", repr(float(obj))]
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return [type(obj).__name__,
-                {f.name: canonical(getattr(obj, f.name), depth + 1)
-                 for f in dataclass_fields(obj)}]
+                _sha256(data.tobytes())]
     if isinstance(obj, dict):
-        items = [[canonical(k, depth + 1), canonical(v, depth + 1)]
-                 for k, v in obj.items()]
-        return ["dict", sorted(items, key=_sort_key)]
+        return _mapping(obj, depth)
     if isinstance(obj, (list, tuple)):
-        return [canonical(item, depth + 1) for item in obj]
+        return _sequence(obj, depth)
     if isinstance(obj, (set, frozenset)):
-        return ["set", sorted((canonical(i, depth + 1) for i in obj),
-                              key=_sort_key)]
+        return _set(obj, depth)
     state = _instance_state(obj)
-    if state is not None:
-        return [type(obj).__qualname__, canonical(state, depth + 1)]
-    return [type(obj).__qualname__, repr(obj)]
+    if state is None:
+        return _opaque(obj)
+    return ["obj", _qualname(obj), _mapping(state, depth + 1)]
 
 
-def _sort_key(item) -> str:
-    return json.dumps(item, sort_keys=True, separators=(",", ":"))
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _qualname(obj) -> str:
+    cls = type(obj)
+    return f"{cls.__module__}.{cls.__qualname__}"
+
+
+def _opaque(obj) -> list:
+    return ["repr", _qualname(obj), repr(obj)]
+
+
+def _itself(obj, depth):
+    return obj
+
+
+def _float(obj, depth):
+    return ["f", repr(obj)]
+
+
+def _bytes(obj, depth):
+    return ["bytes", _sha256(obj)]
+
+
+def _scalar_block(seq) -> list | None:
+    """The bulk token for ``seq``, or None if it does not qualify."""
+    if not seq:
+        return None
+    kinds = set(map(type, seq))
+    if kinds <= {list, tuple}:
+        widths = set(map(len, seq))
+        if len(widths) != 1 or 0 in widths:
+            return None
+        shape = [len(seq), widths.pop()]
+        flat = list(chain.from_iterable(seq))
+        kinds = set(map(type, flat))
+    else:
+        shape, flat = [len(seq)], seq
+    typecode = _TYPECODES.get(kinds.pop()) if len(kinds) == 1 else None
+    if typecode is None:
+        return None
+    try:
+        packed = array(typecode, flat).tobytes()
+    except OverflowError:
+        return ["int-repr", shape, _sha256(repr(list(flat)).encode())]
+    return [typecode, shape, _sha256(packed)]
+
+
+def _sequence(seq, depth):
+    block = _scalar_block(seq)
+    if block is not None:
+        return block
+    return ["list", [canonical(item, depth + 1) for item in seq]]
+
+
+def _mapping(mapping, depth):
+    # Keys are unique, so their encodings are too: sorting by the encoded
+    # key alone is a total order and never compares values.
+    items = [(canonical(k, depth + 1), canonical(v, depth + 1))
+             for k, v in mapping.items()]
+    items.sort(key=lambda item: repr(item[0]))
+    return ["dict", items]
+
+
+def _set(items, depth):
+    return ["set", sorted((canonical(item, depth + 1) for item in items),
+                          key=repr)]
+
+
+_BY_TYPE = {type(None): _itself, bool: _itself, int: _itself, str: _itself,
+            float: _float, bytes: _bytes, list: _sequence, tuple: _sequence,
+            dict: _mapping, OrderedDict: _mapping, set: _set,
+            frozenset: _set}
 
 
 def _instance_state(obj) -> dict | None:
@@ -110,10 +208,9 @@ def _instance_state(obj) -> dict | None:
 
 
 def fingerprint(obj) -> str:
-    """SHA-256 hex digest of :func:`canonical`."""
-    payload = json.dumps(canonical(obj), sort_keys=True,
-                         separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    """SHA-256 hex digest of :func:`canonical` as compact JSON."""
+    payload = json.dumps(canonical(obj), separators=(",", ":"))
+    return _sha256(payload.encode("utf-8"))
 
 
 def prefetcher_fingerprint(prefetcher: Prefetcher) -> str:
@@ -218,9 +315,15 @@ class ResultCache:
         return result
 
     def put(self, key: str, result: SimResult) -> None:
-        """Persist one checksummed result (atomic via rename)."""
+        """Persist one checksummed result (atomic via rename).
+
+        The entry is staged under a hidden per-process name (the scheme of
+        :func:`repro.fabric.protocol.write_json_atomic`): processes sharing
+        the directory never rename each other's staging file away, and
+        ``len()`` and ``clear()`` never count one.
+        """
         path = self._path_for(key)
-        tmp = path.with_suffix(".tmp")
+        tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
         result_dict = result.to_dict()
         with tmp.open("w") as fh:
             json.dump({"version": CACHE_VERSION, "key": key,

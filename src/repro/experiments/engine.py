@@ -50,8 +50,6 @@ from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from ..memtrace.trace import Trace, TraceArrays
 from ..prefetchers.base import Prefetcher
 from ..sampling.config import SamplingConfig
@@ -424,13 +422,10 @@ class ExperimentEngine:
     def _work_items(self, pending) -> deque[_WorkItem]:
         items: deque[_WorkItem] = deque()
         for index, job, key in pending:
-            pcs, addrs, writes, gaps = job.trace.to_arrays()
             payload = (job.trace.name, job.trace.family, job.trace.seed,
-                       (np.asarray(pcs), np.asarray(addrs),
-                        np.asarray(writes), np.asarray(gaps)),
-                       job.prefetcher, job.config, job.warmup_fraction,
-                       job.trace_events, job.check_invariants, job.fastpath,
-                       job.sampling, key)
+                       job.trace.arrays(), job.prefetcher, job.config,
+                       job.warmup_fraction, job.trace_events,
+                       job.check_invariants, job.fastpath, job.sampling, key)
             items.append(_WorkItem(index, job, key, payload))
         return items
 

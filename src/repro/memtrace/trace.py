@@ -119,7 +119,8 @@ class Trace:
         return pcs, addrs, writes, gaps
 
     def arrays(self) -> TraceArrays:
-        """Memoised :meth:`to_arrays` (the fast-path scanner's view).
+        """Memoised :meth:`to_arrays`: the one packing that the fast-path
+        scanner, :meth:`content_hash` and the parallel job payloads share.
 
         Built once per trace and cached; like :meth:`content_hash`, a
         trace whose arrays have been materialised must not be mutated
@@ -164,7 +165,7 @@ class Trace:
         digest.update(json.dumps({"name": self.name, "family": self.family,
                                   "seed": self.seed,
                                   "length": len(self)}).encode("utf-8"))
-        for array in self.to_arrays():
+        for array in self.arrays():
             digest.update(array.tobytes())
         self._content_hash = digest.hexdigest()
         return self._content_hash

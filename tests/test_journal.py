@@ -9,7 +9,11 @@ schedule, and the manifest fields they all feed.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -258,6 +262,38 @@ class TestCacheIntegrity:
         paths = [event["path"] for event in cache.corrupt_events]
         assert len(set(paths)) == 3
 
+    def test_concurrent_writers_share_a_directory(self, tmp_path, result):
+        # Regression: every writer staged an entry at the fixed name
+        # `<key>.tmp`, so a second process renamed it away under the
+        # first, whose own rename then raised FileNotFoundError.
+        result_path = tmp_path / "result.json"
+        result_path.write_text(json.dumps(result.to_dict()))
+        cache_dir = tmp_path / "cache"
+        ready = [str(tmp_path / "ready-a"), str(tmp_path / "ready-b")]
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH":
+               f"{src}{os.pathsep}{os.environ.get('PYTHONPATH', '')}"}
+        writers = [subprocess.Popen(
+            [sys.executable, "-c", _PUT_LOOP, str(cache_dir),
+             str(result_path), mine, peer],
+            env=env, stderr=subprocess.PIPE, text=True)
+            for mine, peer in (ready, ready[::-1])]
+        try:
+            for writer in writers:
+                _, stderr = writer.communicate(timeout=120)
+                assert writer.returncode == 0, stderr
+        finally:
+            for writer in writers:
+                writer.kill()
+                writer.wait()
+
+        cache = ResultCache(cache_dir)
+        assert len(cache) == 5
+        for key in range(5):
+            assert cache.get(f"key{key}").to_dict() == result.to_dict()
+        assert cache.corrupt == 0
+        assert list(cache.results_dir.glob(".*.tmp")) == []
+
 
 class TestClassification:
     def test_worker_exception_is_deterministic(self):
@@ -305,6 +341,29 @@ class TestManifestFaultFields:
         loaded = RunManifest.load(path)
         assert loaded.failed == 0
         assert loaded.run_id is None
+
+
+#: One cache writer: waits until its peer has started too, then puts the
+#: same five keys 400 times each.
+_PUT_LOOP = """
+import json, sys, time
+from pathlib import Path
+from repro.experiments.cache import ResultCache
+from repro.sim.stats import SimResult
+
+directory, result_path, mine, peer = sys.argv[1:]
+result = SimResult.from_dict(json.loads(Path(result_path).read_text()))
+cache = ResultCache(directory)
+Path(mine).touch()
+deadline = time.monotonic() + 60
+while not Path(peer).exists():
+    if time.monotonic() > deadline:
+        sys.exit("peer writer never started")
+    time.sleep(0.001)
+for _ in range(400):
+    for key in range(5):
+        cache.put(f"key{key}", result)
+"""
 
 
 def _raise_value_error():
