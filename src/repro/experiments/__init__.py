@@ -24,8 +24,6 @@ from .multi_core import (
     build_heterogeneous_mixes,
     fig13,
     fig13_report,
-    heterogeneous_speedup,
-    homogeneous_speedup,
 )
 from .cache import ResultCache
 from .engine import EngineCounters, ExperimentEngine, SimJob
@@ -76,8 +74,6 @@ __all__ = [
     "format_percent",
     "format_series",
     "format_table",
-    "heterogeneous_speedup",
-    "homogeneous_speedup",
     "llc_size_sweep",
     "monitoring_range_sweep",
     "pattern_length_sweep",

@@ -8,7 +8,8 @@ deterministically from the classified suite.
 :func:`fig13` evaluates every (trace set × prefetcher) cell — plus one
 shared baseline run per trace set — as independent tasks, optionally
 fanned out over a process pool (``workers=N``).  Task results are placed
-back by index, so parallel numbers match serial ones exactly.
+back by index, so parallel numbers match serial ones exactly.  The trace
+sets share their traces: each distinct spec is built once per figure.
 """
 
 from __future__ import annotations
@@ -40,24 +41,6 @@ TABLE_VII_MIXES = (
 )
 
 
-def homogeneous_speedup(factory: PrefetcherFactory,
-                        specs: Sequence[WorkloadSpec] | None = None,
-                        accesses: int = 15_000, cores: int = 4) -> float:
-    """Fig 13 homogeneous: each trace run on all cores simultaneously."""
-    specs = specs or quick_suite()[:4]
-    config = SystemConfig.default().for_multicore(cores)
-    values = []
-    for spec in specs:
-        trace = spec.build(accesses)
-        # The same program on every core, as separate processes: private
-        # address spaces, no accidental LLC sharing.
-        traces = [rebase(trace, core) for core in range(cores)]
-        results = simulate_multicore(traces, factory, config)
-        baselines = simulate_multicore(traces, NoPrefetcher, config)
-        values.append(multicore_speedup(results, baselines))
-    return geomean(values)
-
-
 def build_heterogeneous_mixes(specs: Sequence[WorkloadSpec] | None = None,
                               mixes_per_class: int = 1,
                               seed: int = 0) -> list[tuple[str, list[WorkloadSpec]]]:
@@ -78,22 +61,6 @@ def build_heterogeneous_mixes(specs: Sequence[WorkloadSpec] | None = None,
                 chosen.append(pool[int(rng.integers(0, len(pool)))])
             mixes.append((name, chosen))
     return mixes
-
-
-def heterogeneous_speedup(factory: PrefetcherFactory,
-                          mixes: Sequence[tuple[str, Sequence[WorkloadSpec]]] | None = None,
-                          accesses: int = 15_000) -> float:
-    """Fig 13 heterogeneous: geomean over the Table VII mixes."""
-    mixes = mixes or build_heterogeneous_mixes()
-    config = SystemConfig.default().for_multicore(4)
-    values = []
-    for _, mix_specs in mixes:
-        traces = [rebase(spec.build(accesses), core)
-                  for core, spec in enumerate(mix_specs)]
-        results = simulate_multicore(traces, factory, config)
-        baselines = simulate_multicore(traces, NoPrefetcher, config)
-        values.append(multicore_speedup(results, baselines))
-    return geomean(values)
 
 
 def _multicore_task(payload: list[tuple[str, str, int, tuple]],
@@ -129,7 +96,9 @@ def _run_trace_sets(trace_sets: Sequence[Sequence[Trace]],
         return NoPrefetcher if name == "baseline" else factories[name]
 
     if workers > 1 and len(tasks) > 1:
-        payloads = [[(t.name, t.family, t.seed, t.to_arrays())
+        # arrays() is memoised, so a trace shared by several sets is
+        # packed once.
+        payloads = [[(t.name, t.family, t.seed, t.arrays())
                      for t in trace_set] for trace_set in trace_sets]
         retry: list[tuple[int, str]] = []
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
@@ -156,29 +125,55 @@ def _run_trace_sets(trace_sets: Sequence[Sequence[Trace]],
             for name in names}
 
 
+def _core_trace_sets(set_specs: Sequence[Sequence[WorkloadSpec]],
+                     accesses: int) -> list[list[Trace]]:
+    """One trace list per set: the set's i-th spec rebased onto core i.
+
+    Each distinct spec is built once and each (spec, core) pair rebased
+    once; sets that place the same spec on the same core share that
+    trace (the lanes only read it).  Rebasing gives every core a private
+    address-space slot, so the same program on several cores runs as
+    separate processes with no accidental LLC sharing.
+    """
+    cores_of: dict[WorkloadSpec, set[int]] = {}
+    for specs in set_specs:
+        for core, spec in enumerate(specs):
+            cores_of.setdefault(spec, set()).add(core)
+    traces: dict[tuple[WorkloadSpec, int], Trace] = {}
+    for spec, cores in cores_of.items():
+        trace = spec.build(accesses)
+        for core in cores:
+            traces[spec, core] = rebase(trace, core)
+    return [[traces[spec, core] for core, spec in enumerate(specs)]
+            for specs in set_specs]
+
+
 def fig13(specs: Sequence[WorkloadSpec] | None = None,
           accesses: int = 15_000,
           prefetchers: dict[str, PrefetcherFactory] | None = None,
           workers: int = 0) -> dict[str, dict[str, float]]:
     """Full Fig 13: homogeneous + heterogeneous speedups per prefetcher.
 
-    Each trace set's baseline is simulated once and shared across every
-    prefetcher (the old per-prefetcher recomputation was the dominant
-    cost); ``workers=N`` distributes the whole grid.
+    Homogeneous sets put one spec on all four cores; heterogeneous sets
+    are the Table VII mixes.  Each trace set's baseline is simulated once
+    and shared across every prefetcher, and each (spec, core) trace is
+    built once and shared across every set that uses it;
+    ``workers=N`` distributes the whole grid.
     """
     prefetchers = prefetchers or dict(COMPETITORS)
-    homogeneous_specs = list(specs or quick_suite()[:4])
-    mixes = build_heterogeneous_mixes(specs)
+    # One suite object for both halves, so a spec drawn into a mix is the
+    # same object as its homogeneous set's spec and shares its traces.
+    suite = list(specs) if specs else quick_suite()
+    homogeneous_specs = suite if specs else suite[:4]
+    mixes = build_heterogeneous_mixes(suite)
     config = SystemConfig.default().for_multicore(4)
 
-    homo_sets = [[rebase(spec.build(accesses), core) for core in range(4)]
-                 for spec in homogeneous_specs]
-    het_sets = [[rebase(spec.build(accesses), core)
-                 for core, spec in enumerate(mix_specs)]
-                for _, mix_specs in mixes]
-    runs = _run_trace_sets(homo_sets + het_sets, prefetchers, config, workers)
+    set_specs = ([[spec] * 4 for spec in homogeneous_specs]
+                 + [list(mix_specs) for _, mix_specs in mixes])
+    trace_sets = _core_trace_sets(set_specs, accesses)
+    runs = _run_trace_sets(trace_sets, prefetchers, config, workers)
 
-    n_homo = len(homo_sets)
+    n_homo = len(homogeneous_specs)
     baselines = runs["baseline"]
     out: dict[str, dict[str, float]] = {}
     for name in prefetchers:

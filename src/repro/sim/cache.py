@@ -247,7 +247,7 @@ class Cache:
             return True, True
         return True, False
 
-    def fill_now(self, line: int, cycle: float, *, prefetched: bool = False,
+    def fill_now(self, line: int, cycle: float, prefetched: bool = False,
                  is_write: bool = False,
                  ) -> tuple[bool, int | None, CacheLine | None]:
         """Apply a fill immediately (data is here).
@@ -268,12 +268,11 @@ class Cache:
         if len(cache_set) >= self.ways:
             victim = next(iter(cache_set))
             victim_entry = cache_set.pop(victim)
-        cache_set[line] = CacheLine(ready_cycle=cycle,
-                                    prefetched=prefetched, dirty=is_write)
+        cache_set[line] = CacheLine(cycle, prefetched, is_write)
         self.version += 1
         return True, victim, victim_entry
 
-    def schedule_fill(self, line: int, ready: float, *, prefetched: bool = False,
+    def schedule_fill(self, line: int, ready: float, prefetched: bool = False,
                       is_write: bool = False) -> None:
         """Queue a fill to be applied when its data arrives.
 
@@ -281,8 +280,7 @@ class Cache:
         every miss schedules one fill per level, making this one of the
         hottest calls in a miss-heavy run.
         """
-        fill = PendingFill(ready=ready, line=line, prefetched=prefetched,
-                           is_write=is_write)
+        fill = PendingFill(ready, line, prefetched, is_write)
         fills = self.fills
         seq = fills._seq
         fills._seq = seq + 1
@@ -354,7 +352,7 @@ class Cache:
         return entry is not None and entry[1]
 
     def mshr_allocate(self, line: int, completion: float,
-                      now: float | None = None, *,
+                      now: float | None = None,
                       is_prefetch: bool = False) -> None:
         """Track an outstanding miss; prunes completed entries when `now`
         is given so occupancy never grows stale."""
@@ -366,7 +364,11 @@ class Cache:
             self._mshr_min = completion
 
     def mshr_release(self, line: int) -> None:
-        """Drop the MSHR entry for `line`, if any."""
+        """Drop the MSHR entry for `line`, if any.
+
+        :meth:`CacheLevel.sync <repro.sim.level.CacheLevel.sync>` inlines
+        this body per applied fill; keep the two in step.
+        """
         mshr = self._mshr
         mshr.pop(line, None)
         if not mshr:

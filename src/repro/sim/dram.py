@@ -65,14 +65,14 @@ class DramPort:
         self.dram = dram
         self.stats = DramStats()
 
-    def request(self, line: int, cycle: float, *,
+    def request(self, line: int, cycle: float,
                 is_prefetch: bool = False) -> float:
         """Issue a line fetch, counted against this port's requestor."""
         if is_prefetch:
             self.stats.prefetch_requests += 1
         else:
             self.stats.demand_requests += 1
-        return self.dram.request(line, cycle, is_prefetch=is_prefetch)
+        return self.dram.request(line, cycle, is_prefetch)
 
     def writeback(self, line: int, cycle: float) -> None:
         """Queue a dirty-line writeback on behalf of this requestor."""
@@ -91,11 +91,18 @@ class Dram:
         self.stats = DramStats()
 
     def _channel_for(self, line: int) -> _Channel:
+        # Dram.request inlines this interleaving; keep the two in step.
         return self._channels[line % len(self._channels)]
 
-    def request(self, line: int, cycle: float, *, is_prefetch: bool = False) -> float:
-        """Issue a line fetch; returns its completion cycle."""
-        channel = self._channel_for(line)
+    def request(self, line: int, cycle: float,
+                is_prefetch: bool = False) -> float:
+        """Issue a line fetch; returns its completion cycle.
+
+        Picks its channel inline (the body of :meth:`_channel_for`): this
+        runs once per miss and per DRAM-bound prefetch.
+        """
+        channels = self._channels
+        channel = channels[line % len(channels)]
         service = self.service_cycles
         if is_prefetch:
             start = max(cycle, channel.next_free)

@@ -2,9 +2,9 @@
 
 The hierarchy is a chain of :class:`~repro.sim.level.CacheLevel`
 components (L1D → L2C → LLC, each owning its storage, MSHRs, PQ and fill
-queue) ending at the DRAM port.  Demands and prefetches are both carried
-by a :class:`~repro.sim.level.MemTransaction` that descends the chain in
-a single loop — the per-level lookup/merge/fill logic lives once, in the
+queue) ending at the DRAM port.  A demand is carried by a
+:class:`~repro.sim.level.MemTransaction` that descends the chain in a
+single loop — the per-level lookup/merge/fill logic lives once, in the
 components, instead of three copy-pasted blocks.
 
 Misses and prefetches schedule their fills for the cycle the data
@@ -120,7 +120,14 @@ class Hierarchy:
         self.l1d = l1d_level.storage
         self.l2c = l2c_level.storage
         self.llc = llc_level.storage
+        # Descent-order storages for the DRAM-miss tail of demand_access.
+        self._storages: tuple[Cache, Cache, Cache] = (self.l1d, self.l2c,
+                                                      self.llc)
         shared_llc.register(self.l1d, self.l2c)
+        # A demand that matches an in-flight prefetch is promoted by the
+        # memory controller: it never waits longer than issuing its own
+        # prioritised request would take.
+        self._promote_cap = dram.latency + 2 * dram.service_cycles
 
         # Pooled transient transaction and prefetch events (fields
         # rewritten per use — same contract as the CacheLevel event pool;
@@ -186,16 +193,6 @@ class Hierarchy:
 
     # ----------------------------------------------------------- demand path
 
-    def _promote_wait(self, wait: float) -> float:
-        """Cap a merge wait at a demand-priority refetch.
-
-        A demand that matches an in-flight prefetch is promoted by the
-        memory controller; it never waits longer than issuing its own
-        prioritised request would take.
-        """
-        cap = self.dram.latency + 2 * self.dram.service_cycles
-        return min(wait, cap)
-
     def _backfill(self, txn: MemTransaction, depth: int, ready: float,
                   cycle: float) -> None:
         """Fill every level above `depth` with the line found there.
@@ -204,10 +201,10 @@ class Hierarchy:
         carries the demand's write intent.
         """
         levels = self.levels
+        line = txn.line
         is_write = txn.is_write
         for i in range(depth - 1, -1, -1):
-            levels[i].fill(txn.line, ready, cycle,
-                           is_write=is_write and i == 0)
+            levels[i].fill(line, ready, cycle, False, is_write and i == 0)
 
     def demand_access(self, address: int, cycle: float,
                       is_write: bool = False) -> tuple[float, bool]:
@@ -215,36 +212,36 @@ class Hierarchy:
         for level, heap in self._sync_pairs:  # inline _sync (hot path)
             if heap and heap[0][0] <= cycle:
                 level.sync(cycle)
+        line = address >> CACHELINE_BITS
         txn = self._demand_txn
         txn.address = address
-        txn.line = address >> CACHELINE_BITS
+        txn.line = line
         txn.is_write = is_write
-        txn.issue_cycle = cycle
-        txn.latency = 0.0
 
+        latency = 0.0
         for depth, level in enumerate(self.levels):
-            if level.lookup(txn, cycle + txn.latency):
-                txn.latency += level.hit_latency
-                self._backfill(txn, depth, cycle + txn.latency, cycle)
-                return txn.latency, depth == 0
-            txn.latency += level.hit_latency
+            if level.lookup(txn, cycle + latency):
+                latency += level.hit_latency
+                self._backfill(txn, depth, cycle + latency, cycle)
+                return latency, depth == 0
+            latency += level.hit_latency
             pending = level.merge_pending(txn, cycle)
             if pending is not None:
-                merge = self._promote_wait(max(0.0, pending - cycle))
-                self._backfill(txn, depth, cycle + txn.latency + merge, cycle)
-                return txn.latency + merge, False
+                merge = min(max(0.0, pending - cycle), self._promote_cap)
+                self._backfill(txn, depth, cycle + latency + merge, cycle)
+                return latency + merge, False
             if depth == 0:
                 # The core blocks only on L1 MSHR availability; the lower
                 # levels admit the descending miss with the L1 slot held.
-                txn.latency += self._mshr_stall(level.storage, cycle)
+                latency += self._mshr_stall(level.storage, cycle)
 
-        completion = self.dram_port.request(txn.line, cycle + txn.latency)
-        for level in self.levels:
-            level.storage.mshr_allocate(txn.line, completion, now=cycle)
-        for level in reversed(self.levels):
-            level.storage.schedule_fill(
-                txn.line, completion,
-                is_write=is_write and level is self.levels[0])
+        completion = self.dram_port.request(line, cycle + latency)
+        l1d, l2c, llc = storages = self._storages
+        for storage in storages:
+            storage.mshr_allocate(line, completion, cycle)
+        llc.schedule_fill(line, completion)
+        l2c.schedule_fill(line, completion)
+        l1d.schedule_fill(line, completion, False, is_write)
         return completion - cycle, False
 
     def _mshr_stall(self, cache: Cache, cycle: float) -> float:
@@ -303,10 +300,8 @@ class Hierarchy:
                 ready = llc_pending
             else:
                 arrival = cycle + llc.hit_latency
-                ready = self.dram_port.request(line, arrival,
-                                               is_prefetch=True)
-            target.storage.mshr_allocate(line, ready, now=cycle,
-                                         is_prefetch=True)
+                ready = self.dram_port.request(line, arrival, True)
+            target.storage.mshr_allocate(line, ready, cycle, True)
 
         # The target level gets the prefetched bit; every level below it
         # is filled too (inclusive path), the LLC only when absent.
@@ -316,8 +311,7 @@ class Hierarchy:
                 if not llc_resident:
                     level.fill(line, ready, cycle)
             else:
-                level.fill(line, ready, cycle,
-                           prefetched=level is target)
+                level.fill(line, ready, cycle, level is target)
 
         # A PQ entry holds the request only until it is handed to the
         # memory system (ChampSim semantics), not until the fill lands.

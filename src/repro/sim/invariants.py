@@ -45,6 +45,7 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable
 
 from ..prefetchers.base import FillLevel
@@ -183,7 +184,6 @@ class InvariantAuditor:
         self._last_access_cycle = 0.0
         self._accesses = 0
         self.structural_audits = 0
-        self.audited_events = 0
 
         self._detach: list = []
         bus = hierarchy.bus
@@ -217,9 +217,8 @@ class InvariantAuditor:
     def _record(self, cycle: float, kind: str, component, line: int,
                 extra: str = "") -> None:
         # Hot per-event handlers (_on_access, _on_fill, ...) inline this
-        # two-line body against the bound ``_ring_append`` — keep them in
-        # sync if the record shape changes.
-        self.audited_events += 1
+        # body against the bound ``_ring_append`` — keep them in sync if
+        # the record shape changes.
         self._ring.append((cycle, kind, component, line, extra))
 
     def _fail(self, law: str, message: str, *, cycle: float = 0.0,
@@ -258,7 +257,6 @@ class InvariantAuditor:
             shadow.demand_hits += 1
         else:
             shadow.demand_misses += 1
-        self.audited_events += 1
         self._ring_append((ev.cycle, "CacheAccess", ev.level, ev.line,
                            "hit" if ev.hit else "miss"))
 
@@ -297,7 +295,6 @@ class InvariantAuditor:
         block = self._blocks[ev.level]
         block.shadow.prefetch_fills += 1
         block.census += 1
-        self.audited_events += 1
         self._ring_append((ev.cycle, "PrefetchFill", ev.level, ev.line, ""))
 
     def _on_useful(self, ev: PrefetchUseful) -> None:
@@ -309,7 +306,6 @@ class InvariantAuditor:
             # A resident useful consumes one installed prefetched bit;
             # a late merge resolves a prefetch that never filled as one.
             block.census -= 1
-        self.audited_events += 1
         self._ring_append((ev.cycle, "PrefetchUseful", ev.level, ev.line,
                            "late" if ev.late else ""))
 
@@ -323,7 +319,6 @@ class InvariantAuditor:
         block = self._blocks[ev.level]
         block.shadow.useless_prefetches += 1
         block.census -= 1
-        self.audited_events += 1
         self._ring_append((ev.cycle, "PrefetchUseless", ev.level, ev.line,
                            ev.reason))
 
@@ -331,7 +326,6 @@ class InvariantAuditor:
         self._blocks[ev.level].shadow.evictions += 1
         if ev.dirty:
             self._dirty_obligations.add(ev.line)
-        self.audited_events += 1
         self._ring_append((ev.cycle, "Eviction", ev.level, ev.line,
                            "dirty" if ev.dirty else ""))
 
@@ -387,7 +381,6 @@ class InvariantAuditor:
 
     def _on_issued(self, ev: PrefetchIssued) -> None:
         self._issued[ev.level] += 1
-        self.audited_events += 1
         self._ring_append((ev.cycle, "PrefetchIssued", ev.level, ev.line, ""))
 
     def _on_dropped(self, ev: PrefetchDropped) -> None:
@@ -606,17 +599,19 @@ class InvariantAuditor:
     def _audit_inclusion(self, cycle: float) -> None:
         hierarchy = self.hierarchy
         llc = hierarchy.llc
+        # Probes the LLC's set dicts directly: a Cache.contains call per
+        # private line would dominate this cache-sized scan.
+        llc_sets, llc_num_sets = llc._sets, llc.num_sets
+        in_flight, mshr = llc.fills._by_line, llc._mshr
         for storage, level in ((hierarchy.l1d, FillLevel.L1D),
                                (hierarchy.l2c, FillLevel.L2C)):
-            for cache_set in storage._sets:
-                for line in cache_set:
-                    if (llc.contains(line)
-                            or line in llc.fills._by_line
-                            or line in llc._mshr):
-                        continue
-                    self._fail(
-                        "inclusion",
-                        f"{storage.name} holds line {line:#x} that is "
-                        "neither resident in nor in flight to the "
-                        "inclusive LLC",
-                        cycle=cycle, level=level, line=line)
+            for line in chain.from_iterable(storage._sets):
+                if (line in llc_sets[line % llc_num_sets]
+                        or line in in_flight or line in mshr):
+                    continue
+                self._fail(
+                    "inclusion",
+                    f"{storage.name} holds line {line:#x} that is "
+                    "neither resident in nor in flight to the "
+                    "inclusive LLC",
+                    cycle=cycle, level=level, line=line)

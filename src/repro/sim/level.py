@@ -9,9 +9,14 @@ from the core (L1D → L2C → LLC → ``None``), ``dram`` is every level's
 memory port for writebacks, and the LLC level additionally carries the
 :class:`~repro.sim.hierarchy.SharedLLC` registry that enforces inclusion.
 
-Demand and prefetch traffic is carried by a single :class:`MemTransaction`
-that accumulates latency as it descends; the hierarchy kernel walks the
-level chain with one loop instead of per-level copy-pasted blocks.
+A demand is carried by a pooled :class:`MemTransaction` as it descends;
+the hierarchy kernel walks the level chain with one loop instead of
+per-level copy-pasted blocks.
+
+The per-fill calls (:meth:`CacheLevel.fill`, :meth:`CacheLevel.apply_fill`
+and the storage calls beneath them) take their flags positionally: they
+run several times per miss, and keyword passing costs measurably more
+per call in CPython.
 
 Every side effect that is *not* timing — prefetch accounting, evictions,
 back-invalidations, writebacks — is published as a typed event on the
@@ -42,28 +47,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .dram import Dram, DramPort
     from .hierarchy import SharedLLC
 
-DEMAND = "demand"
-PREFETCH = "prefetch"
-
 
 @dataclass(slots=True)
 class MemTransaction:
-    """One request descending the hierarchy.
-
-    Carries the byte address, its cacheline, the origin (demand or
-    prefetch), the target fill level (prefetches only) and the latency
-    accumulated so far.  The same object is threaded through every level
-    a request visits, replacing the per-level local variables of the old
-    monolithic demand path.
-    """
+    """One demand descending the hierarchy: byte address, cacheline and
+    write intent, threaded through every level it visits."""
 
     address: int
     line: int
-    origin: str = DEMAND
     is_write: bool = False
-    target: FillLevel | None = None
-    issue_cycle: float = 0.0
-    latency: float = 0.0
 
 
 class CacheLevel:
@@ -160,7 +152,7 @@ class CacheLevel:
         pending, is_prefetch = entry
         if is_prefetch:
             self._publish_useful(txn.line, txn.address, True, cycle)
-            self.storage.mshr_allocate(txn.line, pending, is_prefetch=False)
+            self.storage.mshr_allocate(txn.line, pending)
             self.storage.fills.strip_prefetch_flag(txn.line)
         return pending
 
@@ -170,9 +162,11 @@ class CacheLevel:
         """Apply every pending fill whose data has arrived by ``cycle``.
 
         Drains the fill queue in place (heap + per-line index — the same
-        structures :meth:`FillQueue.pop_ready` maintains) rather than
-        materialising a ready-list: this runs once per demand access per
-        level, and in miss-heavy runs nearly always has work to do.
+        structures :meth:`FillQueue.pop_ready` maintains) and drops each
+        fill's MSHR entry inline (the body of :meth:`Cache.mshr_release`),
+        with no ready-list and no release call per fill: this runs once
+        per demand access per level, and in miss-heavy runs nearly always
+        has work to do.
         """
         storage = self.storage
         fills = storage.fills
@@ -180,7 +174,7 @@ class CacheLevel:
         if not heap or heap[0][0] > cycle:
             return
         by_line = fills._by_line
-        mshr_release = storage.mshr_release
+        mshr = storage._mshr
         apply_fill = self.apply_fill
         while heap and heap[0][0] <= cycle:
             fill = heappop(heap)[2]
@@ -192,21 +186,21 @@ class CacheLevel:
                 del by_line[line]
             else:
                 bucket.remove(fill)
-            mshr_release(line)
-            apply_fill(line, fill.ready, prefetched=fill.prefetched,
-                       is_write=fill.is_write)
+            mshr.pop(line, None)
+            if not mshr:
+                storage._mshr_heap.clear()
+                storage._mshr_min = float("inf")
+            apply_fill(line, fill.ready, fill.prefetched, fill.is_write)
 
-    def fill(self, line: int, ready: float, cycle: float, *,
+    def fill(self, line: int, ready: float, cycle: float,
              prefetched: bool = False, is_write: bool = False) -> None:
         """Apply now if the data is already here, otherwise defer."""
         if ready <= cycle:
-            self.apply_fill(line, cycle, prefetched=prefetched,
-                            is_write=is_write)
+            self.apply_fill(line, cycle, prefetched, is_write)
         else:
-            self.storage.schedule_fill(line, ready, prefetched=prefetched,
-                                       is_write=is_write)
+            self.storage.schedule_fill(line, ready, prefetched, is_write)
 
-    def apply_fill(self, line: int, cycle: float, *, prefetched: bool = False,
+    def apply_fill(self, line: int, cycle: float, prefetched: bool = False,
                    is_write: bool = False) -> None:
         """Install a line whose data is here, resolving its victim.
 
@@ -217,7 +211,7 @@ class CacheLevel:
         next level holds the line, written back to DRAM otherwise.
         """
         inserted, victim, victim_entry = self.storage.fill_now(
-            line, cycle, prefetched=prefetched, is_write=is_write)
+            line, cycle, prefetched, is_write)
         if not inserted:
             return
         if prefetched:

@@ -148,6 +148,51 @@ def _open_measurement(lanes: Sequence[_CoreLane], shared: SharedLLC,
             lane.auditor.on_reset_shared_attribution()
 
 
+def _attach_auditors(lanes: Sequence[_CoreLane]) -> None:
+    """One auditor per lane, cross-wired so back-invalidations published
+    on another core's bus still update the owning core's shadows."""
+    for lane in lanes:
+        lane.auditor = InvariantAuditor(lane.hierarchy)
+    for lane in lanes:
+        for other in lanes:
+            if other is not lane:
+                lane.auditor.watch_remote_bus(other.hierarchy.bus)
+
+
+def _run_lanes(lanes: Sequence[_CoreLane], shared: SharedLLC,
+               dram: Dram) -> None:
+    """Step every lane to the end of its trace, furthest-behind first.
+
+    Advancing the core whose clock is furthest behind makes
+    shared-resource interleaving approximate concurrent execution; ties
+    break by core id.  Opens the global measurement window once the last
+    lane crosses its warmup boundary.
+    """
+    # Lanes that still have to cross their warmup boundary before the
+    # global measurement window opens.  A zero-length warmup crosses on
+    # the lane's first step; an empty trace never steps at all.
+    pending_warmup = {lane.core_id for lane in lanes if not lane.done}
+    if not pending_warmup:
+        _open_measurement(lanes, shared, dram)
+
+    heap = [(lane.core.cycle, lane.core_id) for lane in lanes]
+    heapq.heapify(heap)
+    while heap:
+        _, core_id = heapq.heappop(heap)
+        lane = lanes[core_id]
+        if lane.done:
+            continue
+        crossed = lane.step()
+        if core_id in pending_warmup and (crossed or lane.done):
+            # A lane whose trace ends at or before its boundary stops
+            # gating the window when it finishes.
+            pending_warmup.discard(core_id)
+            if not pending_warmup:
+                _open_measurement(lanes, shared, dram)
+        if not lane.done:
+            heapq.heappush(heap, (lane.core.cycle, core_id))
+
+
 def simulate_multicore(traces: Sequence[Trace],
                        prefetcher_factory: PrefetcherFactory | None = None,
                        config: SystemConfig | None = None,
@@ -178,39 +223,8 @@ def simulate_multicore(traces: Sequence[Trace],
         for i, trace in enumerate(traces)
     ]
     if audit_requested(check_invariants):
-        for lane in lanes:
-            lane.auditor = InvariantAuditor(lane.hierarchy)
-        for lane in lanes:
-            for other in lanes:
-                if other is not lane:
-                    lane.auditor.watch_remote_bus(other.hierarchy.bus)
-
-    # Lanes that still have to cross their warmup boundary before the
-    # global measurement window opens.  A zero-length warmup crosses on
-    # the lane's first step; an empty trace never steps at all.
-    pending_warmup = {lane.core_id for lane in lanes if not lane.done}
-    if not pending_warmup:
-        _open_measurement(lanes, shared, dram)
-
-    # Advance the core that is furthest behind in time, so shared-resource
-    # interleaving approximates concurrent execution.
-    heap = [(lane.core.cycle, lane.core_id) for lane in lanes]
-    heapq.heapify(heap)
-    while heap:
-        _, core_id = heapq.heappop(heap)
-        lane = lanes[core_id]
-        if lane.done:
-            continue
-        crossed = lane.step()
-        if core_id in pending_warmup and (crossed or lane.done):
-            # A lane whose trace ends at or before its boundary stops
-            # gating the window when it finishes.
-            pending_warmup.discard(core_id)
-            if not pending_warmup:
-                _open_measurement(lanes, shared, dram)
-        if not lane.done:
-            heapq.heappush(heap, (lane.core.cycle, core_id))
-
+        _attach_auditors(lanes)
+    _run_lanes(lanes, shared, dram)
     return [lane.result() for lane in lanes]
 
 

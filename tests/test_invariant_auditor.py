@@ -65,13 +65,14 @@ class TestAuditRequested:
 # --------------------------------------- bug 1: lost dirty back-invalidation
 
 
-def _apply_fill_dropping_dirty_private(self, line, cycle, *, prefetched=False,
+def _apply_fill_dropping_dirty_private(self, line, cycle, prefetched=False,
                                        is_write=False):
     """Pre-fix ``CacheLevel.apply_fill``: drains only when the LLC victim
     itself was dirty, silently losing dirty back-invalidated private
-    copies (the historical dirty-writeback bug)."""
+    copies (the historical dirty-writeback bug).  Same signature as the
+    live method: the kernel passes the flags positionally."""
     inserted, victim, victim_entry = self.storage.fill_now(
-        line, cycle, prefetched=prefetched, is_write=is_write)
+        line, cycle, prefetched, is_write)
     if not inserted:
         return
     if prefetched:

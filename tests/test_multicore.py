@@ -58,3 +58,78 @@ class TestSpeedup:
         traces = [stream_trace(0)]
         results = simulate_multicore(traces, NoPrefetcher)
         assert multicore_speedup(results, results) == 1.0
+
+
+class TestFig13TraceReuse:
+    """``fig13`` builds each distinct spec once and shares every rebased
+    (spec, core) trace across the sets that use it; the per-cell results
+    must equal building every cell's traces fresh."""
+
+    ACCESSES = 400
+
+    def test_shared_traces_match_fresh_builds(self, monkeypatch):
+        from repro.experiments import multi_core
+        from repro.memtrace.trace import rebase
+        from repro.memtrace.workloads import WorkloadSpec, quick_suite
+        from repro.sim.stats import geomean
+
+        accesses = self.ACCESSES
+        suite = quick_suite()
+        specs = [suite[0], suite[4]]
+        prefetchers = {"pmp": PMP}
+        mixes = multi_core.build_heterogeneous_mixes(specs)
+        config = SystemConfig.default().for_multicore(4)
+
+        # Reference: every cell's traces built and rebased afresh, every
+        # (set, prefetcher) cell simulated on its own.
+        fresh_sets = ([[rebase(spec.build(accesses), core) for core in range(4)]
+                       for spec in specs]
+                      + [[rebase(spec.build(accesses), core)
+                          for core, spec in enumerate(mix_specs)]
+                         for _, mix_specs in mixes])
+        reference = [
+            simulate_multicore(traces, factory, config)
+            for traces in fresh_sets
+            for factory in (PMP, NoPrefetcher)]
+
+        built = []
+        build = WorkloadSpec.build
+
+        def counting_build(spec, *args):
+            trace = build(spec, *args)
+            built.append((spec.name, len(trace)))
+            return trace
+
+        cells = []
+        simulate = multi_core.simulate_multicore
+
+        def recording_simulate(traces, factory, cfg):
+            results = simulate(traces, factory, cfg)
+            cells.append((traces, results))
+            return results
+
+        monkeypatch.setattr(WorkloadSpec, "build", counting_build)
+        monkeypatch.setattr(multi_core, "simulate_multicore",
+                            recording_simulate)
+        out = multi_core.fig13(specs, accesses=accesses,
+                               prefetchers=prefetchers)
+
+        assert [results for _, results in cells] == reference
+        assert [[t.name for t in traces] for traces, _ in cells] == [
+            [t.name for t in traces]
+            for traces in fresh_sets for _ in (PMP, NoPrefetcher)]
+        # One build per distinct spec at the figure length (classification
+        # builds its own traces at another length).
+        assert sorted(name for name, n in built if n == accesses) == sorted(
+            spec.name for spec in specs)
+        # Sets share trace objects: one per distinct (spec, core) pair.
+        set_specs = [[spec] * 4 for spec in specs] + [list(m) for _, m in mixes]
+        pairs = {(spec.name, core) for row in set_specs
+                 for core, spec in enumerate(row)}
+        assert len({id(t) for traces, _ in cells for t in traces}) == len(pairs)
+
+        n_homo = len(specs)
+        speedups = [multicore_speedup(reference[2 * i], reference[2 * i + 1])
+                    for i in range(len(fresh_sets))]
+        assert out == {"pmp": {"homogeneous": geomean(speedups[:n_homo]),
+                               "heterogeneous": geomean(speedups[n_homo:])}}

@@ -9,8 +9,6 @@ lane's attribution view (LLC mirror, DRAM port), so the per-core results
 sum to the shared totals over the common measurement window.
 """
 
-import heapq
-
 import numpy as np
 import pytest
 
@@ -20,10 +18,10 @@ from repro.prefetchers.base import NoPrefetcher
 from repro.sim.cache import Cache
 from repro.sim.dram import Dram
 from repro.sim.hierarchy import SharedLLC
-from repro.sim.invariants import InvariantAuditor
 from repro.sim.multicore import (
+    _attach_auditors,
     _CoreLane,
-    _open_measurement,
+    _run_lanes,
     _warmup_ends,
     simulate_multicore,
 )
@@ -46,8 +44,9 @@ def make_traces(count, length=700, lines=4096, write_fraction=0.3, seed=17):
 
 
 def run_keeping_shared(traces, warmup_fraction=0.2, audit=True):
-    """``simulate_multicore``'s loop, keeping the shared LLC/DRAM handles
-    so tests can compare attributed views against the hardware totals."""
+    """``simulate_multicore`` through its own lane loop, keeping the shared
+    LLC/DRAM handles so tests can compare attributed views against the
+    hardware totals."""
     config = small_config().for_multicore(len(traces))
     shared = SharedLLC(Cache(config.llc, name="LLC"))
     dram = Dram(config.dram)
@@ -56,30 +55,8 @@ def run_keeping_shared(traces, warmup_fraction=0.2, audit=True):
                        warmup_end=ends[i])
              for i, trace in enumerate(traces)]
     if audit:
-        for lane in lanes:
-            lane.auditor = InvariantAuditor(lane.hierarchy)
-        for lane in lanes:
-            for other in lanes:
-                if other is not lane:
-                    lane.auditor.watch_remote_bus(other.hierarchy.bus)
-
-    pending_warmup = {lane.core_id for lane in lanes if not lane.done}
-    if not pending_warmup:
-        _open_measurement(lanes, shared, dram)
-    heap = [(lane.core.cycle, lane.core_id) for lane in lanes]
-    heapq.heapify(heap)
-    while heap:
-        _, core_id = heapq.heappop(heap)
-        lane = lanes[core_id]
-        if lane.done:
-            continue
-        crossed = lane.step()
-        if core_id in pending_warmup and (crossed or lane.done):
-            pending_warmup.discard(core_id)
-            if not pending_warmup:
-                _open_measurement(lanes, shared, dram)
-        if not lane.done:
-            heapq.heappush(heap, (lane.core.cycle, core_id))
+        _attach_auditors(lanes)
+    _run_lanes(lanes, shared, dram)
     return [lane.result() for lane in lanes], shared, dram
 
 
