@@ -25,8 +25,10 @@ from dataclasses import fields as dataclass_fields
 
 from ..memtrace.trace import Trace
 from ..prefetchers.base import NoPrefetcher, Prefetcher
+from ..sim.engine import Run, simulate
+from ..sim.hierarchy import Hierarchy
 from ..sim.params import SystemConfig
-from ..sim.stats import LevelStats, SimResult, snapshot_level
+from ..sim.stats import LevelStats, SimResult
 from .config import SamplingConfig
 from .plan import RepresentativeWindow, SamplingPlan, build_plan
 
@@ -54,8 +56,6 @@ def simulate_sampled(trace: Trace, prefetcher: Prefetcher | None = None,
 
     plan = build_plan(trace, warmup_fraction, sampling)
     if plan.fallback is not None:
-        from ..sim.engine import simulate  # runtime import: engine dispatches here
-
         result = simulate(trace, prefetcher, config, warmup_fraction,
                           trace_events=trace_events,
                           check_invariants=check_invariants,
@@ -76,108 +76,30 @@ def _simulate_stitched(
         plan: SamplingPlan, *, trace_events: bool,
         check_invariants: bool | None, fastpath: bool,
 ) -> list[tuple[RepresentativeWindow, SimResult]]:
-    """One continuous run over the plan's segments, in trace order.
+    """One continuous :class:`~repro.sim.engine.Run` over the plan's
+    segments, in trace order.
 
-    Mirrors the full engine's access loop (fast path, warmup-boundary
-    stats reset, end-of-run drain/flush) but jumps from one segment's
-    end to the next segment's prefix start instead of walking the whole
-    trace.  Interior segment boundaries snapshot without draining —
-    in-flight accounting resolves during the next segment's discarded
-    prefix; only the final segment gets the full end-of-run drain and
-    prefetch-accounting flush, exactly like the full engine.
+    Each segment advances through its discarded prefix, resets the
+    measurement at its window start and advances through the window,
+    then jumps to the next segment's prefix start instead of walking
+    the whole trace.  Interior segment boundaries snapshot without
+    draining — in-flight accounting resolves during the next segment's
+    discarded prefix; only the final segment calls ``finish()``, the
+    end-of-run drain and prefetch-accounting flush of a full run.
     """
-    from ..sim.core import Core
-    from ..sim.fastpath import MIN_RUN, FastPath
-    from ..sim.hierarchy import Hierarchy
-    from ..sim.invariants import InvariantAuditor, audit_requested
-    from ..sim.observers import EventTrace
-
-    hierarchy = Hierarchy.build(config, prefetcher)
-    tracer = EventTrace(hierarchy.bus) if trace_events else None
-    auditor = (InvariantAuditor(hierarchy)
-               if audit_requested(check_invariants) else None)
-    core = Core(config.core)
-    accesses = trace.accesses
-    scanner = (FastPath(trace, hierarchy, core, prefetcher)
-               if fastpath and prefetcher.supports_hit_runs
-               and len(trace) >= MIN_RUN else None)
-
-    advance = core.advance
-    begin_load = core.begin_load
-    finish_load = core.finish_load
-    set_view_cycle = hierarchy.set_view_cycle
-    demand_access = hierarchy.demand_access
-    issue_prefetch = hierarchy.issue_prefetch
-    on_access = prefetcher.on_access
-    try_run = scanner.try_run if scanner is not None else None
-
+    run = Run(trace, Hierarchy.build(config, prefetcher),
+              trace_events=trace_events, check_invariants=check_invariants,
+              fastpath=fastpath)
     ordered = sorted(plan.representatives, key=lambda rep: rep.start)
     measurements = []
-    for position, rep in enumerate(ordered):
-        start_instr = core.instructions
-        start_cycle = core.cycle
-        index = rep.prefix_start
-        while index < rep.end:
-            if index == rep.start:
-                hierarchy.reset_stats()
-                if tracer is not None:
-                    tracer.reset()
-                if auditor is not None:
-                    auditor.on_reset()
-                start_instr = core.instructions
-                start_cycle = core.cycle
-
-            if try_run is not None:
-                # A block must never span the measurement boundary: the
-                # stats it reconciles in one step have to land entirely
-                # on one side of the reset above.
-                retired = try_run(index,
-                                  rep.start if index < rep.start else rep.end)
-                if retired:
-                    index += retired
-                    continue
-
-            access = accesses[index]
-            index += 1
-            if access.gap:
-                advance(access.gap)
-            issue_cycle = begin_load()
-            set_view_cycle(issue_cycle)
-            latency, l1_hit = demand_access(access.address, issue_cycle,
-                                            access.is_write)
-            finish_load(latency)
-
-            requests = on_access(access.pc, access.address,
-                                 issue_cycle, l1_hit, hierarchy)
-            for request in requests:
-                issue_prefetch(request, issue_cycle)
-            if auditor is not None:
-                auditor.checkpoint(issue_cycle)
-
-        if position == len(ordered) - 1:
-            core.drain()
-            hierarchy.flush_accounting(core.cycle)
-            if auditor is not None:
-                auditor.finalize(core.cycle)
-
-        measurements.append((rep, SimResult(
-            trace_name=f"{trace.name}[{rep.start}:{rep.end})",
-            prefetcher_name=prefetcher.name,
-            instructions=core.instructions - start_instr,
-            cycles=core.cycle - start_cycle,
-            levels={
-                "l1d": snapshot_level(hierarchy.l1d.stats),
-                "l2c": snapshot_level(hierarchy.l2c.stats),
-                "llc": snapshot_level(hierarchy.llc.stats),
-            },
-            dram_demand_requests=hierarchy.dram.stats.demand_requests,
-            dram_prefetch_requests=hierarchy.dram.stats.prefetch_requests,
-            dram_writeback_requests=hierarchy.dram.stats.writeback_requests,
-            issued_prefetches=dict(hierarchy.issued_prefetches),
-            dropped_prefetches=hierarchy.dropped_prefetches,
-            event_counters=(tracer.counter_snapshot()
-                            if tracer is not None else None),
-        )))
+    for rep in ordered:
+        run.advance(rep.prefix_start, rep.start)
+        run.reset_measurement()
+        run.advance(rep.start, rep.end)
+        if rep is ordered[-1]:
+            run.finish()
+        measurements.append(
+            (rep, run.snapshot(f"{trace.name}[{rep.start}:{rep.end})")))
     return measurements
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..memtrace.trace import Trace
+from ..sim.engine import warmup_boundary
 from .cluster import Clustering, cluster_windows
 from .config import SamplingConfig
 from .signature import window_signatures
@@ -98,10 +99,11 @@ def build_plan(trace: Trace, warmup_fraction: float,
     Falls back (``plan.fallback`` set, no representatives) when the
     measured region cannot yield at least two windows of
     ``config.min_window`` accesses — sampling a trace that small would
-    cost more than it saves.
+    cost more than it saves.  Raises ``ValueError`` for a
+    ``warmup_fraction`` outside [0, 1).
     """
     total = len(trace)
-    warmup_end = int(total * warmup_fraction)
+    warmup_end = warmup_boundary(total, warmup_fraction)
     measured = total - warmup_end
     if measured <= 0:
         return _fallback(trace, warmup_end, "no measured region")

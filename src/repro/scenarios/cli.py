@@ -274,7 +274,8 @@ def scenarios_main(argv: list[str] | None = None) -> int:
                "validate": cmd_validate, "run": cmd_run}[args.command]
     try:
         return handler(args)
-    except (CatalogNotFound, ScenarioError, KeyError) as exc:
+    # ScenarioError is a ValueError; so is an out-of-range --warmup.
+    except (CatalogNotFound, KeyError, ValueError) as exc:
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 2

@@ -3,7 +3,7 @@
 from .cache import Cache, CacheLine, CacheStats
 from .core import Core
 from .dram import Dram, DramPort, DramStats
-from .engine import compare, simulate
+from .engine import simulate
 from .hierarchy import Hierarchy, SharedLLC
 from .invariants import InvariantAuditor, InvariantViolation, audit_requested
 from .multicore import multicore_speedup, simulate_multicore
@@ -29,7 +29,6 @@ __all__ = [
     "SimResult",
     "SystemConfig",
     "audit_requested",
-    "compare",
     "geomean",
     "multicore_speedup",
     "simulate",

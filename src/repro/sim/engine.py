@@ -1,16 +1,19 @@
-"""Single-core simulation driver.
+"""Simulation: one :class:`Run` per core, stepped by every set-up.
 
 Mirrors the paper's methodology at reduced scale: the first
 ``warmup_fraction`` of the trace warms caches and prefetcher state with
-stats discarded, the remainder is measured.  On every L1D load the engine
+stats discarded, the remainder is measured.  On every L1D load the run
 (1) serves the demand through the hierarchy, (2) hands the access to the
 prefetcher, and (3) issues whatever prefetches the prefetcher returned,
 subject to PQ/MSHR admission in the hierarchy.
+
+:func:`simulate` drives one :class:`Run` across its single warmup
+boundary; sampled runs (:mod:`repro.sampling.engine`) drive one over a
+plan's segments, and multicore lanes (:mod:`repro.sim.multicore`) step
+one per core, an access at a time.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 from ..memtrace.trace import Trace
 from ..prefetchers.base import NoPrefetcher, Prefetcher
@@ -22,7 +25,144 @@ from .observers import EventTrace
 from .params import SystemConfig
 from .stats import SimResult, snapshot_level
 
-PrefetcherFactory = Callable[[], Prefetcher]
+
+def warmup_boundary(total: int, fraction: float) -> int:
+    """Index of the first measured access of a ``total``-access trace.
+
+    Raises ``ValueError`` for a fraction outside [0, 1): such a boundary
+    would lie past the trace end (or before its start), so the run would
+    quietly measure its cold start instead of failing.
+    """
+    if not 0.0 <= fraction < 1.0:
+        raise ValueError(f"warmup fraction must be in [0, 1), got {fraction!r}")
+    return int(total * fraction)
+
+
+class Run:
+    """One core's trace, core model, hierarchy, prefetcher and observers.
+
+    Built in a fixed order — event tracer, invariant auditor, fast-path
+    scanner — and stepped by :meth:`advance`, the simulator's only
+    per-access loop.  :meth:`snapshot` is the only place a
+    :class:`SimResult` is built from live counters; it reads the
+    hierarchy's *attributed* LLC and DRAM views, which equal the hardware
+    totals when the hierarchy owns its LLC and DRAM.
+    """
+
+    def __init__(self, trace: Trace, hierarchy: Hierarchy, *,
+                 trace_events: bool = False,
+                 check_invariants: bool | None = None,
+                 fastpath: bool = True) -> None:
+        self.trace = trace
+        self.hierarchy = hierarchy
+        prefetcher = hierarchy.prefetcher
+        self.core = core = Core(hierarchy.config.core)
+        self.tracer = EventTrace(hierarchy.bus) if trace_events else None
+        self.auditor = (InvariantAuditor(hierarchy)
+                        if audit_requested(check_invariants) else None)
+        self.scanner = (FastPath(trace, hierarchy, core, prefetcher)
+                        if fastpath and prefetcher.supports_hit_runs
+                        and len(trace) >= MIN_RUN else None)
+        self._start_instructions = 0
+        self._start_cycle = 0.0
+        # Everything the access loop calls, bound once: multicore lanes
+        # call advance() once per access, so its set-up is one unpack.
+        self._loop = (
+            trace.accesses, core.advance, core.begin_load, core.finish_load,
+            hierarchy.set_view_cycle, hierarchy.demand_access,
+            hierarchy.issue_prefetch, prefetcher.on_access,
+            self.scanner.try_run if self.scanner is not None else None,
+            self.auditor.checkpoint if self.auditor is not None else None)
+
+    def advance(self, start: int, stop: int) -> None:
+        """Simulate ``trace[start:stop)``.
+
+        A fast-path block never runs past ``stop``, so counters reset at
+        ``stop`` see every access of a block land on one side of it.
+        """
+        (accesses, retire, begin_load, finish_load, set_view_cycle,
+         demand_access, issue_prefetch, on_access, try_run,
+         checkpoint) = self._loop
+        hierarchy = self.hierarchy
+        index = start
+        while index < stop:
+            if try_run is not None:
+                retired = try_run(index, stop)
+                if retired:
+                    index += retired
+                    continue
+
+            access = accesses[index]
+            index += 1
+            if access.gap:
+                retire(access.gap)
+            issue_cycle = begin_load()
+            set_view_cycle(issue_cycle)
+            latency, l1_hit = demand_access(access.address, issue_cycle,
+                                            access.is_write)
+            finish_load(latency)
+
+            requests = on_access(access.pc, access.address,
+                                 issue_cycle, l1_hit, hierarchy)
+            for request in requests:
+                issue_prefetch(request, issue_cycle)
+            if checkpoint is not None:
+                checkpoint(issue_cycle)
+
+    def _mark_start(self) -> None:
+        self._start_instructions = self.core.instructions
+        self._start_cycle = self.core.cycle
+
+    def reset_measurement(self) -> None:
+        """Open the measured window: clear every counter this run reports
+        (shared LLC/DRAM totals included) and the tracer's log."""
+        self.hierarchy.reset_stats()
+        if self.tracer is not None:
+            self.tracer.reset()
+        if self.auditor is not None:
+            self.auditor.on_reset()
+        self._mark_start()
+
+    def reset_private(self) -> None:
+        """A multicore lane's own warmup boundary: clear only its private
+        counters, since other lanes may already be measuring the shared
+        LLC and DRAM."""
+        self.hierarchy.reset_private_stats()
+        if self.auditor is not None:
+            self.auditor.on_reset_private()
+        self._mark_start()
+
+    def finish(self) -> None:
+        """End of run: drain the core, resolve still-resident prefetches
+        as useless, and run the auditor's final checks."""
+        self.core.drain()
+        cycle = self.core.cycle
+        self.hierarchy.flush_accounting(cycle)
+        if self.auditor is not None:
+            self.auditor.finalize(cycle)
+
+    def snapshot(self, trace_name: str | None = None) -> SimResult:
+        """The measured window so far, as a :class:`SimResult`."""
+        hierarchy = self.hierarchy
+        port = hierarchy.dram_port.stats
+        return SimResult(
+            trace_name=self.trace.name if trace_name is None else trace_name,
+            prefetcher_name=hierarchy.prefetcher.name,
+            instructions=self.core.instructions - self._start_instructions,
+            cycles=self.core.cycle - self._start_cycle,
+            levels={
+                "l1d": snapshot_level(hierarchy.l1d.stats),
+                "l2c": snapshot_level(hierarchy.l2c.stats),
+                "llc": snapshot_level(hierarchy.llc_stats),
+            },
+            dram_demand_requests=port.demand_requests,
+            dram_prefetch_requests=port.prefetch_requests,
+            dram_writeback_requests=port.writeback_requests,
+            issued_prefetches=dict(hierarchy.issued_prefetches),
+            dropped_prefetches=hierarchy.dropped_prefetches,
+            event_counters=(self.tracer.counter_snapshot()
+                            if self.tracer is not None else None),
+        )
 
 
 def simulate(trace: Trace, prefetcher: Prefetcher | None = None,
@@ -31,9 +171,10 @@ def simulate(trace: Trace, prefetcher: Prefetcher | None = None,
              trace_events: bool = False,
              check_invariants: bool | None = None,
              fastpath: bool = True,
-             sampling=None,
-             state_out: dict | None = None) -> SimResult:
+             sampling=None) -> SimResult:
     """Run one trace through one prefetcher; returns the measured stats.
+
+    ``warmup_fraction`` must lie in [0, 1) (``ValueError`` otherwise).
 
     ``trace_events=True`` attaches the opt-in :class:`EventTrace`
     observer to the hierarchy's bus; its per-component counter snapshot
@@ -50,7 +191,7 @@ def simulate(trace: Trace, prefetcher: Prefetcher | None = None,
     every simulation without touching call sites.  Auditing is pure
     observation: results are identical with it on or off.
 
-    ``fastpath`` (default on) lets the engine batch runs of *ordinary*
+    ``fastpath`` (default on) lets the run batch stretches of *ordinary*
     accesses — L1 hits with no structural events — through the NumPy
     fast path (:mod:`repro.sim.fastpath`), falling back to the
     event-driven kernel at every interesting boundary.  Results are
@@ -65,133 +206,24 @@ def simulate(trace: Trace, prefetcher: Prefetcher | None = None,
     the plan and error bars attached as ``SimResult.sampling``.  Off
     (``None`` or ``enabled=False``) by default — then this function's
     behaviour is bit-identical to the pre-sampling engine.
-
-    ``state_out``, when given a dict, receives post-run internals for
-    tests: the ``hierarchy`` and ``core`` objects plus
-    ``fastpath_blocks`` / ``fastpath_accesses`` coverage counters.
     """
     if sampling is not None and sampling.enabled:
-        if state_out is not None:
-            raise ValueError("state_out is not supported for sampled runs "
-                             "(there is no single post-run hierarchy)")
         from ..sampling.engine import simulate_sampled  # avoid import cycle
 
         return simulate_sampled(trace, prefetcher, config, warmup_fraction,
                                 sampling=sampling, trace_events=trace_events,
                                 check_invariants=check_invariants,
                                 fastpath=fastpath)
+    boundary = warmup_boundary(len(trace), warmup_fraction)
     if prefetcher is None:
         prefetcher = NoPrefetcher()
     if config is None:
         config = SystemConfig.default()
-
-    hierarchy = Hierarchy.build(config, prefetcher)
-    tracer = EventTrace(hierarchy.bus) if trace_events else None
-    auditor = (InvariantAuditor(hierarchy)
-               if audit_requested(check_invariants) else None)
-    core = Core(config.core)
-    accesses = trace.accesses
-    total = len(accesses)
-    warmup_end = int(total * warmup_fraction)
-    measured_start_instr = 0
-    measured_start_cycle = 0.0
-
-    scanner = (FastPath(trace, hierarchy, core, prefetcher)
-               if fastpath and prefetcher.supports_hit_runs
-               and total >= MIN_RUN else None)
-
-    # Bound methods hoisted out of the per-access loop: the loop body is
-    # the whole-simulation hot path and each lookup otherwise costs an
-    # attribute resolution per access.
-    advance = core.advance
-    begin_load = core.begin_load
-    finish_load = core.finish_load
-    set_view_cycle = hierarchy.set_view_cycle
-    demand_access = hierarchy.demand_access
-    issue_prefetch = hierarchy.issue_prefetch
-    on_access = prefetcher.on_access
-    try_run = scanner.try_run if scanner is not None else None
-
-    index = 0
-    while index < total:
-        if index == warmup_end:
-            hierarchy.reset_stats()
-            if tracer is not None:
-                tracer.reset()
-            if auditor is not None:
-                auditor.on_reset()
-            measured_start_instr = core.instructions
-            measured_start_cycle = core.cycle
-
-        if try_run is not None:
-            # A block must never span the warmup/measurement boundary:
-            # the stats it reconciles in one step have to land entirely
-            # on one side of the reset above.
-            retired = try_run(index,
-                              warmup_end if index < warmup_end else total)
-            if retired:
-                index += retired
-                continue
-
-        access = accesses[index]
-        index += 1
-        if access.gap:
-            advance(access.gap)
-        issue_cycle = begin_load()
-        set_view_cycle(issue_cycle)
-        latency, l1_hit = demand_access(access.address, issue_cycle,
-                                        access.is_write)
-        finish_load(latency)
-
-        requests = on_access(access.pc, access.address,
-                             issue_cycle, l1_hit, hierarchy)
-        for request in requests:
-            issue_prefetch(request, issue_cycle)
-        if auditor is not None:
-            auditor.checkpoint(issue_cycle)
-
-    core.drain()
-    final_cycle = core.cycle
-    hierarchy.flush_accounting(final_cycle)
-    if auditor is not None:
-        auditor.finalize(final_cycle)
-
-    if state_out is not None:
-        state_out["hierarchy"] = hierarchy
-        state_out["core"] = core
-        state_out["tracer"] = tracer
-        state_out["fastpath_blocks"] = (scanner.blocks_retired
-                                        if scanner is not None else 0)
-        state_out["fastpath_accesses"] = (scanner.accesses_fastpathed
-                                          if scanner is not None else 0)
-
-    return SimResult(
-        trace_name=trace.name,
-        prefetcher_name=prefetcher.name,
-        instructions=core.instructions - measured_start_instr,
-        cycles=core.cycle - measured_start_cycle,
-        levels={
-            "l1d": snapshot_level(hierarchy.l1d.stats),
-            "l2c": snapshot_level(hierarchy.l2c.stats),
-            "llc": snapshot_level(hierarchy.llc.stats),
-        },
-        dram_demand_requests=hierarchy.dram.stats.demand_requests,
-        dram_prefetch_requests=hierarchy.dram.stats.prefetch_requests,
-        dram_writeback_requests=hierarchy.dram.stats.writeback_requests,
-        issued_prefetches=dict(hierarchy.issued_prefetches),
-        dropped_prefetches=hierarchy.dropped_prefetches,
-        event_counters=tracer.counter_snapshot() if tracer is not None else None,
-    )
-
-
-def compare(trace: Trace, prefetcher_factories: dict[str, PrefetcherFactory],
-            config: SystemConfig | None = None,
-            warmup_fraction: float = 0.2) -> dict[str, SimResult]:
-    """Run several prefetchers (plus the no-prefetch baseline) on one trace.
-
-    Returns results keyed by name; the baseline is under ``"baseline"``.
-    """
-    results = {"baseline": simulate(trace, NoPrefetcher(), config, warmup_fraction)}
-    for name, factory in prefetcher_factories.items():
-        results[name] = simulate(trace, factory(), config, warmup_fraction)
-    return results
+    run = Run(trace, Hierarchy.build(config, prefetcher),
+              trace_events=trace_events, check_invariants=check_invariants,
+              fastpath=fastpath)
+    run.advance(0, boundary)
+    run.reset_measurement()
+    run.advance(boundary, len(trace))
+    run.finish()
+    return run.snapshot()

@@ -126,7 +126,7 @@ class FastPath:
         self._window = MIN_WINDOW
         self._skip = 0
         self._cooldown = 1
-        # Diagnostic surface (engine exposes these via ``state_out``).
+        # Diagnostic surface (read through ``Run.scanner``).
         self.blocks_retired = 0
         self.accesses_fastpathed = 0
         self.attempts = 0

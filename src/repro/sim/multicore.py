@@ -1,7 +1,8 @@
 """Multi-core simulation: private L1D/L2C per core, shared LLC and DRAM.
 
-Cores run their own traces and prefetchers; the driver always advances the
-core whose clock is furthest behind, so shared-resource contention (LLC
+Cores run their own traces and prefetchers, each as one
+:class:`~repro.sim.engine.Run`; the core whose clock is furthest behind
+always advances next, by one access, so shared-resource contention (LLC
 capacity, inclusive back-invalidations, DRAM channel queueing) emerges
 from interleaved timing rather than being modelled statistically.  This is
 the substrate for Fig 13 (homogeneous 125-trace runs and the Table VII
@@ -27,98 +28,14 @@ from typing import Callable, Sequence
 from ..memtrace.trace import Trace
 from ..prefetchers.base import NoPrefetcher, Prefetcher
 from .cache import Cache
-from .core import Core
 from .dram import Dram
+from .engine import Run, warmup_boundary
 from .hierarchy import Hierarchy, SharedLLC
-from .invariants import InvariantAuditor, audit_requested
+from .invariants import audit_requested
 from .params import SystemConfig
-from .stats import SimResult, geomean, snapshot_level
+from .stats import SimResult, geomean
 
 PrefetcherFactory = Callable[[], Prefetcher]
-
-
-class _CoreLane:
-    """One core's trace cursor, core model, prefetcher and hierarchy."""
-
-    def __init__(self, core_id: int, trace: Trace, prefetcher: Prefetcher,
-                 config: SystemConfig, shared_llc: SharedLLC, dram: Dram,
-                 warmup_end: int) -> None:
-        self.core_id = core_id
-        self.trace = trace
-        self.prefetcher = prefetcher
-        self.hierarchy = Hierarchy(config, prefetcher, shared_llc, dram, core_id)
-        self.core = Core(config.core)
-        self.auditor: InvariantAuditor | None = None
-        self.index = 0
-        self.warmup_end = warmup_end
-        self.measured_start_instr = 0
-        self.measured_start_cycle = 0.0
-
-    @property
-    def done(self) -> bool:
-        """True when this core has consumed its whole trace."""
-        return self.index >= len(self.trace)
-
-    def step(self) -> bool:
-        """Process this core's next access; True when this step crossed
-        the lane's warmup boundary."""
-        crossed = False
-        if self.index == self.warmup_end:
-            # Only this lane's private counters: the shared LLC/DRAM
-            # blocks belong to the global measurement boundary.
-            self.hierarchy.reset_private_stats()
-            if self.auditor is not None:
-                self.auditor.on_reset_private()
-            self.measured_start_instr = self.core.instructions
-            self.measured_start_cycle = self.core.cycle
-            crossed = True
-        access = self.trace.accesses[self.index]
-        self.index += 1
-        if access.gap:
-            self.core.advance(access.gap)
-        issue_cycle = self.core.begin_load()
-        self.hierarchy.set_view_cycle(issue_cycle)
-        latency, l1_hit = self.hierarchy.demand_access(access.address,
-                                                       issue_cycle,
-                                                       access.is_write)
-        self.core.finish_load(latency)
-        requests = self.prefetcher.on_access(access.pc, access.address,
-                                             issue_cycle, l1_hit, self.hierarchy)
-        for request in requests:
-            self.hierarchy.issue_prefetch(request, issue_cycle)
-        if self.auditor is not None:
-            self.auditor.checkpoint(issue_cycle)
-        return crossed
-
-    def result(self) -> SimResult:
-        """Drain the core and snapshot its SimResult.
-
-        Shared-resource numbers are this lane's *attributed* views — the
-        LLC mirror its own accesses incremented and the DRAM port its
-        hierarchy issued through — not the shared hardware totals.
-        """
-        self.core.drain()
-        final_cycle = self.core.cycle
-        self.hierarchy.flush_accounting(final_cycle)
-        if self.auditor is not None:
-            self.auditor.finalize(final_cycle)
-        port_stats = self.hierarchy.dram_port.stats
-        return SimResult(
-            trace_name=self.trace.name,
-            prefetcher_name=self.prefetcher.name,
-            instructions=self.core.instructions - self.measured_start_instr,
-            cycles=self.core.cycle - self.measured_start_cycle,
-            levels={
-                "l1d": snapshot_level(self.hierarchy.l1d.stats),
-                "l2c": snapshot_level(self.hierarchy.l2c.stats),
-                "llc": snapshot_level(self.hierarchy.llc_stats),
-            },
-            dram_demand_requests=port_stats.demand_requests,
-            dram_prefetch_requests=port_stats.prefetch_requests,
-            dram_writeback_requests=port_stats.writeback_requests,
-            issued_prefetches=dict(self.hierarchy.issued_prefetches),
-            dropped_prefetches=self.hierarchy.dropped_prefetches,
-        )
 
 
 def _warmup_ends(traces: Sequence[Trace],
@@ -131,66 +48,97 @@ def _warmup_ends(traces: Sequence[Trace],
         if len(fractions) != len(traces):
             raise ValueError(
                 f"{len(fractions)} warmup fractions for {len(traces)} traces")
-    return [int(len(trace) * fraction)
+    return [warmup_boundary(len(trace), fraction)
             for trace, fraction in zip(traces, fractions)]
 
 
-def _open_measurement(lanes: Sequence[_CoreLane], shared: SharedLLC,
+def _lanes(traces: Sequence[Trace], prefetcher_factory: PrefetcherFactory,
+           config: SystemConfig, shared: SharedLLC, dram: Dram,
+           check_invariants: bool | None) -> list[Run]:
+    """One :class:`Run` per core on the shared LLC and DRAM.
+
+    Every lane's hierarchy is built before any auditor: an auditor
+    decides whether the LLC is shared by counting the private caches
+    registered with it so far.  Auditors are cross-wired, so
+    back-invalidations published on another core's bus still update the
+    owning core's shadows.  Lanes never take the fast path: a block runs
+    one lane ahead of other lanes' accesses inside its cycle window, and
+    a back-invalidation from one of those would land after hits it
+    should have turned into misses.
+    """
+    hierarchies = [Hierarchy(config, prefetcher_factory(), shared, dram,
+                             core_id) for core_id in range(len(traces))]
+    audit = audit_requested(check_invariants)
+    runs = [Run(trace, hierarchy, check_invariants=audit, fastpath=False)
+            for trace, hierarchy in zip(traces, hierarchies)]
+    if audit:
+        for run in runs:
+            for other in runs:
+                if other is not run:
+                    run.auditor.watch_remote_bus(other.hierarchy.bus)
+    return runs
+
+
+def _open_measurement(runs: Sequence[Run], shared: SharedLLC,
                       dram: Dram) -> None:
     """The global measurement boundary: clear the shared hardware
     counters and every lane's attribution views together, so per-core
     deltas sum to the shared totals from here on."""
     shared.cache.stats.reset()
     dram.stats.reset()
-    for lane in lanes:
-        lane.hierarchy.reset_shared_attribution()
-        if lane.auditor is not None:
-            lane.auditor.on_reset_shared_attribution()
+    for run in runs:
+        run.hierarchy.reset_shared_attribution()
+        if run.auditor is not None:
+            run.auditor.on_reset_shared_attribution()
 
 
-def _attach_auditors(lanes: Sequence[_CoreLane]) -> None:
-    """One auditor per lane, cross-wired so back-invalidations published
-    on another core's bus still update the owning core's shadows."""
-    for lane in lanes:
-        lane.auditor = InvariantAuditor(lane.hierarchy)
-    for lane in lanes:
-        for other in lanes:
-            if other is not lane:
-                lane.auditor.watch_remote_bus(other.hierarchy.bus)
-
-
-def _run_lanes(lanes: Sequence[_CoreLane], shared: SharedLLC,
-               dram: Dram) -> None:
-    """Step every lane to the end of its trace, furthest-behind first.
+def _run_lanes(runs: Sequence[Run], warmup_ends: Sequence[int],
+               shared: SharedLLC, dram: Dram) -> list[SimResult]:
+    """Step every lane to the end of its trace, furthest-behind first,
+    then finish and snapshot each lane in core order.
 
     Advancing the core whose clock is furthest behind makes
     shared-resource interleaving approximate concurrent execution; ties
-    break by core id.  Opens the global measurement window once the last
-    lane crosses its warmup boundary.
+    break by core id.  Each lane clears its private counters at its own
+    warmup boundary; the global measurement window opens once the last
+    lane crosses.  The end-of-run flushes strip the shared LLC's
+    prefetched bits in core order, so finishing order sets attribution.
     """
+    lengths = [len(run.trace) for run in runs]
+    positions = [0] * len(runs)
     # Lanes that still have to cross their warmup boundary before the
-    # global measurement window opens.  A zero-length warmup crosses on
-    # the lane's first step; an empty trace never steps at all.
-    pending_warmup = {lane.core_id for lane in lanes if not lane.done}
+    # global measurement window opens.  Every boundary lies inside its
+    # non-empty trace (a zero-length warmup crosses on the lane's first
+    # step); an empty trace never steps at all.
+    pending_warmup = {core_id for core_id, length in enumerate(lengths)
+                      if length}
     if not pending_warmup:
-        _open_measurement(lanes, shared, dram)
+        _open_measurement(runs, shared, dram)
 
-    heap = [(lane.core.cycle, lane.core_id) for lane in lanes]
+    heap = [(run.core.cycle, core_id) for core_id, run in enumerate(runs)
+            if lengths[core_id]]
     heapq.heapify(heap)
     while heap:
         _, core_id = heapq.heappop(heap)
-        lane = lanes[core_id]
-        if lane.done:
-            continue
-        crossed = lane.step()
-        if core_id in pending_warmup and (crossed or lane.done):
-            # A lane whose trace ends at or before its boundary stops
-            # gating the window when it finishes.
+        run = runs[core_id]
+        index = positions[core_id]
+        crossed = index == warmup_ends[core_id]
+        if crossed:
+            run.reset_private()
+        run.advance(index, index + 1)
+        positions[core_id] = index = index + 1
+        if crossed:
             pending_warmup.discard(core_id)
             if not pending_warmup:
-                _open_measurement(lanes, shared, dram)
-        if not lane.done:
-            heapq.heappush(heap, (lane.core.cycle, core_id))
+                _open_measurement(runs, shared, dram)
+        if index < lengths[core_id]:
+            heapq.heappush(heap, (run.core.cycle, core_id))
+
+    results = []
+    for run in runs:
+        run.finish()
+        results.append(run.snapshot())
+    return results
 
 
 def simulate_multicore(traces: Sequence[Trace],
@@ -204,7 +152,7 @@ def simulate_multicore(traces: Sequence[Trace],
     reporting each core's *attributed* share of the shared LLC and DRAM
     traffic.  ``warmup_fraction`` may be one fraction for every lane or
     a per-lane sequence (heterogeneous mixes warm up at different
-    rates).  ``check_invariants`` attaches one
+    rates); each must lie in [0, 1).  ``check_invariants`` attaches one
     :class:`~repro.sim.invariants.InvariantAuditor` per core, cross-wired
     so back-invalidations from other cores' accesses are tracked too;
     ``None`` defers to ``REPRO_CHECK_INVARIANTS``.
@@ -214,18 +162,12 @@ def simulate_multicore(traces: Sequence[Trace],
     if prefetcher_factory is None:
         prefetcher_factory = NoPrefetcher
 
+    warmup_ends = _warmup_ends(traces, warmup_fraction)
     shared = SharedLLC(Cache(config.llc, name="LLC"))
     dram = Dram(config.dram)
-    warmup_ends = _warmup_ends(traces, warmup_fraction)
-    lanes = [
-        _CoreLane(i, trace, prefetcher_factory(), config, shared, dram,
-                  warmup_end=warmup_ends[i])
-        for i, trace in enumerate(traces)
-    ]
-    if audit_requested(check_invariants):
-        _attach_auditors(lanes)
-    _run_lanes(lanes, shared, dram)
-    return [lane.result() for lane in lanes]
+    runs = _lanes(traces, prefetcher_factory, config, shared, dram,
+                  check_invariants)
+    return _run_lanes(runs, warmup_ends, shared, dram)
 
 
 def multicore_speedup(results: Sequence[SimResult],

@@ -6,10 +6,17 @@ behaviour change::
     PYTHONPATH=src python tests/golden/regen.py
 
 The fixture pins full :meth:`SimResult.to_dict` snapshots (every counter,
-cycles bit-exact through JSON's repr round-trip) plus NIPC to 6 decimals
-for small fixed-seed traces under the no-prefetch baseline, PMP, and SPP.
-``tests/test_golden_traces.py`` fails on any drift, so refactors of
-``sim/engine.py`` or ``prefetchers/pmp.py`` cannot silently change the
+cycles bit-exact through JSON's repr round-trip) for three set-ups:
+
+* ``traces``: single-core runs of small fixed-seed traces under the
+  no-prefetch baseline, PMP and SPP, plus NIPC to 6 decimals;
+* ``sampled``: stitched sampled runs (:mod:`repro.sampling`) of one
+  trace, including a traced run that pins the per-segment tracer reset;
+* ``multicore``: 4-core shared-LLC runs of a homogeneous set and a mixed
+  set, each trace rebased onto its core, including per-lane warmups.
+
+``tests/test_golden_traces.py`` fails on any drift, so refactors of the
+simulation loop or ``prefetchers/pmp.py`` cannot silently change the
 paper's numbers.
 """
 
@@ -22,6 +29,24 @@ GOLDEN_PATH = Path(__file__).parent / "golden_stats.json"
 ACCESSES = 4000
 TRACE_NAMES = ("spec06-00", "ligra-00")
 
+SAMPLED_TRACE = "spec06-00"
+SAMPLED_ACCESSES = 6000
+#: Sampled run name -> (prefetcher, trace_events).
+SAMPLED_RUNS = {"none": ("none", False), "pmp": ("pmp", False),
+                "pmp+events": ("pmp", True)}
+
+MULTICORE_ACCESSES = 1500
+TRACE_SETS = {"homogeneous": ("spec06-00",) * 4,
+              "mix": ("spec06-00", "spec17-02", "ligra-00", "parsec-00")}
+#: Multicore run name -> (trace set, prefetcher, warmup fraction(s)).
+MULTICORE_RUNS = {
+    "homogeneous/none": ("homogeneous", "none", 0.2),
+    "homogeneous/pmp": ("homogeneous", "pmp", 0.2),
+    "mix/none": ("mix", "none", 0.2),
+    "mix/pmp": ("mix", "pmp", 0.2),
+    "mix/pmp/lane-warmups": ("mix", "pmp", (0.0, 0.2, 0.5, 0.8)),
+}
+
 
 def prefetcher_factories():
     from repro.prefetchers.base import NoPrefetcher
@@ -31,11 +56,56 @@ def prefetcher_factories():
     return {"none": NoPrefetcher, "pmp": PMP, "spp": SPP}
 
 
-def compute() -> dict:
+def suite_specs() -> dict:
     from repro.memtrace.workloads import full_suite
+
+    return {spec.name: spec for spec in full_suite()}
+
+
+def sampled_trace():
+    return suite_specs()[SAMPLED_TRACE].build(SAMPLED_ACCESSES)
+
+
+def run_sampled(trace, name: str) -> dict:
+    """One sampled run of ``SAMPLED_RUNS[name]``, serialized."""
+    from repro.sampling.config import SamplingConfig
     from repro.sim.engine import simulate
 
-    by_name = {spec.name: spec for spec in full_suite()}
+    pf_name, trace_events = SAMPLED_RUNS[name]
+    sampling = SamplingConfig(windows=12, warmup_windows=1, max_clusters=4)
+    return simulate(trace, prefetcher_factories()[pf_name](),
+                    sampling=sampling, trace_events=trace_events).to_dict()
+
+
+def multicore_trace_sets() -> dict:
+    """Trace set name -> one trace per core, rebased onto that core."""
+    from repro.memtrace.trace import rebase
+
+    specs = suite_specs()
+    built = {name: specs[name].build(MULTICORE_ACCESSES)
+             for names in TRACE_SETS.values() for name in names}
+    return {set_name: [rebase(built[name], core)
+                       for core, name in enumerate(names)]
+            for set_name, names in TRACE_SETS.items()}
+
+
+def run_multicore(trace_sets: dict, name: str) -> list[dict]:
+    """One 4-core run of ``MULTICORE_RUNS[name]``, serialized per core."""
+    from repro.sim.multicore import simulate_multicore
+    from repro.sim.params import SystemConfig
+
+    set_name, pf_name, warmup = MULTICORE_RUNS[name]
+    traces = trace_sets[set_name]
+    config = SystemConfig.default().for_multicore(len(traces))
+    results = simulate_multicore(traces, prefetcher_factories()[pf_name],
+                                 config, warmup_fraction=warmup)
+    return [result.to_dict() for result in results]
+
+
+def compute() -> dict:
+    from repro.sim.engine import simulate
+
+    by_name = suite_specs()
     golden: dict = {"accesses": ACCESSES, "traces": {}}
     for trace_name in TRACE_NAMES:
         trace = by_name[trace_name].build(ACCESSES)
@@ -47,6 +117,13 @@ def compute() -> dict:
             ipc = data["instructions"] / data["cycles"]
             data["nipc6"] = round(ipc / baseline_ipc, 6)
         golden["traces"][trace_name] = runs
+
+    trace = sampled_trace()
+    golden["sampled"] = {name: run_sampled(trace, name)
+                         for name in SAMPLED_RUNS}
+    trace_sets = multicore_trace_sets()
+    golden["multicore"] = {name: run_multicore(trace_sets, name)
+                           for name in MULTICORE_RUNS}
     return golden
 
 

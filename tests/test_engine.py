@@ -1,12 +1,13 @@
-"""Single-core engine: warmup, stats, prefetcher wiring, compare()."""
+"""Single-core engine: warmup, stats, prefetcher wiring."""
 
 import numpy as np
+import pytest
 
 from repro.memtrace import synthetic as syn
 from repro.memtrace.access import MemoryAccess
 from repro.memtrace.trace import Trace
 from repro.prefetchers import PMP, NextLine
-from repro.sim.engine import compare, simulate
+from repro.sim.engine import simulate
 from repro.sim.params import SystemConfig
 
 
@@ -29,6 +30,13 @@ class TestSimulate:
         full = simulate(trace, warmup_fraction=0.0)
         warm = simulate(trace, warmup_fraction=0.5)
         assert warm.levels["l1d"].demand_accesses < full.levels["l1d"].demand_accesses
+
+    @pytest.mark.parametrize("fraction", [1.5, 1.0, -0.5, float("nan")])
+    def test_warmup_outside_unit_interval_raises(self, fraction):
+        # Such a boundary is never reached, so the run would quietly
+        # measure its cold start.
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            simulate(stream_trace(200), warmup_fraction=fraction)
 
     def test_deterministic(self):
         trace = stream_trace(2000)
@@ -59,19 +67,6 @@ class TestSimulate:
         trace.append(MemoryAccess(pc=1, address=0x1000, gap=99))
         result = simulate(trace, warmup_fraction=0.0)
         assert result.instructions == 100
-
-
-class TestCompare:
-    def test_includes_baseline(self):
-        trace = stream_trace(1500)
-        results = compare(trace, {"pmp": PMP})
-        assert set(results) == {"baseline", "pmp"}
-        assert results["baseline"].prefetcher_name == "none"
-
-    def test_nipc_of_baseline_is_one(self):
-        trace = stream_trace(1500)
-        results = compare(trace, {})
-        assert results["baseline"].nipc(results["baseline"]) == 1.0
 
 
 class TestConfigKnobs:

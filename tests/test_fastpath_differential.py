@@ -22,7 +22,9 @@ from repro.memtrace.trace import Trace
 from repro.prefetchers.base import NoPrefetcher
 from repro.prefetchers.pmp import PMP
 from repro.prefetchers.spp import SPP
-from repro.sim.engine import simulate
+from repro.sim.engine import Run, simulate, warmup_boundary
+from repro.sim.hierarchy import Hierarchy
+from repro.sim.params import SystemConfig
 
 from tests.test_differential import kernel_contents
 from tests.test_invariants import random_traces, small_config
@@ -47,33 +49,44 @@ def hot_loop_trace(accesses: int = 12_000, lines: int = 256,
     return trace
 
 
+def simulated_run(trace, prefetcher, config=None, *,
+                  warmup_fraction: float = 0.2, **options) -> Run:
+    """The :class:`Run` that ``simulate()`` builds, driven the way it
+    drives it and kept, so tests can read its hierarchy, core, tracer
+    and fast-path scanner after the run."""
+    run = Run(trace, Hierarchy.build(config or SystemConfig.default(),
+                                     prefetcher), **options)
+    boundary = warmup_boundary(len(trace), warmup_fraction)
+    run.advance(0, boundary)
+    run.reset_measurement()
+    run.advance(boundary, len(trace))
+    run.finish()
+    return run
+
+
 def run_both(trace, prefetcher_factory, *, config=None,
              warmup_fraction: float = 0.2, trace_events: bool = False):
     """One trace through both modes; assert bit-identity everywhere.
 
-    Returns the fastpath-on ``state_out`` so callers can additionally
+    Returns the fastpath-on :class:`Run` so callers can additionally
     assert coverage (that blocks actually retired).
     """
-    state_on: dict = {}
-    state_off: dict = {}
-    result_on = simulate(trace, prefetcher_factory(), config,
-                         warmup_fraction=warmup_fraction,
-                         trace_events=trace_events, state_out=state_on)
-    result_off = simulate(trace, prefetcher_factory(), config,
-                          warmup_fraction=warmup_fraction,
-                          trace_events=trace_events, fastpath=False,
-                          state_out=state_off)
+    run_on, run_off = (
+        simulated_run(trace, prefetcher_factory(), config,
+                      warmup_fraction=warmup_fraction,
+                      trace_events=trace_events, fastpath=fastpath)
+        for fastpath in (True, False))
 
-    assert result_on.to_dict() == result_off.to_dict()
-    assert state_off["fastpath_blocks"] == 0  # escape hatch really off
+    assert run_on.snapshot().to_dict() == run_off.snapshot().to_dict()
+    assert run_off.scanner is None  # escape hatch really off
 
-    core_on, core_off = state_on["core"], state_off["core"]
+    core_on, core_off = run_on.core, run_off.core
     assert core_on.instructions == core_off.instructions
     assert core_on.cycle == core_off.cycle
 
     for name in LEVEL_NAMES:
-        storage_on = getattr(state_on["hierarchy"], name)
-        storage_off = getattr(state_off["hierarchy"], name)
+        storage_on = getattr(run_on.hierarchy, name)
+        storage_off = getattr(run_off.hierarchy, name)
         assert kernel_contents(storage_on) == kernel_contents(storage_off), (
             f"{name} final census diverged")
         # Residency order is observable (it is the LRU order), so the
@@ -83,11 +96,11 @@ def run_both(trace, prefetcher_factory, *, config=None,
             f"{name} LRU order diverged")
 
     if trace_events:
-        tracer_on, tracer_off = state_on["tracer"], state_off["tracer"]
+        tracer_on, tracer_off = run_on.tracer, run_off.tracer
         assert tracer_on.counter_snapshot() == tracer_off.counter_snapshot()
         assert tracer_on.log == tracer_off.log
         assert tracer_on.dropped_log_rows == tracer_off.dropped_log_rows
-    return state_on
+    return run_on
 
 
 PREFETCHERS = st.sampled_from([NoPrefetcher, PMP, SPP])
@@ -139,20 +152,19 @@ class TestCoverage:
 
     def test_hot_loop_mostly_fastpathed(self):
         trace = hot_loop_trace()
-        state = run_both(trace, NoPrefetcher)
-        assert state["fastpath_blocks"] > 0
-        assert state["fastpath_accesses"] > len(trace) * 0.8
+        scanner = run_both(trace, NoPrefetcher).scanner
+        assert scanner.blocks_retired > 0
+        assert scanner.accesses_fastpathed > len(trace) * 0.8
 
     def test_hot_loop_with_pmp_mostly_fastpathed(self):
         trace = hot_loop_trace()
-        state = run_both(trace, PMP)
-        assert state["fastpath_accesses"] > len(trace) * 0.8
+        scanner = run_both(trace, PMP).scanner
+        assert scanner.accesses_fastpathed > len(trace) * 0.8
 
     def test_event_trace_snapshot_with_truncation(self):
         # A max_events bound small enough that hit runs cross it:
         # the batched log expansion must truncate exactly like the
         # per-access recorder.
-        from repro.sim.engine import simulate as sim
         from repro.sim import observers
 
         trace = hot_loop_trace(accesses=4_000)
@@ -165,11 +177,10 @@ class TestCoverage:
 
             observers.EventTrace.__init__ = tight_init
             try:
-                state: dict = {}
-                result = sim(trace, NoPrefetcher(), trace_events=True,
-                             fastpath=fastpath, state_out=state)
-                logs.append((result.to_dict(), state["tracer"].log,
-                             state["tracer"].dropped_log_rows))
+                run = simulated_run(trace, NoPrefetcher(), trace_events=True,
+                                    fastpath=fastpath)
+                logs.append((run.snapshot().to_dict(), run.tracer.log,
+                             run.tracer.dropped_log_rows))
             finally:
                 observers.EventTrace.__init__ = orig_init
         assert logs[0] == logs[1]
@@ -178,6 +189,15 @@ class TestCoverage:
         class Opaque(NoPrefetcher):
             supports_hit_runs = False
 
-        state: dict = {}
-        simulate(hot_loop_trace(accesses=1_000), Opaque(), state_out=state)
-        assert state["fastpath_blocks"] == 0
+        run = simulated_run(hot_loop_trace(accesses=1_000), Opaque())
+        assert run.scanner is None
+
+    def test_simulated_run_is_what_simulate_runs(self):
+        trace = hot_loop_trace(accesses=2_000)
+        for warmup_fraction in (0.0, 0.3):
+            run = simulated_run(trace, PMP(), small_config(),
+                                warmup_fraction=warmup_fraction,
+                                trace_events=True)
+            assert run.snapshot() == simulate(
+                trace, PMP(), small_config(),
+                warmup_fraction=warmup_fraction, trace_events=True)

@@ -3,10 +3,12 @@
 The fixture (``tests/golden/golden_stats.json``) pins the complete
 ``SimResult`` — hits, misses, issued/useful prefetches per level, DRAM
 traffic, cycles — plus NIPC to 6 decimals, for the no-prefetch baseline,
-PMP, and SPP on two small fixed-seed traces.  Any drift in
-``sim/engine.py``, the cache hierarchy, or ``prefetchers/pmp.py`` fails
-here with the exact counter that moved.  For intentional behaviour
-changes, regenerate with ``PYTHONPATH=src python tests/golden/regen.py``.
+PMP, and SPP on two small fixed-seed traces.  It also pins every set-up
+that steps the simulator differently: stitched sampled runs and 4-core
+shared-LLC runs (per-lane warmups included).  Any drift in how runs are
+stepped, the cache hierarchy, or ``prefetchers/pmp.py`` fails here with
+the exact counter that moved.  For intentional behaviour changes,
+regenerate with ``PYTHONPATH=src python tests/golden/regen.py``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,17 @@ import pytest
 from repro.memtrace.workloads import full_suite
 from repro.sim.engine import simulate
 
-from .golden.regen import ACCESSES, GOLDEN_PATH, prefetcher_factories
+from .golden.regen import (
+    ACCESSES,
+    GOLDEN_PATH,
+    MULTICORE_RUNS,
+    SAMPLED_RUNS,
+    multicore_trace_sets,
+    prefetcher_factories,
+    run_multicore,
+    run_sampled,
+    sampled_trace,
+)
 
 GOLDEN = json.loads(Path(GOLDEN_PATH).read_text())
 
@@ -54,6 +66,39 @@ def test_golden_stats_exact(traces, trace_name, pf_name):
     assert round(nipc, 6) == expected_nipc
 
 
+@pytest.fixture(scope="module")
+def sampled():
+    return sampled_trace()
+
+
+@pytest.fixture(scope="module")
+def trace_sets():
+    return multicore_trace_sets()
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLED_RUNS))
+def test_golden_sampled_exact(sampled, name):
+    """Stitched sampled runs reproduce every extrapolated counter."""
+    got = json.loads(json.dumps(run_sampled(sampled, name)))
+    assert got == GOLDEN["sampled"][name], (
+        f"sampled/{name} drifted — if intentional, regenerate via "
+        f"PYTHONPATH=src python tests/golden/regen.py")
+
+
+@pytest.mark.parametrize("name", sorted(MULTICORE_RUNS))
+def test_golden_multicore_exact(trace_sets, name):
+    """4-core runs reproduce every core's attributed counters."""
+    got = json.loads(json.dumps(run_multicore(trace_sets, name)))
+    assert got == GOLDEN["multicore"][name], (
+        f"multicore/{name} drifted — if intentional, regenerate via "
+        f"PYTHONPATH=src python tests/golden/regen.py")
+
+
+def _sane(data: dict) -> None:
+    assert data["instructions"] > 0
+    assert data["cycles"] > 0
+
+
 def test_golden_fixture_sane():
     """The fixture itself covers what the test matrix expects."""
     assert set(GOLDEN["traces"]) == {"spec06-00", "ligra-00"}
@@ -61,5 +106,23 @@ def test_golden_fixture_sane():
         assert set(runs) == {"none", "pmp", "spp"}
         assert runs["none"]["issued_prefetches"] in ({}, {"1": 0, "2": 0, "3": 0})
         for data in runs.values():
-            assert data["instructions"] > 0
-            assert data["cycles"] > 0
+            _sane(data)
+
+    assert set(GOLDEN["sampled"]) == set(SAMPLED_RUNS)
+    for name, data in GOLDEN["sampled"].items():
+        _sane(data)
+        assert data["sampling"]["clusters"] >= 2  # really stitched
+        assert ("event_counters" in data) == SAMPLED_RUNS[name][1]
+
+    assert set(GOLDEN["multicore"]) == set(MULTICORE_RUNS)
+    for name, per_core in GOLDEN["multicore"].items():
+        assert [data["trace_name"].rsplit("@", 1)[1]
+                for data in per_core] == ["0", "1", "2", "3"]
+        for data in per_core:
+            _sane(data)
+    # Per-lane warmups measure each lane's own tail: later boundaries
+    # leave fewer measured instructions on the same trace.
+    mixed = GOLDEN["multicore"]["mix/pmp"]
+    staggered = GOLDEN["multicore"]["mix/pmp/lane-warmups"]
+    assert staggered[0]["instructions"] > mixed[0]["instructions"]
+    assert staggered[3]["instructions"] < mixed[3]["instructions"]

@@ -25,6 +25,7 @@ from repro.sim.invariants import (
 )
 from repro.sim.level import CacheLevel
 
+from tests.test_fastpath_differential import simulated_run
 from tests.test_invariants import small_config
 
 
@@ -342,10 +343,10 @@ class TestFastPathUnderAudit:
                                       is_write=bool(rng.random() < 0.2),
                                       gap=int(rng.integers(0, 8))))
         config = small_config()
-        state: dict = {}
-        audited = simulate(trace, config=config, check_invariants=True,
-                           state_out=state)
-        assert state["fastpath_accesses"] > 0  # the audit saw real blocks
+        run = simulated_run(trace, NoPrefetcher(), config,
+                            check_invariants=True)
+        assert run.scanner.accesses_fastpathed > 0  # the audit saw real blocks
+        audited = run.snapshot()
         plain = simulate(trace, config=config, check_invariants=False)
         slow = simulate(trace, config=config, check_invariants=True,
                         fastpath=False)

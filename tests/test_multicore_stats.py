@@ -19,8 +19,7 @@ from repro.sim.cache import Cache
 from repro.sim.dram import Dram
 from repro.sim.hierarchy import SharedLLC
 from repro.sim.multicore import (
-    _attach_auditors,
-    _CoreLane,
+    _lanes,
     _run_lanes,
     _warmup_ends,
     simulate_multicore,
@@ -44,20 +43,16 @@ def make_traces(count, length=700, lines=4096, write_fraction=0.3, seed=17):
 
 
 def run_keeping_shared(traces, warmup_fraction=0.2, audit=True):
-    """``simulate_multicore`` through its own lane loop, keeping the shared
-    LLC/DRAM handles so tests can compare attributed views against the
-    hardware totals."""
+    """``simulate_multicore`` through its own lanes and lane loop, keeping
+    the shared LLC/DRAM handles so tests can compare attributed views
+    against the hardware totals."""
     config = small_config().for_multicore(len(traces))
     shared = SharedLLC(Cache(config.llc, name="LLC"))
     dram = Dram(config.dram)
-    ends = _warmup_ends(traces, warmup_fraction)
-    lanes = [_CoreLane(i, trace, NoPrefetcher(), config, shared, dram,
-                       warmup_end=ends[i])
-             for i, trace in enumerate(traces)]
-    if audit:
-        _attach_auditors(lanes)
-    _run_lanes(lanes, shared, dram)
-    return [lane.result() for lane in lanes], shared, dram
+    runs = _lanes(traces, NoPrefetcher, config, shared, dram, audit)
+    results = _run_lanes(runs, _warmup_ends(traces, warmup_fraction),
+                         shared, dram)
+    return results, shared, dram
 
 
 class TestAttributionSumsToSharedTotals:
@@ -98,6 +93,10 @@ class TestWarmupFractions:
     def test_mismatched_fraction_list_raises(self):
         with pytest.raises(ValueError):
             simulate_multicore(make_traces(3), warmup_fraction=[0.2, 0.5])
+
+    def test_fraction_outside_unit_interval_raises(self):
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            simulate_multicore(make_traces(2), warmup_fraction=[0.2, 1.0])
 
     def test_zero_warmup_measures_whole_trace(self):
         traces = make_traces(2, length=300)

@@ -217,10 +217,6 @@ class TestSampledSimulate:
         del data["sampling"]
         assert data == exact.to_dict()
 
-    def test_state_out_is_incompatible_with_sampling(self, trace):
-        with pytest.raises(ValueError, match="state_out"):
-            simulate(trace, make_pmp(), sampling=SMALL, state_out={})
-
     def test_simulate_sampled_defaults_mirror_simulate(self, trace):
         via_engine = simulate(trace, make_pmp(), sampling=SMALL)
         direct = simulate_sampled(trace, make_pmp(), sampling=SMALL)
@@ -288,6 +284,13 @@ class TestSampleCli:
     def test_invalid_knobs_are_usage_errors(self, capsys):
         assert sample_main(["plan", "--trace", "spec06-00",
                             "--accesses", "4000", "--windows", "1"]) == 2
+
+    @pytest.mark.parametrize("warmup", ["1.5", "-0.5"])
+    def test_warmup_outside_unit_interval_is_a_usage_error(self, capsys,
+                                                           warmup):
+        assert sample_main(["plan", "--trace", "spec06-00",
+                            "--accesses", "4000", "--warmup", warmup]) == 2
+        assert "warmup fraction must be in [0, 1)" in capsys.readouterr().err
 
     def test_coarse_sampling_fails_the_fidelity_gate(self, capsys):
         # The CI must-fail leg at unit scale: a deliberately coarse

@@ -432,6 +432,14 @@ weight = 1.0
     def test_unknown_scenario_exits_two(self, capsys):
         assert scenarios_main(["run", "no-such-scenario"]) == 2
 
+    @pytest.mark.parametrize("warmup", ["1.5", "-0.5"])
+    def test_warmup_outside_unit_interval_exits_two(self, tmp_path, capsys,
+                                                    warmup):
+        path = self._spec_file(tmp_path, "max_mpki = 500.0")
+        assert scenarios_main(["run", "--spec", path,
+                               "--warmup", warmup]) == 2
+        assert "warmup fraction must be in [0, 1)" in capsys.readouterr().err
+
     def test_nipc_order_with_unregistered_prefetcher_exits_two(
             self, tmp_path, capsys):
         # The run derives its engine list from the expected block; an
