@@ -31,7 +31,7 @@ from ..prefetchers.pangloss import Pangloss
 from ..prefetchers.pmp import PMP, extract_afe
 from ..prefetchers.sms import PatternCaptureFramework
 from ..prefetchers.triangel import Triangel
-from ..sim.cache import Cache, CacheStats, FillQueue, PendingFill
+from ..sim.cache import Cache, CacheStats, FillQueue
 from ..sim.core import Core
 from ..sim.events import CacheAccess, EventBus
 from ..sim.fastpath import MIN_RUN, FastPath
@@ -117,8 +117,7 @@ def _build_fill_queue(ops: int):
         queue = FillQueue()
         push = queue.push
         for ready, line in zip(readies, lines):
-            push(PendingFill(ready=float(ready), line=line,
-                             prefetched=False, is_write=False))
+            push(float(ready), line, False, False)
         for horizon in (100.0, 250.0, 500.0):
             queue.pop_ready(horizon)
 

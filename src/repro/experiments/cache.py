@@ -33,6 +33,8 @@ files until ``clear()``.
 3. Bulk, type-tagged key encoding (every key changed).  Resuming a run
    journal written under version 2 re-simulates its jobs, because the
    journal is keyed by the same job keys.
+4. A store that merges with an in-flight L1 miss now installs the line
+   dirty, so results of traces with stores changed.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from ..sim.stats import SimResult
 #: Salt of every key.  Bump whenever SimResult semantics, simulator
 #: behaviour, the entry format or the key encoding changes in a way that
 #: invalidates stored entries (history in the module docstring).
-CACHE_VERSION = 3
+CACHE_VERSION = 4
 
 log = logging.getLogger("repro.experiments.cache")
 

@@ -2,8 +2,9 @@
 
 Full-suite experiments (125 traces) spend most of their time regenerating
 identical traces.  :class:`TraceStore` caches built traces under a
-directory keyed by (name, seed, length), in the compact binary format, so
-a second `pmp-repro --full-suite` run skips generation entirely.
+directory keyed by (name, seed, build digest, length), in the compact
+binary format, so a second `pmp-repro --full-suite` run skips generation
+entirely, and a changed recipe or generator builds afresh.
 
 >>> store = TraceStore("/tmp/pmp-traces")
 >>> trace = store.get(quick_suite()[0], accesses=30_000)   # builds + saves
@@ -28,7 +29,8 @@ class TraceStore:
         self.misses = 0
 
     def _path_for(self, spec: WorkloadSpec, accesses: int) -> Path:
-        return self.directory / f"{spec.name}-s{spec.seed}-n{accesses}.pmptrc"
+        return self.directory / (f"{spec.name}-s{spec.seed}-{spec.digest}"
+                                 f"-n{accesses}.pmptrc")
 
     def get(self, spec: WorkloadSpec, accesses: int) -> Trace:
         """Load the trace from disk, building and saving it on first use."""

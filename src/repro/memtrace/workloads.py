@@ -26,7 +26,10 @@ enumerates all 125 (the catalog scenarios tagged ``suite``).
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -45,12 +48,19 @@ DEFAULT_TRACE_ACCESSES = scale_defaults("accesses")
 
 @dataclass(frozen=True)
 class WorkloadSpec:
-    """A buildable named workload."""
+    """A buildable named workload.
+
+    ``digest`` fingerprints what builds the trace besides its seed: the
+    scenario's recipe (or trace source) and the generator code.  The
+    on-disk :class:`~repro.memtrace.store.TraceStore` names files by it,
+    so a changed recipe is never served a trace built by the old one.
+    """
 
     name: str
     family: str
     seed: int
     recipe: Callable[[np.random.Generator, int], list]
+    digest: str
 
     def build(self, accesses: int = DEFAULT_TRACE_ACCESSES) -> Trace:
         """Materialise the trace at the requested length."""
@@ -61,6 +71,18 @@ class WorkloadSpec:
 
 
 # ----------------------------------------------------- spec compilation
+
+@cache
+def _generator_code_digest() -> str:
+    """Hash of :mod:`repro.memtrace.synthetic`, the code recipes run."""
+    return hashlib.sha256(Path(syn.__file__).read_bytes()).hexdigest()
+
+
+def _build_digest(**inputs) -> str:
+    """Short digest of everything (besides the seed) that builds a trace."""
+    text = json.dumps(inputs, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
 
 def _synthetic_recipe(spec: ScenarioSpec,
                       ) -> Callable[[np.random.Generator, int], list]:
@@ -100,8 +122,12 @@ def compile_scenario(spec: ScenarioSpec,
     :func:`expand_scenario` for those; this function raises on them.
     """
     if spec.kind == "synthetic":
+        digest = _build_digest(parts=[part.to_doc() for part in spec.parts],
+                               epochs=spec.epochs,
+                               generators=_generator_code_digest())
         return WorkloadSpec(name=spec.name, family=spec.family,
-                            seed=spec.seed, recipe=_synthetic_recipe(spec))
+                            seed=spec.seed, recipe=_synthetic_recipe(spec),
+                            digest=digest)
     workloads = expand_scenario(spec, base_dir)
     if len(workloads) != 1:
         raise ValueError(
@@ -119,14 +145,13 @@ def expand_scenario(spec: ScenarioSpec,
     from .champsim import resolve_sources
 
     paths = resolve_sources(spec.source["path"], base_dir)
-    if len(paths) == 1:
-        return [WorkloadSpec(name=spec.name, family=spec.family,
-                             seed=spec.seed,
-                             recipe=_champsim_recipe(spec, paths[0]))]
-    return [WorkloadSpec(name=f"{spec.name}/{path.stem}", family=spec.family,
-                         seed=spec.seed,
-                         recipe=_champsim_recipe(spec, path))
-            for path in paths]
+    names = ([spec.name] if len(paths) == 1
+             else [f"{spec.name}/{path.stem}" for path in paths])
+    return [WorkloadSpec(name=name, family=spec.family, seed=spec.seed,
+                         recipe=_champsim_recipe(spec, path),
+                         digest=_build_digest(
+                             source={**spec.source, "path": str(path)}))
+            for name, path in zip(names, paths)]
 
 
 def compile_catalog(specs: Sequence[ScenarioSpec],

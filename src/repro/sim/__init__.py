@@ -1,6 +1,6 @@
 """Trace-driven simulator substrate (the ChampSim substitute)."""
 
-from .cache import Cache, CacheLine, CacheStats
+from .cache import Cache, CacheStats
 from .core import Core
 from .dram import Dram, DramPort, DramStats
 from .engine import simulate
@@ -12,7 +12,6 @@ from .stats import LevelStats, SimResult, geomean
 
 __all__ = [
     "Cache",
-    "CacheLine",
     "CacheParams",
     "CacheStats",
     "Core",

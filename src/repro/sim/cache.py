@@ -3,7 +3,7 @@ queues and *deferred fills*.
 
 A miss (demand or prefetch) does not insert its line immediately: the fill
 is scheduled on a pending :class:`FillQueue` and applied — evicting its
-victim — only when the data actually arrives (``ready_cycle``).  Demands
+victim — only when the data actually arrives (its ``ready`` cycle).  Demands
 that touch the line while the fill is in flight merge with it through the
 MSHR rather than re-requesting memory.  Applying fills lazily keeps
 eviction timing honest: a prefetch issued 200 cycles early must not
@@ -24,93 +24,71 @@ from dataclasses import dataclass
 
 from .params import CacheParams
 
-
-@dataclass(slots=True)
-class CacheLine:
-    """State of one resident cacheline."""
-
-    ready_cycle: float = 0.0
-    prefetched: bool = False
-    dirty: bool = False
-
-
-@dataclass(slots=True)
-class PendingFill:
-    """A fill scheduled for the future (data still in flight).
-
-    ``canceled`` marks a fill whose line was back-invalidated while the
-    data was still in flight: the entry stays in the readiness heap
-    (removing from a heap's middle is O(n)) but is skipped when it pops.
-    """
-
-    ready: float
-    line: int
-    prefetched: bool
-    is_write: bool
-    canceled: bool = False
+# Resident line state is a plain int of flags, held directly as the value
+# in the line's set dict (``line -> flags``).  A clean, non-prefetched
+# line has flags 0, which is falsy: test residency with ``is None`` or
+# ``in``, never by truthiness.
+PREFETCHED = 1
+DIRTY = 2
 
 
 class FillQueue:
     """Pending fills ordered by readiness, with a per-line index.
 
-    The index makes "find the in-flight fill for line X" O(1) — the demand
-    merge path strips the ``prefetched`` flag of a caught-up prefetch fill
-    without scanning the whole queue (the old implementation walked every
-    pending entry).
-
-    Heap entries are ``(ready, seq, fill)`` tuples: the float/int prefix
-    keeps every heap comparison in C (no per-sift Python ``__lt__``), and
-    the monotonic ``seq`` makes same-cycle fills pop in insertion order.
+    Each fill is one mutable list record, ``[ready, seq, line,
+    prefetched, is_write, canceled]``, that is both the heap entry and
+    the per-line index entry.  The heap orders records by ``(ready,
+    seq)``, which keeps every comparison in C, and the unique, monotonic
+    ``seq`` pops same-cycle fills in insertion order; those two fields
+    never change, the flags after them change in place.  The index lets
+    the demand merge path find a line's in-flight fills in O(1).  A
+    back-invalidated fill is flagged ``canceled`` and skipped when it
+    pops (removing from a heap's middle is O(n)).
     """
 
     __slots__ = ("_heap", "_by_line", "_seq")
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, PendingFill]] = []
-        self._by_line: dict[int, list[PendingFill]] = {}
+        self._heap: list[list] = []
+        self._by_line: dict[int, list[list]] = {}
         self._seq = 0
 
     def __len__(self) -> int:
         return len(self._heap)
 
-    def push(self, fill: PendingFill) -> None:
+    def push(self, ready: float, line: int, prefetched: bool = False,
+             is_write: bool = False) -> None:
         """Queue one fill."""
         seq = self._seq
         self._seq = seq + 1
-        heapq.heappush(self._heap, (fill.ready, seq, fill))
-        bucket = self._by_line.get(fill.line)
+        fill = [ready, seq, line, prefetched, is_write, False]
+        heapq.heappush(self._heap, fill)
+        bucket = self._by_line.get(line)
         if bucket is None:
-            self._by_line[fill.line] = [fill]
+            self._by_line[line] = [fill]
         else:
             bucket.append(fill)
 
-    def has_ready(self, cycle: float) -> bool:
-        """True when at least one fill's data has arrived by ``cycle``.
-
-        Allocation-free peek for the per-access sync fast path (most
-        syncs find nothing to apply).
-        """
-        heap = self._heap
-        return bool(heap) and heap[0][0] <= cycle
-
-    def pop_ready(self, cycle: float) -> list[PendingFill]:
-        """Remove and return every fill whose data has arrived by ``cycle``."""
-        out: list[PendingFill] = []
+    def pop_ready(self, cycle: float) -> list[list]:
+        """Remove and return every live fill whose data has arrived by
+        ``cycle``, in heap order."""
+        out: list[list] = []
         heap = self._heap
         by_line = self._by_line
         while heap and heap[0][0] <= cycle:
-            fill = heapq.heappop(heap)[2]
-            if fill.canceled:
+            fill = heapq.heappop(heap)
+            if fill[5]:  # canceled
                 continue
-            bucket = by_line[fill.line]
+            line = fill[2]
+            bucket = by_line[line]
             if len(bucket) == 1:
-                del by_line[fill.line]
+                del by_line[line]
             else:
                 bucket.remove(fill)
             out.append(fill)
         return out
 
-    def cancel_line(self, line: int) -> list[PendingFill]:
+    def cancel_line(self, line: int) -> list[list]:
         """Cancel every in-flight fill of ``line`` (back-invalidation).
 
         The fills are dropped from the per-line index and flagged so the
@@ -121,7 +99,7 @@ class FillQueue:
         if bucket is None:
             return []
         for fill in bucket:
-            fill.canceled = True
+            fill[5] = True  # canceled
         return bucket
 
     def live_count(self) -> int:
@@ -131,7 +109,13 @@ class FillQueue:
     def strip_prefetch_flag(self, line: int) -> None:
         """Demote in-flight fills of ``line`` to demand fills (O(1) lookup)."""
         for fill in self._by_line.get(line, ()):
-            fill.prefetched = False
+            fill[3] = False  # prefetched
+
+    def mark_write(self, line: int) -> None:
+        """A store merged with ``line``'s in-flight fills: they install
+        the line dirty."""
+        for fill in self._by_line.get(line, ()):
+            fill[4] = True  # is_write
 
 
 @dataclass
@@ -171,11 +155,11 @@ class Cache:
         self.name = name
         self.num_sets = params.num_sets
         self.ways = params.ways
-        # Plain dicts double as LRU stacks: insertion order is recency
-        # order (hits re-insert, the victim is the first key).  Probes on
-        # a plain dict are measurably cheaper than OrderedDict's on the
-        # per-access path.
-        self._sets: list[dict[int, CacheLine]] = [
+        # Plain dicts of ``line -> flags`` double as LRU stacks: insertion
+        # order is recency order (hits re-insert, the victim is the first
+        # key; other flag updates assign in place).  Probes on a plain
+        # dict are measurably cheaper than OrderedDict's per access.
+        self._sets: list[dict[int, int]] = [
             {} for _ in range(self.num_sets)]
         # Bumped whenever the *eligibility-relevant* state changes: which
         # lines are resident and which carry a prefetched bit.  The
@@ -206,12 +190,9 @@ class Cache:
 
     # ------------------------------------------------------------- residency
 
-    def _set_for(self, line: int) -> dict[int, CacheLine]:
-        return self._sets[line % self.num_sets]
-
     def contains(self, line: int) -> bool:
         """Presence check with no LRU side effects."""
-        return line in self._set_for(line)
+        return line in self._sets[line % self.num_sets]
 
     def resident_or_pending(self, line: int) -> bool:
         """True when the line is resident or its miss is outstanding.
@@ -221,9 +202,9 @@ class Cache:
         """
         return line in self._sets[line % self.num_sets] or line in self._mshr
 
-    def probe(self, line: int) -> CacheLine | None:
-        """Peek at a resident line without touching LRU."""
-        return self._set_for(line).get(line)
+    def probe(self, line: int) -> int | None:
+        """A resident line's flags, without touching LRU; None if absent."""
+        return self._sets[line % self.num_sets].get(line)
 
     def access(self, line: int, cycle: float,
                is_write: bool = False) -> tuple[bool, bool]:
@@ -235,28 +216,28 @@ class Cache:
         so a prefetch resolves useful exactly once).
         """
         cache_set = self._sets[line % self.num_sets]
-        entry = cache_set.pop(line, None)
-        if entry is None:
+        flags = cache_set.pop(line, None)
+        if flags is None:
             return False, False
-        cache_set[line] = entry  # re-insert at the MRU end
         if is_write:
-            entry.dirty = True
-        if entry.prefetched:
-            entry.prefetched = False
+            flags |= DIRTY
+        if flags & PREFETCHED:
+            cache_set[line] = flags & DIRTY  # re-insert at the MRU end
             self.version += 1
             return True, True
+        cache_set[line] = flags
         return True, False
 
     def fill_now(self, line: int, cycle: float, prefetched: bool = False,
                  is_write: bool = False,
-                 ) -> tuple[bool, int | None, CacheLine | None]:
+                 ) -> tuple[bool, int | None, int | None]:
         """Apply a fill immediately (data is here).
 
-        Returns ``(inserted, victim, victim_entry)``.  A refill of a
+        Returns ``(inserted, victim, victim_flags)``.  A refill of a
         resident line only refreshes recency (and never re-marks a
         demand-fetched line as a prefetch): ``inserted`` is False and no
-        victim is chosen.  A plain tuple, not a result object — this is
-        the hottest allocation site in a miss-heavy run.
+        victim is chosen.  A plain tuple, not a result object — this runs
+        once per applied fill.
         """
         cache_set = self._sets[line % self.num_sets]
         existing = cache_set.pop(line, None)
@@ -264,13 +245,23 @@ class Cache:
             cache_set[line] = existing  # refresh recency
             return False, None, None
         victim = None
-        victim_entry = None
+        victim_flags = None
         if len(cache_set) >= self.ways:
             victim = next(iter(cache_set))
-            victim_entry = cache_set.pop(victim)
-        cache_set[line] = CacheLine(cycle, prefetched, is_write)
+            victim_flags = cache_set.pop(victim)
+        cache_set[line] = prefetched | is_write << 1  # PREFETCHED | DIRTY
         self.version += 1
-        return True, victim, victim_entry
+        return True, victim, victim_flags
+
+    def mark_dirty(self, line: int) -> bool:
+        """Dirty a resident line in place, keeping its LRU slot; False
+        when the line is not resident."""
+        cache_set = self._sets[line % self.num_sets]
+        flags = cache_set.get(line)
+        if flags is None:
+            return False
+        cache_set[line] = flags | DIRTY
+        return True
 
     def schedule_fill(self, line: int, ready: float, prefetched: bool = False,
                       is_write: bool = False) -> None:
@@ -280,11 +271,11 @@ class Cache:
         every miss schedules one fill per level, making this one of the
         hottest calls in a miss-heavy run.
         """
-        fill = PendingFill(ready, line, prefetched, is_write)
         fills = self.fills
         seq = fills._seq
         fills._seq = seq + 1
-        heapq.heappush(fills._heap, (ready, seq, fill))
+        fill = [ready, seq, line, prefetched, is_write, False]
+        heapq.heappush(fills._heap, fill)
         by_line = fills._by_line
         bucket = by_line.get(line)
         if bucket is None:
@@ -292,17 +283,13 @@ class Cache:
         else:
             bucket.append(fill)
 
-    def pop_ready_fills(self, cycle: float) -> list[PendingFill]:
-        """Remove and return every pending fill whose data has arrived."""
-        return self.fills.pop_ready(cycle)
-
-    def invalidate(self, line: int) -> CacheLine | None:
+    def invalidate(self, line: int) -> int | None:
         """Remove a line (inclusive back-invalidation).  Returns the
-        evicted entry when it was present, else None."""
-        entry = self._set_for(line).pop(line, None)
-        if entry is not None:
+        removed line's flags when it was present, else None."""
+        flags = self._sets[line % self.num_sets].pop(line, None)
+        if flags is not None:
             self.version += 1
-        return entry
+        return flags
 
     def cancel_fills(self, line: int) -> bool:
         """Cancel in-flight fills of a back-invalidated line.
@@ -323,13 +310,14 @@ class Cache:
         """Clear every resident prefetched bit; returns the lines cleared.
 
         End-of-run accounting: resident never-used prefetched lines
-        resolve as useless (the caller publishes the events).
+        resolve as useless (the caller publishes the events).  Each
+        bit is cleared in place, safe mid-iteration and order-keeping.
         """
         stripped: list[int] = []
         for cache_set in self._sets:
-            for line, entry in cache_set.items():
-                if entry.prefetched:
-                    entry.prefetched = False
+            for line, flags in cache_set.items():
+                if flags & PREFETCHED:
+                    cache_set[line] = flags & DIRTY
                     stripped.append(line)
         if stripped:
             self.version += 1
@@ -397,10 +385,6 @@ class Cache:
                 del mshr[line]
         self._mshr_min = heap[0][0] if heap else float("inf")
 
-    def mshr_release_completed(self, up_to: float) -> None:
-        """Drop every entry completed at or before `up_to`."""
-        self.mshr_prune(up_to)
-
     def mshr_earliest(self) -> float:
         """Completion cycle of the oldest outstanding miss."""
         heap = self._mshr_heap
@@ -426,14 +410,8 @@ class Cache:
 
     # ------------------------------------------------------------------- PQs
 
-    def pq_prune(self, cycle: float) -> None:
-        """Drop PQ entries whose issue window has passed."""
-        pq = self._pq
-        while pq and pq[0] <= cycle:
-            heapq.heappop(pq)
-
     def pq_free(self, cycle: float) -> int:
-        """Free prefetch-queue slots at `cycle` (inlines :meth:`pq_prune`)."""
+        """Free prefetch-queue slots at `cycle` (pops expired entries)."""
         pq = self._pq
         while pq and pq[0] <= cycle:
             heapq.heappop(pq)

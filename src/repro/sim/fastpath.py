@@ -71,6 +71,7 @@ import numpy as np
 
 from ..memtrace.access import CACHELINE_BITS
 from ..prefetchers.base import FillLevel, Prefetcher
+from .cache import PREFETCHED
 from .events import HitRunRetired
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -164,8 +165,8 @@ class FastPath:
         if version != self._snap_version or self._snap is None:
             eligible = [line
                         for cache_set in self._l1_sets
-                        for line, entry in cache_set.items()
-                        if not entry.prefetched]
+                        for line, flags in cache_set.items()
+                        if not flags & PREFETCHED]
             snap = np.fromiter(eligible, dtype=np.uint64,
                                count=len(eligible))
             snap.sort()
@@ -194,8 +195,8 @@ class FastPath:
         cycle = core.cycle
         for k in range(start, start + MIN_RUN):
             line = int(self._lines[k])
-            entry = sets[line % num_sets].get(line)
-            if entry is None or entry.prefetched:
+            flags = sets[line % num_sets].get(line)
+            if flags is None or flags & PREFETCHED:
                 return 0
             cycle += self._gap_cycles[k]
             if cycle >= next_ready:
@@ -295,8 +296,9 @@ class FastPath:
 
         writes = self._writes[start:start + run]
         if writes.any():
+            mark_dirty = self._l1.mark_dirty
             for line in np.unique(lines[writes != 0]).tolist():
-                sets[line % num_sets][line].dirty = True
+                mark_dirty(line)
 
         # Core: exact clock, instruction count and in-flight deque.
         final_popped = int(popped[run - 1])

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from ..memtrace.access import CACHELINE_BITS
 from ..prefetchers.base import FillLevel, PrefetchRequest, Prefetcher
-from .cache import Cache, CacheLine, CacheStats
+from .cache import Cache, CacheStats
 from .dram import Dram, DramPort
 from .events import EventBus, PrefetchDropped, PrefetchIssued
 from .level import CacheLevel, MemTransaction
@@ -53,7 +53,7 @@ class SharedLLC:
         """Track private caches for inclusive back-invalidation."""
         self._private.extend(caches)
 
-    def back_invalidate(self, line: int) -> list[tuple[Cache, CacheLine]]:
+    def back_invalidate(self, line: int) -> list[tuple[Cache, int]]:
         """Remove an evicted LLC line from every private cache.
 
         Fills of the line still in flight to a private cache are
@@ -62,15 +62,15 @@ class SharedLLC:
         first, precisely so back-invalidations precede private fills),
         and letting that fill land would break inclusion.
 
-        Returns the ``(cache, evicted_entry)`` pairs that actually held
-        the line, so the evicting level can publish one
-        :class:`~repro.sim.events.BackInvalidation` per copy removed.
+        Returns the ``(cache, line flags)`` pairs of the copies removed,
+        so the evicting level can publish one
+        :class:`~repro.sim.events.BackInvalidation` per copy.
         """
-        removed: list[tuple[Cache, CacheLine]] = []
+        removed: list[tuple[Cache, int]] = []
         for cache in self._private:
-            entry = cache.invalidate(line)
-            if entry is not None:
-                removed.append((cache, entry))
+            flags = cache.invalidate(line)
+            if flags is not None:
+                removed.append((cache, flags))
             cache.cancel_fills(line)
         return removed
 
@@ -228,6 +228,10 @@ class Hierarchy:
             pending = level.merge_pending(txn, cycle)
             if pending is not None:
                 merge = min(max(0.0, pending - cycle), self._promote_cap)
+                if depth == 0 and is_write:
+                    # No level above to backfill: the store's data rides
+                    # the line's in-flight L1 fill.
+                    level.storage.fills.mark_write(line)
                 self._backfill(txn, depth, cycle + latency + merge, cycle)
                 return latency + merge, False
             if depth == 0:
@@ -250,7 +254,7 @@ class Hierarchy:
         while cache.mshr_free(cycle + waited) <= 0:
             earliest = cache.mshr_earliest()
             if earliest <= cycle + waited:
-                cache.mshr_release_completed(earliest)
+                cache.mshr_prune(earliest)
                 continue
             waited = earliest - cycle
         return waited

@@ -49,7 +49,7 @@ from itertools import chain
 from typing import TYPE_CHECKING, Iterable
 
 from ..prefetchers.base import FillLevel
-from .cache import CacheStats
+from .cache import DIRTY, PREFETCHED, CacheStats
 from .events import (
     BackInvalidation,
     CacheAccess,
@@ -363,7 +363,7 @@ class InvariantAuditor:
         if ev.absorbed:
             holder = next((lvl.storage.probe(ev.line) for lvl in lower
                            if lvl.storage.contains(ev.line)), None)
-            if holder is None or not holder.dirty:
+            if holder is None or not holder & DIRTY:
                 self._fail("dirty-conservation",
                            "writeback claims absorption but no lower level "
                            "holds the line dirty",
@@ -482,20 +482,20 @@ class InvariantAuditor:
                            cycle=cycle, level=level.level)
         fills = storage.fills
         indexed = sum(len(bucket) for bucket in fills._by_line.values())
-        live = sum(1 for entry in fills._heap if not entry[2].canceled)
-        if indexed != live:
+        # Records are [ready, seq, line, prefetched, is_write, canceled].
+        heap_ids = {id(fill) for fill in fills._heap if not fill[5]}
+        if indexed != len(heap_ids):
             self._fail("fill-queue",
-                       f"{storage.name} fill heap holds {live} live "
-                       f"entries but the per-line index holds {indexed}",
+                       f"{storage.name} fill heap holds {len(heap_ids)} "
+                       f"live entries but the per-line index holds "
+                       f"{indexed}",
                        cycle=cycle, level=level.level)
-        heap_ids = {id(entry[2]) for entry in fills._heap
-                    if not entry[2].canceled}
         for line, bucket in fills._by_line.items():
             for fill in bucket:
-                if fill.line != line:
+                if fill[2] != line:
                     self._fail("fill-queue",
                                f"{storage.name} fill for line "
-                               f"{fill.line:#x} indexed under {line:#x}",
+                               f"{fill[2]:#x} indexed under {line:#x}",
                                cycle=cycle, level=level.level, line=line)
                 if id(fill) not in heap_ids:
                     self._fail("fill-queue",
@@ -578,16 +578,17 @@ class InvariantAuditor:
     def _audit_census_and_capacity(self, cycle: float) -> None:
         for block in self._blocks.values():
             storage = block.storage
-            resident_prefetched = 0
-            for cache_set in storage._sets:
-                if len(cache_set) > storage.ways:
-                    self._fail("set-capacity",
-                               f"{storage.name} set holds {len(cache_set)} "
-                               f"lines, associativity {storage.ways}",
-                               cycle=cycle, level=block.level)
-                for entry in cache_set.values():
-                    if entry.prefetched:
-                        resident_prefetched += 1
+            fullest = max(map(len, storage._sets))
+            if fullest > storage.ways:
+                self._fail("set-capacity",
+                           f"{storage.name} set holds {fullest} lines, "
+                           f"associativity {storage.ways}",
+                           cycle=cycle, level=block.level)
+            # Line flags are plain ints, so the census counts them in C.
+            line_flags = list(chain.from_iterable(map(dict.values,
+                                                      storage._sets)))
+            resident_prefetched = (line_flags.count(PREFETCHED)
+                                   + line_flags.count(PREFETCHED | DIRTY))
             if block.check_census and resident_prefetched != block.census:
                 self._fail(
                     "prefetch-census",

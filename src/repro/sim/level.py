@@ -31,7 +31,7 @@ from heapq import heappop
 from typing import TYPE_CHECKING
 
 from ..prefetchers.base import FillLevel
-from .cache import Cache
+from .cache import DIRTY, PREFETCHED, Cache
 from .events import (
     BackInvalidation,
     CacheAccess,
@@ -177,10 +177,10 @@ class CacheLevel:
         mshr = storage._mshr
         apply_fill = self.apply_fill
         while heap and heap[0][0] <= cycle:
-            fill = heappop(heap)[2]
-            if fill.canceled:
+            fill = heappop(heap)
+            ready, _, line, prefetched, is_write, canceled = fill
+            if canceled:
                 continue
-            line = fill.line
             bucket = by_line[line]
             if len(bucket) == 1:
                 del by_line[line]
@@ -190,7 +190,7 @@ class CacheLevel:
             if not mshr:
                 storage._mshr_heap.clear()
                 storage._mshr_min = float("inf")
-            apply_fill(line, fill.ready, fill.prefetched, fill.is_write)
+            apply_fill(line, ready, prefetched, is_write)
 
     def fill(self, line: int, ready: float, cycle: float,
              prefetched: bool = False, is_write: bool = False) -> None:
@@ -210,7 +210,7 @@ class CacheLevel:
         cache; dirty victims drain through ``below`` — absorbed when the
         next level holds the line, written back to DRAM otherwise.
         """
-        inserted, victim, victim_entry = self.storage.fill_now(
+        inserted, victim, victim_flags = self.storage.fill_now(
             line, cycle, prefetched, is_write)
         if not inserted:
             return
@@ -224,27 +224,28 @@ class CacheLevel:
             return
         ev = self._ev_evict
         ev.line = victim
-        ev.prefetched = victim_entry.prefetched
-        ev.dirty = victim_entry.dirty
+        ev.prefetched = (victim_flags & PREFETCHED) != 0
+        ev.dirty = (victim_flags & DIRTY) != 0
         ev.cycle = cycle
         for handler in self._evict_handlers:
             handler(ev)
         dirty_private = False
         if self.shared is not None:
-            for cache, entry in self.shared.back_invalidate(victim):
-                if entry.dirty:
-                    dirty_private = True
-                binv = BackInvalidation(cache.name, victim, entry.prefetched,
-                                        entry.dirty, cycle, cache.stats)
+            for cache, flags in self.shared.back_invalidate(victim):
+                dirty = (flags & DIRTY) != 0
+                dirty_private |= dirty
+                binv = BackInvalidation(cache.name, victim,
+                                        (flags & PREFETCHED) != 0, dirty,
+                                        cycle, cache.stats)
                 for handler in self._binv_handlers:
                     handler(binv)
-        if victim_entry.prefetched:
+        if victim_flags & PREFETCHED:
             self._publish_useless(victim, "evicted", cycle)
         # A dirty back-invalidated private copy holds data newer than the
         # LLC line it shadowed; with that line gone, the only place left
         # for it is memory — one writeback covers the freshest copy even
         # when the LLC victim itself was also dirty.
-        if victim_entry.dirty or dirty_private:
+        if victim_flags & DIRTY or dirty_private:
             self._drain_dirty(victim, cycle)
 
     def _publish_useless(self, line: int, reason: str, cycle: float) -> None:
@@ -268,9 +269,7 @@ class CacheLevel:
         below = self.below
         absorbed = False
         while below is not None:
-            entry = below.storage.probe(victim)
-            if entry is not None:
-                entry.dirty = True
+            if below.storage.mark_dirty(victim):
                 absorbed = True
                 break
             below = below.below

@@ -59,8 +59,6 @@ class LevelStatsObserver:
     def __init__(self, bus: EventBus,
                  stats_by_level: dict[FillLevel, CacheStats],
                  llc_mirror: CacheStats | None = None) -> None:
-        self._stats = stats_by_level
-        self._llc_mirror = llc_mirror
         # Routing table: level -> (stats, mirror-or-None).  Only LLC
         # events carry a mirror; resolving that per subscription instead
         # of per event keeps each handler to one dict probe.
@@ -74,9 +72,6 @@ class LevelStatsObserver:
         bus.subscribe(PrefetchUseless, self._on_useless)
         bus.subscribe(Eviction, self._on_eviction)
         bus.subscribe(BackInvalidation, self._on_back_invalidation)
-
-    def _mirror_for(self, level: FillLevel) -> CacheStats | None:
-        return self._llc_mirror if level is FillLevel.LLC else None
 
     def _on_access(self, event: CacheAccess) -> None:
         stats, mirror = self._routes[event.level]

@@ -186,6 +186,11 @@ class RefModel:
             if pending is not None:
                 cap = self.dram_latency + 2 * self.service
                 merge = min(max(0.0, pending - cycle), cap)
+                if depth == 0 and is_write:
+                    # A store merging at L1 dirties the line's pending fill.
+                    for row in level.pending:
+                        if row[2] == line:
+                            row[3] = True
                 self._backfill(line, depth, cycle + latency + merge, is_write)
                 return latency + merge, False
             if depth == 0:

@@ -7,7 +7,7 @@ covered in ``test_event_kernel.py``; here we check what the storage
 
 from hypothesis import given, strategies as st
 
-from repro.sim.cache import Cache, PendingFill
+from repro.sim.cache import DIRTY, PREFETCHED, Cache
 from repro.sim.params import CacheParams
 
 
@@ -53,7 +53,7 @@ class TestLookupAndFill:
         cache = small_cache()
         cache.fill_now(5, 0.0)
         cache.access(5, 1.0, is_write=True)
-        assert cache.probe(5).dirty
+        assert cache.probe(5) == DIRTY
 
     def test_prefetch_bit_consumed_once(self):
         cache = small_cache()
@@ -64,25 +64,29 @@ class TestLookupAndFill:
     def test_victim_entry_reports_state(self):
         cache = small_cache(ways=1, sets=1)
         cache.fill_now(0, 0.0, prefetched=True, is_write=True)
-        _, victim, victim_entry = cache.fill_now(1, 1.0)
+        _, victim, victim_flags = cache.fill_now(1, 1.0)
         assert victim == 0
-        assert victim_entry.prefetched
-        assert victim_entry.dirty
+        assert victim_flags == PREFETCHED | DIRTY
 
     def test_invalidate_returns_entry(self):
         cache = small_cache()
         cache.fill_now(0, 0.0, prefetched=True)
-        entry = cache.invalidate(0)
-        assert entry is not None and entry.prefetched
+        assert cache.invalidate(0) == PREFETCHED
         assert cache.invalidate(0) is None
+        cache.fill_now(1, 0.0)
+        # A clean demand line's flags are 0: present, but falsy.
+        assert cache.invalidate(1) == 0
 
     def test_strip_prefetched_reports_lines(self):
-        cache = small_cache()
+        cache = small_cache(ways=4, sets=1)
         cache.fill_now(0, 0.0, prefetched=True)
-        cache.fill_now(1, 0.0, prefetched=True)
+        cache.fill_now(1, 0.0, prefetched=True, is_write=True)
+        cache.fill_now(2, 0.0)
         cache.access(0, 1.0)            # consumes line 0's bit
         assert cache.strip_prefetched() == [1]
         assert cache.strip_prefetched() == []
+        # Clearing a bit keeps the line's flags otherwise and its LRU slot.
+        assert list(cache._sets[0].items()) == [(1, DIRTY), (2, 0), (0, 0)]
 
 
 class TestDeferredFills:
@@ -90,17 +94,17 @@ class TestDeferredFills:
         cache = small_cache()
         cache.schedule_fill(7, ready=100.0)
         assert not cache.contains(7)
-        ready = cache.pop_ready_fills(50.0)
+        ready = cache.fills.pop_ready(50.0)
         assert ready == []
-        ready = cache.pop_ready_fills(100.0)
-        assert len(ready) == 1 and ready[0].line == 7
+        ready = cache.fills.pop_ready(100.0)
+        assert ready == [[100.0, 0, 7, False, False, False]]
 
     def test_fills_pop_in_ready_order(self):
         cache = small_cache()
         cache.schedule_fill(1, ready=30.0)
         cache.schedule_fill(2, ready=10.0)
         cache.schedule_fill(3, ready=20.0)
-        lines = [f.line for f in cache.pop_ready_fills(100.0)]
+        lines = [line for _, _, line, *_ in cache.fills.pop_ready(100.0)]
         assert lines == [2, 3, 1]
 
 
@@ -110,9 +114,9 @@ class TestFillQueueIndex:
         cache.schedule_fill(1, ready=10.0, prefetched=True)
         cache.schedule_fill(2, ready=20.0, prefetched=True)
         cache.fills.strip_prefetch_flag(1)
-        fills = {f.line: f for f in cache.pop_ready_fills(100.0)}
-        assert not fills[1].prefetched
-        assert fills[2].prefetched
+        prefetched = {line: flag for _, _, line, flag, _, _
+                      in cache.fills.pop_ready(100.0)}
+        assert prefetched == {1: False, 2: True}
 
     def test_strip_unknown_line_is_noop(self):
         cache = small_cache()
@@ -122,18 +126,20 @@ class TestFillQueueIndex:
     def test_index_cleared_after_pop(self):
         cache = small_cache()
         cache.schedule_fill(1, ready=10.0, prefetched=True)
-        cache.pop_ready_fills(10.0)
+        cache.fills.pop_ready(10.0)
         # A stale index entry would flip this later fill's flag too.
         cache.schedule_fill(1, ready=30.0, prefetched=True)
         cache.fills.strip_prefetch_flag(1)
-        assert not cache.pop_ready_fills(30.0)[0].prefetched
+        [(_, _, _, prefetched, _, _)] = cache.fills.pop_ready(30.0)
+        assert not prefetched
 
     def test_duplicate_line_fills_both_stripped(self):
         cache = small_cache()
-        cache.fills.push(PendingFill(10.0, 5, True, False))
-        cache.fills.push(PendingFill(20.0, 5, True, False))
+        cache.fills.push(10.0, 5, True, False)
+        cache.fills.push(20.0, 5, True, False)
         cache.fills.strip_prefetch_flag(5)
-        assert all(not f.prefetched for f in cache.pop_ready_fills(100.0))
+        assert [fill[3] for fill in cache.fills.pop_ready(100.0)] == [
+            False, False]
 
 
 class TestMSHR:

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from repro.memtrace.access import MemoryAccess
 from repro.memtrace.trace import Trace
 from repro.prefetchers.base import NoPrefetcher
+from repro.sim.cache import DIRTY
 from repro.sim.hierarchy import Hierarchy
 from repro.sim.invariants import InvariantAuditor
 from repro.sim.refmodel import RefModel
@@ -30,8 +31,8 @@ def kernel_contents(storage) -> dict[int, bool]:
     """Resident ``line -> dirty`` map of one kernel cache."""
     merged = {}
     for cache_set in storage._sets:
-        for line, entry in cache_set.items():
-            merged[line] = entry.dirty
+        for line, flags in cache_set.items():
+            merged[line] = bool(flags & DIRTY)
     return merged
 
 

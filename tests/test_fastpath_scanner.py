@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from repro.memtrace.access import MemoryAccess
 from repro.memtrace.trace import Trace
 from repro.prefetchers.base import NoPrefetcher
+from repro.sim.cache import PREFETCHED
 from repro.sim.core import Core
 from repro.sim.fastpath import MIN_RUN, FastPath
 from repro.sim.hierarchy import Hierarchy
@@ -70,8 +71,7 @@ def machine_state(hierarchy, core):
         "instructions": core.instructions,
         "inflight": list(core._inflight),
         "view_cycle": hierarchy._view_cycle,
-        "l1_sets": [[(line, entry.prefetched, entry.dirty)
-                     for line, entry in cache_set.items()]
+        "l1_sets": [list(cache_set.items())
                     for cache_set in hierarchy.l1d._sets],
         "l1_stats": (hierarchy.l1d.stats.demand_accesses,
                      hierarchy.l1d.stats.demand_hits,
@@ -203,14 +203,15 @@ def test_prefetched_bit_excludes_line():
     lines[6] = special
     trace = make_trace(lines)
     hierarchy, core, scanner = make_machine(trace, warm_lines=WARM)
-    hierarchy.l1d.probe(special).prefetched = True
+    l1_set = hierarchy.l1d._sets[special % hierarchy.l1d.num_sets]
+    l1_set[special] |= PREFETCHED
     hierarchy.l1d.version += 1  # fill paths bump on prefetched installs
 
     assert scanner.try_run(0, n) == 6
 
     # The event kernel consumes the bit at access 6 ...
     slow_drive(hierarchy, core, trace, 6, 1)
-    assert not hierarchy.l1d.probe(special).prefetched
+    assert not hierarchy.l1d.probe(special) & PREFETCHED
     # ... after which the same line is eligible again.
     assert scanner.try_run(7, n) == n - 7
 

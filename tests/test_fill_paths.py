@@ -2,6 +2,7 @@
 merge double-count protection, view cycle handling."""
 
 from repro.prefetchers.base import FillLevel, NoPrefetcher, PrefetchRequest
+from repro.sim.cache import DIRTY, PREFETCHED
 from repro.sim.hierarchy import Hierarchy
 from repro.sim.params import SystemConfig
 
@@ -17,15 +18,41 @@ class TestWritePath:
         h = build()
         latency, _ = h.demand_access(ADDR, 0.0, is_write=True)
         h._sync(latency + 1)
-        assert h.l1d.probe(ADDR >> 6).dirty
+        assert h.l1d.probe(ADDR >> 6) & DIRTY
 
     def test_write_hit_marks_dirty(self):
+        line = ADDR >> 6
+        for prefetched in (False, True):
+            h = build()
+            if prefetched:
+                h.issue_prefetch(PrefetchRequest(ADDR, FillLevel.L1D), 0.0)
+            else:
+                h.demand_access(ADDR, 0.0)
+            h._sync(1e6)
+            assert h.l1d.probe(line) == (PREFETCHED if prefetched else 0)
+            # A younger line in the same set, so the hit has recency to move.
+            h.l1d.fill_now(line + h.l1d.num_sets, 1e6)
+            h.demand_access(ADDR, 1e6 + 1, is_write=True)
+            # Dirty, MRU, and a prefetched bit is consumed exactly once.
+            assert h.l1d.probe(line) == DIRTY
+            assert list(h.l1d._sets[line % h.l1d.num_sets])[-1] == line
+            assert h.l1d.stats.useful_prefetches == int(prefetched)
+
+    def test_store_merging_with_inflight_l1_miss_fills_dirty(self):
         h = build()
         latency, _ = h.demand_access(ADDR, 0.0)
+        h.demand_access(ADDR, 5.0, is_write=True)   # merges at L1
         h._sync(latency + 1)
-        assert not h.l1d.probe(ADDR >> 6).dirty
-        h.demand_access(ADDR, latency + 2, is_write=True)
-        assert h.l1d.probe(ADDR >> 6).dirty
+        assert h.l1d.probe(ADDR >> 6) == DIRTY
+
+    def test_store_merging_with_inflight_l1_prefetch_fills_dirty(self):
+        h = build()
+        h.issue_prefetch(PrefetchRequest(ADDR, FillLevel.L1D), 0.0)
+        h.demand_access(ADDR, 5.0, is_write=True)   # late useful, merges
+        h._sync(1e6)
+        # Demoted to a demand fill, and the store's dirty bit survives.
+        assert h.l1d.probe(ADDR >> 6) == DIRTY
+        assert h.l1d.stats.useful_prefetches == 1
 
 
 class TestProbeSemantics:

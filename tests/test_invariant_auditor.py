@@ -13,7 +13,8 @@ import pytest
 
 from repro.memtrace.access import MemoryAccess
 from repro.memtrace.trace import Trace
-from repro.prefetchers.base import NoPrefetcher
+from repro.prefetchers.base import FillLevel, NoPrefetcher, PrefetchRequest
+from repro.sim.cache import DIRTY, PREFETCHED
 from repro.sim.engine import simulate
 from repro.sim.events import BackInvalidation
 from repro.sim.hierarchy import Hierarchy, SharedLLC
@@ -72,7 +73,7 @@ def _apply_fill_dropping_dirty_private(self, line, cycle, prefetched=False,
     itself was dirty, silently losing dirty back-invalidated private
     copies (the historical dirty-writeback bug).  Same signature as the
     live method: the kernel passes the flags positionally."""
-    inserted, victim, victim_entry = self.storage.fill_now(
+    inserted, victim, victim_flags = self.storage.fill_now(
         line, cycle, prefetched, is_write)
     if not inserted:
         return
@@ -86,20 +87,21 @@ def _apply_fill_dropping_dirty_private(self, line, cycle, prefetched=False,
         return
     ev = self._ev_evict
     ev.line = victim
-    ev.prefetched = victim_entry.prefetched
-    ev.dirty = victim_entry.dirty
+    ev.prefetched = (victim_flags & PREFETCHED) != 0
+    ev.dirty = (victim_flags & DIRTY) != 0
     ev.cycle = cycle
     for handler in self._evict_handlers:
         handler(ev)
     if self.shared is not None:
-        for cache, entry in self.shared.back_invalidate(victim):
-            binv = BackInvalidation(cache.name, victim, entry.prefetched,
-                                    entry.dirty, cycle, cache.stats)
+        for cache, flags in self.shared.back_invalidate(victim):
+            binv = BackInvalidation(cache.name, victim,
+                                    (flags & PREFETCHED) != 0,
+                                    (flags & DIRTY) != 0, cycle, cache.stats)
             for handler in self._binv_handlers:
                 handler(binv)
-    if victim_entry.prefetched:
+    if victim_flags & PREFETCHED:
         self._publish_useless(victim, "evicted", cycle)
-    if victim_entry.dirty:
+    if victim_flags & DIRTY:
         self._drain_dirty(victim, cycle)
 
 
@@ -108,7 +110,7 @@ class TestDirtyBackInvalidationLoss:
         latency, _ = hierarchy.demand_access(0x600000, 0.0, is_write=True)
         hierarchy._sync(latency + 1)
         line = 0x600000 >> 6
-        assert hierarchy.l1d.probe(line).dirty
+        assert hierarchy.l1d.probe(line) & DIRTY
         evict_from(hierarchy.levels[2], line, latency + 1)
         auditor.checkpoint(latency + 1000.0)
 
@@ -136,11 +138,8 @@ def _drain_dirty_immediate_below_only(self, victim, cycle):
     inclusive LLC bypassed the LLC straight to DRAM."""
     below = self.below
     absorbed = False
-    if below is not None:
-        entry = below.storage.probe(victim)
-        if entry is not None:
-            entry.dirty = True
-            absorbed = True
+    if below is not None and below.storage.mark_dirty(victim):
+        absorbed = True
     if not absorbed:
         self.dram.writeback(victim, cycle)
     ev = self._ev_wb
@@ -166,7 +165,7 @@ class TestShallowDirtyDrain:
             i += 1
         auditor.checkpoint(50.0)
         auditor.audit_now(50.0, deep=True)
-        assert hierarchy.llc.probe(line).dirty
+        assert hierarchy.llc.probe(line) & DIRTY
         assert hierarchy.dram.stats.writeback_requests == 0
 
     def test_fixed_kernel_audits_clean(self):
@@ -256,9 +255,9 @@ def _back_invalidate_without_cancel(self, line):
     the LLC already evicted it."""
     removed = []
     for cache in self._private:
-        entry = cache.invalidate(line)
-        if entry is not None:
-            removed.append((cache, entry))
+        flags = cache.invalidate(line)
+        if flags is not None:
+            removed.append((cache, flags))
     return removed
 
 
@@ -287,6 +286,41 @@ class TestInFlightFillCancellation:
         with pytest.raises(InvariantViolation) as exc:
             self._scenario(*build_audited())
         assert exc.value.law == "inclusion"
+
+
+# ------------------------------------------- census and set capacity laws
+
+
+class TestCensusAndCapacity:
+    def test_dirty_prefetched_line_counts_in_census(self):
+        hierarchy, auditor = build_audited()
+        line = 0x600000 >> 6
+        hierarchy.issue_prefetch(PrefetchRequest(line << 6, FillLevel.L2C),
+                                 0.0)
+        hierarchy._sync(1e6)
+        # As when the line absorbs a dirty L1 victim before any demand.
+        assert hierarchy.l2c.mark_dirty(line)
+        assert hierarchy.l2c.probe(line) == PREFETCHED | DIRTY
+        auditor.audit_now(1e6)
+
+    def test_stray_prefetched_bit_breaks_census(self):
+        hierarchy, auditor = build_audited()
+        latency, _ = hierarchy.demand_access(0x600000, 0.0)
+        hierarchy._sync(latency + 1)
+        line = 0x600000 >> 6
+        hierarchy.l1d._sets[line % hierarchy.l1d.num_sets][line] |= PREFETCHED
+        with pytest.raises(InvariantViolation) as exc:
+            auditor.audit_now(latency + 1)
+        assert exc.value.law == "prefetch-census"
+
+    def test_overfull_set_breaks_capacity(self):
+        hierarchy, auditor = build_audited()
+        l1d = hierarchy.l1d
+        for i in range(l1d.ways + 1):
+            l1d._sets[0][i * l1d.num_sets] = 0
+        with pytest.raises(InvariantViolation) as exc:
+            auditor.audit_now(0.0)
+        assert exc.value.law == "set-capacity"
 
 
 # ------------------------- fast-path block exits are auditor checkpoints

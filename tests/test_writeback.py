@@ -10,6 +10,7 @@ import numpy as np
 
 from repro.memtrace.access import MemoryAccess
 from repro.memtrace.trace import Trace
+from repro.sim.cache import DIRTY
 from repro.sim.engine import simulate
 from repro.sim.events import BackInvalidation, Writeback
 from repro.sim.hierarchy import Hierarchy
@@ -47,15 +48,21 @@ class TestWritebackPropagation:
         latency, _ = h.demand_access(addr, 0.0, is_write=True)
         h._sync(latency + 1)
         line = addr >> 6
-        assert h.l1d.probe(line).dirty
-        assert not h.l2c.probe(line).dirty
+        assert h.l1d.probe(line) & DIRTY
+        assert not h.l2c.probe(line) & DIRTY
+        # A younger line in the same L2 set: absorbing the victim turns
+        # the L2 copy dirty without moving it in the LRU order.
+        h.l2c.fill_now(line + h.l2c.num_sets, latency + 1)
+        l2_set = h.l2c._sets[line % h.l2c.num_sets]
+        order = list(l2_set)
         # Writeback events are transient (pooled) — copy fields out.
         seen = []
         h.bus.subscribe(Writeback, lambda e: seen.append((e.line, e.absorbed)))
         evict_from(h.levels[0], line, latency + 1)
         # L2 holds the line (inclusion), so the writeback is absorbed
         # there instead of reaching DRAM.
-        assert h.l2c.probe(line).dirty
+        assert h.l2c.probe(line) & DIRTY
+        assert list(l2_set) == order
         assert h.dram.stats.writeback_requests == 0
         assert [ab for ln, ab in seen if ln == line] == [True]
 
@@ -132,7 +139,7 @@ class TestInclusiveBackInvalidation:
         latency, _ = h.demand_access(addr, 0.0, is_write=True)
         h._sync(latency + 1)
         line = addr >> 6
-        assert h.l1d.probe(line).dirty
+        assert h.l1d.probe(line) & DIRTY
         seen = []
         h.bus.subscribe(Writeback, lambda e: seen.append((e.line, e.absorbed)))
         evict_from(h.levels[2], line, latency + 1)
