@@ -36,10 +36,8 @@ from .prefetchers import (
     PrefetchRequest,
     Pythia,
     SetDuelingArbiter,
-    SMSPrefetcher,
     SPPWithPPF,
     Triangel,
-    make_hybrid,
     make_pmp,
     make_pmp_limit,
     register_competitor,
@@ -65,7 +63,6 @@ __all__ = [
     "Prefetcher",
     "PrefetchRequest",
     "Pythia",
-    "SMSPrefetcher",
     "SPPWithPPF",
     "SetDuelingArbiter",
     "SimResult",
@@ -75,7 +72,6 @@ __all__ = [
     "WorkloadSpec",
     "full_suite",
     "geomean",
-    "make_hybrid",
     "make_pmp",
     "make_pmp_limit",
     "register_competitor",

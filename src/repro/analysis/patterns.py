@@ -63,10 +63,6 @@ class PatternCensus:
         singles = sum(1 for count in self.counts.values() if count == 1)
         return singles / self.distinct_patterns
 
-    def top_patterns(self, k: int) -> list[tuple[int, int]]:
-        """The k most frequent (anchored bit vector, count) pairs."""
-        return self.counts.most_common(k)
-
 
 def census(patterns: Iterable[CapturedPattern]) -> PatternCensus:
     """Census of anchored patterns (the form PMP merges)."""

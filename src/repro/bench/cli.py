@@ -16,7 +16,6 @@ baseline error (missing/invalid baseline file).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -145,11 +144,6 @@ def bench_main(argv: list[str] | None = None) -> int:
         print(f"error: performance regression in: {names}", file=sys.stderr)
         return 1
     return 0
-
-
-def dump_doc(doc: dict) -> str:
-    """Pretty-printed document (test/debug helper)."""
-    return json.dumps(doc, indent=2)
 
 
 if __name__ == "__main__":

@@ -32,7 +32,7 @@ from .faults import (BatchFailed, FaultPolicy, JobFailure, JobTimeout,
 from .journal import RunJournal
 from .manifest import RunManifest, current_git_sha
 from .report import format_percent, format_series, format_table
-from .runner import ParallelSuiteRunner, SuiteRunner
+from .runner import SuiteRunner
 from .sensitivity import bandwidth_sweep, llc_size_sweep
 from .single_core import (
     SingleCoreResults,
@@ -49,7 +49,6 @@ __all__ = [
     "FaultPolicy",
     "JobFailure",
     "JobTimeout",
-    "ParallelSuiteRunner",
     "ResultCache",
     "RunInterrupted",
     "RunJournal",

@@ -239,10 +239,6 @@ class ExperimentEngine:
         """Stop at the next completion boundary (signal-handler safe)."""
         self._stop = True
 
-    @property
-    def stop_requested(self) -> bool:
-        return self._stop
-
     def run_jobs(self, jobs: list[SimJob]) -> list[SimResult]:
         """Execute a batch; results align with ``jobs`` by index.
 

@@ -27,7 +27,6 @@ synchronising after every 8-trace run.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -334,13 +333,6 @@ class SuiteRunner:
                        directory: str | Path = ".repro-cache/manifests") -> Path:
         """Write this runner's manifest; returns the file path."""
         return self.manifest(experiment).write(directory)
-
-
-@dataclass
-class ParallelSuiteRunner(SuiteRunner):
-    """A :class:`SuiteRunner` that defaults to one worker per CPU core."""
-
-    workers: int = field(default_factory=lambda: os.cpu_count() or 1)
 
 
 def mean(values: Sequence[float]) -> float:

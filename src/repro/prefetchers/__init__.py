@@ -13,10 +13,7 @@ from .design_b import DesignB
 from .dspatch import DSPatch
 from .extensions import BandwidthAdaptivePMP, OraclePrefetcher
 from .gaze import Gaze
-from .ghb import GHB
-from .hybrid import HybridPrefetcher, SetDuelingArbiter, make_hybrid
-from .isb import ISB
-from .matryoshka import Matryoshka
+from .hybrid import HybridPrefetcher, SetDuelingArbiter
 from .pangloss import Pangloss
 from .pmp import (
     PMP,
@@ -32,19 +29,16 @@ from .pmp import (
     make_pmp_limit,
 )
 from .pythia import Pythia
-from .simple import BestOffset, NextLine, StridePrefetcher
-from .triage import Triage
+from .simple import NextLine
 from .triangel import Triangel
 from .sms import (
     CapturedPattern,
     PatternCaptureFramework,
     SetAssociativeTable,
-    SMSPrefetcher,
     rotate_left,
     rotate_right,
 )
 from .spp import SPP, SPPWithPPF
-from .vldp import VLDP
 
 class CompetitorRegistry(dict):
     """Name → factory registry that refuses silent shadowing.
@@ -66,6 +60,10 @@ class CompetitorRegistry(dict):
     def update(self, *args, **kwargs):  # route through the guard
         for key, value in dict(*args, **kwargs).items():
             self[key] = value
+
+    def __ior__(self, other):  # dict.__ior__ would bypass update()
+        self.update(other)
+        return self
 
 
 def register_competitor(name: str, factory) -> None:
@@ -92,7 +90,6 @@ COMPETITORS.update({
 __all__ = [
     "BandwidthAdaptivePMP",
     "COMPETITORS",
-    "BestOffset",
     "Bingo",
     "CapturedPattern",
     "CompetitorRegistry",
@@ -100,11 +97,8 @@ __all__ = [
     "DSPatch",
     "DesignB",
     "FillLevel",
-    "GHB",
     "Gaze",
     "HybridPrefetcher",
-    "ISB",
-    "Matryoshka",
     "NextLine",
     "NoPrefetcher",
     "NullSystemView",
@@ -117,22 +111,17 @@ __all__ = [
     "Prefetcher",
     "PrefetchRequest",
     "Pythia",
-    "SMSPrefetcher",
     "SPP",
     "SPPWithPPF",
     "SetAssociativeTable",
     "SetDuelingArbiter",
-    "StridePrefetcher",
     "SystemView",
-    "Triage",
     "Triangel",
-    "VLDP",
     "arbitrate",
     "coarsen_bits",
     "extract_afe",
     "extract_ane",
     "extract_are",
-    "make_hybrid",
     "make_pmp",
     "make_pmp_limit",
     "register_competitor",

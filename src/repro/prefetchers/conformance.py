@@ -1,14 +1,13 @@
-"""Reusable conformance harness every registered prefetcher must pass.
+"""Reusable conformance harness every shipped prefetcher must pass.
 
-The zoo grows (PR 10 adds Pangloss, Gaze, Triangel and the set-dueling
-hybrid) and every engine must honour the same engine-facing contracts:
-the :class:`~repro.prefetchers.base.Prefetcher` protocol, the hit-run
+Every engine must honour the same engine-facing contracts: the
+:class:`~repro.prefetchers.base.Prefetcher` protocol, the hit-run
 fast-path rules, the invariant auditor's conservation laws, and the
 sampled-simulation stitching assumptions.  This module packages those
 contracts as named check functions so ``tests/test_prefetcher_conformance``
-can parametrize (engine x check) over the live registry — a new engine
-registered in ``COMPETITORS`` is conformance-tested with zero new test
-code.
+can parametrize (engine x check) over the live registry plus the
+unregistered engines it lists — a new engine registered in
+``COMPETITORS`` is conformance-tested with zero new test code.
 
 Each check takes a zero-argument factory (so every run gets a fresh
 instance) and raises :class:`ConformanceError` with a diagnostic on

@@ -82,11 +82,10 @@ class OraclePrefetcher(Prefetcher):
         seen: set[int] = {address >> 6}
         position = index + self.lead
         while len(requests) < self.depth and position < len(self.addresses):
-            target = self.addresses[position]
-            line = target >> 6
+            line = self.addresses[position] >> 6
             if line not in seen:
                 seen.add(line)
-                requests.append(PrefetchRequest(address=target,
+                requests.append(PrefetchRequest(address=line << 6,
                                                 level=self.fill_level))
             position += 1
         return requests

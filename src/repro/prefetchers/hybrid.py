@@ -25,7 +25,6 @@ twice (the conservation property the set-dueling hypothesis tests pin).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable
 
 from .base import FillLevel, Prefetcher, PrefetchRequest, SystemView
 from .pmp import PMP
@@ -188,10 +187,3 @@ class HybridPrefetcher(Prefetcher):
         elif engine == "b":
             self.b.on_prefetch_useless(address, level)
 
-
-def make_hybrid(engine_a: Callable[[], Prefetcher] | None = None,
-                engine_b: Callable[[], Prefetcher] | None = None,
-                ) -> HybridPrefetcher:
-    """Registry-friendly constructor (fresh constituents per instance)."""
-    return HybridPrefetcher(engine_a() if engine_a else None,
-                            engine_b() if engine_b else None)

@@ -1,20 +1,13 @@
-"""Simple classical prefetchers (Related Work, Section VI-A).
+"""Next-line prefetching: the simplest constant-stride baseline.
 
-Anchors for the examples and tests: Next-Line, a per-PC constant-stride
-prefetcher, and Best-Offset (Michaud, HPCA 2016).  None of these appear in
-the paper's headline comparison, but the paper discusses them as the
-constant-stride family that cannot express the variable-stride patterns
-PMP targets — the property the unit tests demonstrate directly.
+The paper's related work (Section VI-A) discusses the constant-stride
+family, which cannot express the variable-stride patterns PMP targets.
+Next-Line is kept as that family's one anchor for the examples and tests.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
-from ..memtrace.access import PAGE_BYTES, hash_pc
 from .base import FillLevel, Prefetcher, PrefetchRequest, SystemView
-
-_LINES_PER_PAGE = PAGE_BYTES // 64
 
 
 class NextLine(Prefetcher):
@@ -32,102 +25,3 @@ class NextLine(Prefetcher):
         line = address >> 6
         return [PrefetchRequest(address=(line + i) << 6, level=self.fill_level)
                 for i in range(1, self.degree + 1)]
-
-
-class StridePrefetcher(Prefetcher):
-    """Per-PC stride detection with a 2-bit confidence counter."""
-
-    name = "stride"
-
-    def __init__(self, *, table_entries: int = 256, degree: int = 4,
-                 fill_level: FillLevel = FillLevel.L1D) -> None:
-        self.table_entries = table_entries
-        self.degree = degree
-        self.fill_level = fill_level
-        # pc hash -> [last line, stride, confidence]
-        self._table: OrderedDict[int, list[int]] = OrderedDict()
-
-    def on_access(self, pc: int, address: int, cycle: float, hit: bool,
-                  view: SystemView) -> list[PrefetchRequest]:
-        line = address >> 6
-        key = hash_pc(pc, 12)
-        entry = self._table.get(key)
-        if entry is None:
-            if len(self._table) >= self.table_entries:
-                self._table.popitem(last=False)
-            self._table[key] = [line, 0, 0]
-            return []
-        self._table.move_to_end(key)
-        last_line, stride, confidence = entry
-        new_stride = line - last_line
-        if new_stride == stride and stride != 0:
-            confidence = min(3, confidence + 1)
-        else:
-            confidence = max(0, confidence - 1)
-            stride = new_stride
-        entry[0], entry[1], entry[2] = line, stride, confidence
-        if confidence < 2 or stride == 0:
-            return []
-        return [PrefetchRequest(address=(line + stride * i) << 6,
-                                level=self.fill_level)
-                for i in range(1, self.degree + 1)]
-
-
-class BestOffset(Prefetcher):
-    """Best-Offset prefetching: periodically score a fixed offset list.
-
-    A small recent-requests table remembers lines demanded recently; an
-    offset scores a point when `line - offset` is in it (i.e. the offset
-    would have been timely).  The best scorer of each learning round
-    becomes the active prefetch offset.
-    """
-
-    name = "best-offset"
-
-    OFFSETS = (1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 16, 18, 20, 24, 30, 32,
-               -1, -2, -3, -4, -8)
-
-    def __init__(self, *, round_length: int = 256, rr_entries: int = 64,
-                 score_threshold: int = 20,
-                 fill_level: FillLevel = FillLevel.L1D) -> None:
-        self.round_length = round_length
-        self.rr_entries = rr_entries
-        self.score_threshold = score_threshold
-        self.fill_level = fill_level
-        self._recent: OrderedDict[int, None] = OrderedDict()
-        self._scores = [0] * len(self.OFFSETS)
-        self._tested = 0
-        self.active_offset: int | None = 1
-
-    def _remember(self, line: int) -> None:
-        if line in self._recent:
-            self._recent.move_to_end(line)
-        elif len(self._recent) >= self.rr_entries:
-            self._recent.popitem(last=False)
-        self._recent[line] = None
-
-    def on_access(self, pc: int, address: int, cycle: float, hit: bool,
-                  view: SystemView) -> list[PrefetchRequest]:
-        line = address >> 6
-        for i, offset in enumerate(self.OFFSETS):
-            if line - offset in self._recent:
-                self._scores[i] += 1
-        self._remember(line)
-        self._tested += 1
-        if self._tested >= self.round_length:
-            best = max(range(len(self.OFFSETS)), key=self._scores.__getitem__)
-            if self._scores[best] >= self.score_threshold:
-                self.active_offset = self.OFFSETS[best]
-            else:
-                self.active_offset = None  # prefetching off this round
-            self._scores = [0] * len(self.OFFSETS)
-            self._tested = 0
-        if self.active_offset is None:
-            return []
-        target_line = line + self.active_offset
-        if target_line < 0:
-            return []
-        # Stay within the page, as hardware prefetchers must.
-        if (target_line >> 6) != (line >> 6):
-            return []
-        return [PrefetchRequest(address=target_line << 6, level=self.fill_level)]

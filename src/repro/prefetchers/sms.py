@@ -1,7 +1,7 @@
-"""SMS-style pattern capture framework (paper Section II-B) and plain SMS.
+"""SMS-style pattern capture framework (paper Section II-B).
 
-The framework is the front end PMP, Bingo, DSPatch and the motivation
-analyses all share.  It watches L1D loads and produces one *bit-vector
+The framework is the front end PMP, Bingo, DSPatch, Gaze, Design B and
+the motivation analyses all share.  It watches L1D loads and produces one *bit-vector
 pattern* per region generation:
 
 1. the first access to a region allocates a **Filter Table** (FT) entry
@@ -20,14 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..memtrace.access import (
-    CACHELINE_BITS,
-    hash_pc,
-    lines_per_region,
-    offset_of,
-    region_of,
-)
-from .base import FillLevel, Prefetcher, PrefetchRequest, SystemView
+from ..memtrace.access import CACHELINE_BITS, lines_per_region
 
 
 @dataclass(frozen=True, slots=True)
@@ -251,59 +244,3 @@ class PatternCaptureFramework:
             entry_set.clear()
         return completed
 
-
-class SMSPrefetcher(Prefetcher):
-    """Plain Spatial Memory Streaming: PC+trigger-offset indexed bit vectors.
-
-    Kept as the historical baseline the paper builds on; on a trigger
-    access it replays the last pattern stored for (hashed PC, trigger
-    offset) into L2C.
-    """
-
-    name = "sms"
-
-    def __init__(self, region_bytes: int = 4096, *, table_sets: int = 64,
-                 table_ways: int = 8, pc_bits: int = 10,
-                 fill_level: FillLevel = FillLevel.L2C) -> None:
-        self.region_bytes = region_bytes
-        self.pattern_length = lines_per_region(region_bytes)
-        self.capture = PatternCaptureFramework(region_bytes)
-        self.pattern_table = SetAssociativeTable(table_sets, table_ways)
-        self.pc_bits = pc_bits
-        self.fill_level = fill_level
-        from .pmp import PrefetchBuffer  # local import avoids a module cycle
-        self.pb = PrefetchBuffer(entries=16)
-
-    def _key(self, pc: int, trigger_offset: int) -> int:
-        # Shift so SetAssociativeTable's >>12 set hash sees the variation.
-        return ((hash_pc(pc, self.pc_bits) << 6) | trigger_offset) << 12
-
-    def _learn(self, pattern: CapturedPattern) -> None:
-        self.pattern_table.insert(self._key(pattern.pc, pattern.trigger_offset),
-                                  pattern.anchored())
-
-    def on_evict(self, line_address: int) -> None:
-        pattern = self.capture.end_region(region_of(line_address, self.region_bytes))
-        if pattern is not None:
-            self._learn(pattern)
-
-    def on_access(self, pc: int, address: int, cycle: float, hit: bool,
-                  view: SystemView) -> list[PrefetchRequest]:
-        is_trigger, offset, completed = self.capture.observe(pc, address)
-        for pattern in completed:
-            self._learn(pattern)
-        region = region_of(address, self.region_bytes)
-        if not is_trigger:
-            return self.pb.drain(region, view)
-        anchored = self.pattern_table.get(self._key(pc, offset))
-        if anchored is None:
-            return self.pb.drain(region, view)
-        targets = []
-        length = self.pattern_length
-        for i in sorted(range(1, length), key=lambda i: min(i, length - i)):
-            if anchored >> i & 1:
-                target = region + (((offset + i) % length) << 6)
-                targets.append((target, self.fill_level))
-        if targets:
-            self.pb.insert(region, targets)
-        return self.pb.drain(region, view)

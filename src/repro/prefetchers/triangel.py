@@ -1,10 +1,10 @@
 """Triangel — timely and compact on-chip temporal prefetching (Ainsworth
 & Mukhanov, ISCA 2024 / arXiv:2406.10627).
 
-Triangel's thesis is that classic temporal prefetchers (Triage and
-friends) waste their metadata partition on PCs whose miss streams never
-repeat.  It adds three filters in front of the Markov (address → next
-address) table:
+Triangel's thesis is that classic on-chip temporal prefetchers waste
+their metadata partition on PCs whose miss streams never repeat.  It
+adds three filters in front of the Markov (address → next address)
+table:
 
 * a **training-unit sampler** tracks, per load PC, whether the pairs it
   produces are later *reused* (history sampler hits) and whether the
@@ -12,7 +12,7 @@ address) table:
   usefulness score clears a threshold may write metadata;
 * **lookahead**: on a Markov hit, the successor *and* the successor's
   successor are issued, hiding one extra miss latency (the paper's
-  timeliness fix over Triage's next-line-only lookup);
+  timeliness fix over its predecessors' single-successor lookup);
 * runtime feedback resizes confidence — we model it by bleeding a PC's
   score on useless-prefetch feedback and boosting it on useful fills.
 
@@ -20,9 +20,8 @@ Hardware budget (modelled by :func:`repro.storage.triangel_budget`): the
 paper's primary configuration partitions up to 512KB of LLC for the
 Markov table; the on-chip structures (training unit 256 entries, history
 sampler, metadata caches) add ~2.8KB of dedicated SRAM as modelled.  Here the
-`metadata_lines` bound stands in for the LLC partition exactly as in
-:class:`repro.prefetchers.triage.Triage`, making the two directly
-comparable; Triangel's edge must come from *filtering*, not capacity.
+fixed `metadata_lines` bound stands in for the Triangel paper's LLC
+partition, so Triangel's edge must come from *filtering*, not capacity.
 
 The engine trains on L1D misses only, so it is transparent to the
 hit-run fast path.

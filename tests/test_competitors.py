@@ -1,12 +1,12 @@
 """Unit behaviour of the comparison prefetchers (DSPatch, Bingo, SPP+PPF,
-Pythia, Design B) and the simple baselines."""
+Pythia, Design B) and the next-line baseline."""
 
 from repro.prefetchers.base import FillLevel, NullSystemView
 from repro.prefetchers.bingo import Bingo
 from repro.prefetchers.design_b import DesignB
 from repro.prefetchers.dspatch import DSPatch
 from repro.prefetchers.pythia import Pythia
-from repro.prefetchers.simple import BestOffset, NextLine, StridePrefetcher
+from repro.prefetchers.simple import NextLine
 from repro.prefetchers.spp import SPP, SPPWithPPF, advance_signature
 
 VIEW = NullSystemView()
@@ -242,28 +242,3 @@ class TestSimpleBaselines:
         nl = NextLine(degree=2)
         requests = nl.on_access(0x400, 0x1000, 0.0, False, VIEW)
         assert [r.address for r in requests] == [0x1040, 0x1080]
-
-    def test_stride_detects_constant_stride(self):
-        stride = StridePrefetcher(degree=1)
-        requests = []
-        for i in range(6):
-            requests = stride.on_access(0x400, 0x1000 + i * 3 * 64, 0.0,
-                                        False, VIEW)
-        assert requests
-        assert requests[0].address == 0x1000 + (5 * 3 + 3) * 64
-
-    def test_stride_silent_on_random(self):
-        stride = StridePrefetcher()
-        import numpy as np
-        rng = np.random.default_rng(0)
-        total = []
-        for _ in range(50):
-            total += stride.on_access(0x400, int(rng.integers(0, 1 << 20)) * 64,
-                                      0.0, False, VIEW)
-        assert len(total) < 10
-
-    def test_best_offset_learns_dominant_offset(self):
-        bo = BestOffset(round_length=64, score_threshold=10)
-        for i in range(200):
-            bo.on_access(0x400, 0x100000 + i * 4 * 64, 0.0, False, VIEW)
-        assert bo.active_offset == 4

@@ -21,7 +21,7 @@ import pytest
 from repro.experiments.cache import ResultCache, prefetcher_fingerprint
 from repro.experiments.engine import ExperimentEngine, SimJob
 from repro.experiments.manifest import RunManifest
-from repro.experiments.runner import ParallelSuiteRunner, SuiteRunner
+from repro.experiments.runner import SuiteRunner
 from repro.experiments.single_core import run_single_core
 from repro.memtrace.workloads import quick_suite
 from repro.prefetchers import COMPETITORS
@@ -68,10 +68,6 @@ class TestParallelDeterminism:
             want = want.to_dict()
             got["prefetcher_name"] = want["prefetcher_name"]
             assert got == want
-
-    def test_parallel_runner_defaults_to_cpu_workers(self):
-        runner = ParallelSuiteRunner(specs=SPECS, accesses=ACCESSES)
-        assert runner.workers >= 1
 
 
 class TestPersistentCache:

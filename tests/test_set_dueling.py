@@ -184,7 +184,7 @@ class _Scripted(Prefetcher):
         self.useless += 1
 
 
-def _make_hybrid():
+def _scripted_hybrid():
     a = _Scripted("a", 1)
     b = _Scripted("b", 2)
     return HybridPrefetcher(a, b, arbiter=SetDuelingArbiter(
@@ -193,13 +193,13 @@ def _make_hybrid():
 
 class TestHybridRouting:
     def test_both_engines_always_train(self):
-        hybrid, a, b = _make_hybrid()
+        hybrid, a, b = _scripted_hybrid()
         for i in range(40):
             hybrid.on_access(0x400000, i * 4096, 0.0, False, VIEW)
         assert a.trained == 40 and b.trained == 40
 
     def test_leader_pages_issue_their_own_engine(self):
-        hybrid, a, b = _make_hybrid()
+        hybrid, a, b = _scripted_hybrid()
         for i in range(64):
             address = i * 4096
             role = hybrid.arbiter.role_of(address)
@@ -215,7 +215,7 @@ class TestHybridRouting:
                 assert issued_offset == expected
 
     def test_feedback_routes_to_the_issuing_engine(self):
-        hybrid, a, b = _make_hybrid()
+        hybrid, a, b = _scripted_hybrid()
         routed = {"a": 0, "b": 0}
         for i in range(64):
             address = i * 4096

@@ -2,12 +2,10 @@
 
 from hypothesis import given, strategies as st
 
-from repro.prefetchers.base import NullSystemView
 from repro.prefetchers.sms import (
     CapturedPattern,
     PatternCaptureFramework,
     SetAssociativeTable,
-    SMSPrefetcher,
     rotate_left,
     rotate_right,
 )
@@ -138,30 +136,6 @@ class TestCaptureFlow:
         capture.end_region(REGION)
         is_trigger, offset, _ = capture.observe(0x400, line_addr(REGION, 5))
         assert is_trigger and offset == 5
-
-
-class TestSMSPrefetcher:
-    def test_learns_and_replays_pattern(self):
-        sms = SMSPrefetcher()
-        view = NullSystemView()
-        pc = 0x400
-        # First generation in region A teaches the pattern.
-        region_a = REGION
-        for offset in (4, 5, 6):
-            sms.on_access(pc, line_addr(region_a, offset), 0.0, False, view)
-        sms.on_evict(line_addr(region_a, 4))
-        # A new region with the same PC and trigger offset replays it.
-        region_b = REGION + (64 << 12)
-        requests = sms.on_access(pc, line_addr(region_b, 4), 0.0, False, view)
-        targets = {r.address for r in requests}
-        assert line_addr(region_b, 5) in targets
-        assert line_addr(region_b, 6) in targets
-
-    def test_no_prediction_without_history(self):
-        sms = SMSPrefetcher()
-        requests = sms.on_access(0x999, line_addr(REGION, 0), 0.0, False,
-                                 NullSystemView())
-        assert requests == []
 
 
 def test_captured_pattern_offsets_roundtrip():
