@@ -93,6 +93,13 @@ class SimJob:
     # of key() when enabled: sampled results are estimates, so they must
     # never alias exact results — or results sampled with other knobs.
     sampling: SamplingConfig | None = None
+    # The (prefetcher, config) fingerprints of this job's configuration.
+    # Jobs built from one factory and config share this list: the first
+    # one keyed fills it, the rest reuse it.  Sound because fresh
+    # instances from one factory fingerprint equal (the conformance
+    # harness checks it for every shipped engine).
+    config_parts: list[str] = field(default_factory=list, repr=False,
+                                    compare=False)
 
     def key(self) -> str:
         """Content hash identifying this job's result.
@@ -103,11 +110,13 @@ class SimJob:
         ``sampling`` salts the key with its full knob fingerprint, again
         only when enabled, for the same backwards-compatibility reason.
         """
+        if not self.config_parts:
+            self.config_parts.extend((prefetcher_fingerprint(self.prefetcher),
+                                      self.config.fingerprint()))
         parts = [
             CACHE_VERSION,
             self.trace.content_hash(),
-            prefetcher_fingerprint(self.prefetcher),
-            self.config.fingerprint(),
+            *self.config_parts,
             repr(self.warmup_fraction),
         ]
         if self.trace_events:

@@ -82,10 +82,14 @@ class RunJournal:
         #: Corrupt/truncated journal lines skipped during load.
         self.skipped_lines = 0
         self._load()
+        #: The commit a fresh run recorded in ``meta.json`` (None when
+        #: reopening a run: its meta names the commit that started it).
+        self.git_sha: str | None = None
         if not self.meta_path.exists():
+            self.git_sha = current_git_sha()
             self.meta_path.write_text(json.dumps(
                 {"run_id": run_id, "created_unix": time.time(),
-                 "git_sha": current_git_sha()}, indent=2))
+                 "git_sha": self.git_sha}, indent=2))
         self._fh = self.journal_path.open("a")
 
     @classmethod

@@ -43,7 +43,7 @@ from .cache import ResultCache
 from .engine import ExperimentEngine, SimJob
 from .faults import FaultPolicy
 from .journal import RunJournal
-from .manifest import RunManifest
+from .manifest import RunManifest, current_git_sha
 
 if TYPE_CHECKING:  # imported lazily at runtime (repro.fabric imports us)
     from ..fabric.lease import FabricConfig
@@ -139,12 +139,18 @@ class SuiteRunner:
 
     def _jobs(self, factory: PrefetcherFactory,
               config: SystemConfig) -> list[SimJob]:
-        """One fresh-prefetcher job per trace, in suite order."""
+        """One fresh-prefetcher job per trace, in suite order.
+
+        The jobs share one ``config_parts`` list, so the engine
+        fingerprints the configuration once, not once per trace.
+        """
+        config_parts: list[str] = []
         return [SimJob(trace, factory(), config, self.warmup_fraction,
                        trace_events=self.trace_events,
                        check_invariants=self.check_invariants,
                        fastpath=self.fastpath,
-                       sampling=self.sampling)
+                       sampling=self.sampling,
+                       config_parts=config_parts)
                 for trace in self.traces]
 
     def baselines(self, config: SystemConfig | None = None) -> list[SimResult]:
@@ -268,10 +274,12 @@ class SuiteRunner:
                      if isinstance(self.cache, ResultCache) else None)
         quarantined = (self.cache.corrupt
                        if isinstance(self.cache, ResultCache) else 0)
-        run_id = (self.journal.run_id
-                  if isinstance(self.journal, RunJournal) else None)
+        journal = self.journal if isinstance(self.journal, RunJournal) else None
         return RunManifest(
             experiment=experiment,
+            # A fresh journal already read the commit: spare a second
+            # `git rev-parse`.
+            git_sha=(journal and journal.git_sha) or current_git_sha(),
             config_fingerprint=self.config.fingerprint(),
             workers=self.workers,
             accesses=self.accesses,
@@ -282,7 +290,7 @@ class SuiteRunner:
             simulated=counters.simulated,
             wall_seconds=counters.wall_seconds,
             cache_dir=cache_dir,
-            run_id=run_id,
+            run_id=journal.run_id if journal else None,
             failed=counters.failed,
             retried=counters.retried,
             timed_out=counters.timed_out,

@@ -4,7 +4,12 @@ Full-suite experiments (125 traces) spend most of their time regenerating
 identical traces.  :class:`TraceStore` caches built traces under a
 directory keyed by (name, seed, build digest, length), in the compact
 binary format, so a second `pmp-repro --full-suite` run skips generation
-entirely, and a changed recipe or generator builds afresh.
+entirely.  The build digest (:attr:`WorkloadSpec.digest`) covers the
+recipe, a ChampSim source file's size and mtime, the trace-building code
+and the numpy version, so a change to any of them builds afresh.  A file
+that is not a trace, or holds fewer accesses than its header states, is
+deleted and rebuilt; a new file is written under a temporary name and
+renamed into place, so no reader sees it half-written.
 
 >>> store = TraceStore("/tmp/pmp-traces")
 >>> trace = store.get(quick_suite()[0], accesses=30_000)   # builds + saves
@@ -13,6 +18,7 @@ entirely, and a changed recipe or generator builds afresh.
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 from .trace import Trace
@@ -45,7 +51,11 @@ class TraceStore:
                 return trace
         self.misses += 1
         trace = spec.build(accesses)
-        trace.save_binary(path)
+        # Staged under a hidden per-process name and renamed into place,
+        # as ResultCache.put does: a reader never sees a partial file.
+        tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
+        trace.save_binary(tmp)
+        os.replace(tmp, path)
         return trace
 
     def build_all(self, specs: list[WorkloadSpec], accesses: int) -> list[Trace]:

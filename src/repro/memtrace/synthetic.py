@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .access import CACHELINE_BYTES, MemoryAccess, line_address
+from .access import CACHELINE_BITS, CACHELINE_BYTES, MemoryAccess
 from .trace import Trace
 
 LINES_PER_REGION = 64
@@ -39,8 +39,11 @@ def _segment_base(segment: int) -> int:
 
 def _emit(out: list[MemoryAccess], pc: int, region: int, offset: int,
           gap: int, is_write: bool = False) -> None:
-    out.append(MemoryAccess(pc=pc, address=line_address(region, offset % LINES_PER_REGION),
-                            is_write=is_write, gap=gap))
+    # Positional fields and an inline line address: this runs once per
+    # generated access.
+    out.append(MemoryAccess(
+        pc, region + ((offset % LINES_PER_REGION) << CACHELINE_BITS),
+        is_write, gap))
 
 
 def stream(rng: np.random.Generator, count: int, *, segment: int = 0,

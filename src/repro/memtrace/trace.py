@@ -188,19 +188,30 @@ class Trace:
 
     @classmethod
     def load_binary(cls, path: str | Path) -> "Trace":
-        """Read a trace written by :meth:`save_binary`."""
+        """Read a trace written by :meth:`save_binary`.
+
+        Raises ``ValueError`` on a file that is not one, or that ends
+        before the access count in its header says it should.
+        """
         path = Path(path)
+
+        def read(fh, size: int) -> bytes:
+            data = fh.read(size)
+            if len(data) != size:
+                raise ValueError(f"{path}: truncated PMP trace file")
+            return data
+
         with path.open("rb") as fh:
             magic = fh.read(len(_BINARY_MAGIC))
             if magic != _BINARY_MAGIC:
                 raise ValueError(f"{path}: not a PMP trace file")
-            header_len = int.from_bytes(fh.read(4), "little")
-            meta = json.loads(fh.read(header_len).decode("utf-8"))
-            count = int.from_bytes(fh.read(8), "little")
-            pcs = np.frombuffer(fh.read(count * 8), dtype=np.uint64)
-            addrs = np.frombuffer(fh.read(count * 8), dtype=np.uint64)
-            writes = np.frombuffer(fh.read(count * 1), dtype=np.uint8)
-            gaps = np.frombuffer(fh.read(count * 4), dtype=np.uint32)
+            header_len = int.from_bytes(read(fh, 4), "little")
+            meta = json.loads(read(fh, header_len).decode("utf-8"))
+            count = int.from_bytes(read(fh, 8), "little")
+            pcs = np.frombuffer(read(fh, count * 8), dtype=np.uint64)
+            addrs = np.frombuffer(read(fh, count * 8), dtype=np.uint64)
+            writes = np.frombuffer(read(fh, count * 1), dtype=np.uint8)
+            gaps = np.frombuffer(read(fh, count * 4), dtype=np.uint32)
         return cls.from_arrays(meta["name"], (pcs, addrs, writes, gaps),
                                family=meta["family"], seed=meta["seed"])
 

@@ -51,9 +51,11 @@ class WorkloadSpec:
     """A buildable named workload.
 
     ``digest`` fingerprints what builds the trace besides its seed: the
-    scenario's recipe (or trace source) and the generator code.  The
-    on-disk :class:`~repro.memtrace.store.TraceStore` names files by it,
-    so a changed recipe is never served a trace built by the old one.
+    scenario's recipe (or its trace file's path, size and mtime), the
+    source of every module the build runs through and the numpy version.
+    The on-disk :class:`~repro.memtrace.store.TraceStore` names files by
+    it, so a changed recipe, trace file or builder is never served a
+    trace built by the old one.
     """
 
     name: str
@@ -72,10 +74,20 @@ class WorkloadSpec:
 
 # ----------------------------------------------------- spec compilation
 
+#: The modules a trace build runs through, relative to the package root.
+_BUILD_SOURCES = ("memtrace/synthetic.py", "memtrace/access.py",
+                  "memtrace/trace.py", "memtrace/workloads.py",
+                  "memtrace/champsim.py", "scenarios/spec.py")
+
+
 @cache
-def _generator_code_digest() -> str:
-    """Hash of :mod:`repro.memtrace.synthetic`, the code recipes run."""
-    return hashlib.sha256(Path(syn.__file__).read_bytes()).hexdigest()
+def _code_digest() -> str:
+    """Hash of the :data:`_BUILD_SOURCES` and of numpy's version."""
+    root = Path(__file__).resolve().parents[1]
+    digest = hashlib.sha256(np.__version__.encode())
+    for source in _BUILD_SOURCES:
+        digest.update((root / source).read_bytes())
+    return digest.hexdigest()
 
 
 def _build_digest(**inputs) -> str:
@@ -123,8 +135,7 @@ def compile_scenario(spec: ScenarioSpec,
     """
     if spec.kind == "synthetic":
         digest = _build_digest(parts=[part.to_doc() for part in spec.parts],
-                               epochs=spec.epochs,
-                               generators=_generator_code_digest())
+                               epochs=spec.epochs, code=_code_digest())
         return WorkloadSpec(name=spec.name, family=spec.family,
                             seed=spec.seed, recipe=_synthetic_recipe(spec),
                             digest=digest)
@@ -149,9 +160,17 @@ def expand_scenario(spec: ScenarioSpec,
              else [f"{spec.name}/{path.stem}" for path in paths])
     return [WorkloadSpec(name=name, family=spec.family, seed=spec.seed,
                          recipe=_champsim_recipe(spec, path),
-                         digest=_build_digest(
-                             source={**spec.source, "path": str(path)}))
+                         digest=_champsim_digest(spec, path))
             for name, path in zip(names, paths)]
+
+
+def _champsim_digest(spec: ScenarioSpec, path: Path) -> str:
+    """Build digest of one trace file: a file rewritten in place (same
+    path, new size or mtime) gets a new digest."""
+    stat = path.stat()
+    return _build_digest(source={**spec.source, "path": str(path)},
+                         size=stat.st_size, mtime_ns=stat.st_mtime_ns,
+                         code=_code_digest())
 
 
 def compile_catalog(specs: Sequence[ScenarioSpec],

@@ -1,9 +1,10 @@
 """Reusable conformance harness every shipped prefetcher must pass.
 
 Every engine must honour the same engine-facing contracts: the
-:class:`~repro.prefetchers.base.Prefetcher` protocol, the hit-run
-fast-path rules, the invariant auditor's conservation laws, and the
-sampled-simulation stitching assumptions.  This module packages those
+:class:`~repro.prefetchers.base.Prefetcher` protocol, deterministic
+construction (the result cache's per-configuration keys rest on it), the
+hit-run fast-path rules, the invariant auditor's conservation laws, and
+the sampled-simulation stitching assumptions.  This module packages those
 contracts as named check functions so ``tests/test_prefetcher_conformance``
 can parametrize (engine x check) over the live registry plus the
 unregistered engines it lists — a new engine registered in
@@ -64,6 +65,23 @@ def check_determinism(factory: PrefetcherFactory, trace) -> None:
         raise ConformanceError(
             f"{factory().name}: re-running the same trace with a fresh "
             "instance changed the result — the engine is not deterministic")
+
+
+def check_construction_determinism(factory: PrefetcherFactory,
+                                   trace) -> None:
+    """Two fresh instances from one factory must fingerprint equal.
+
+    The experiment engine keys every job of a configuration with the
+    fingerprint of the first job's fresh instance; a factory whose
+    instances differ (a per-instance counter, an unseeded draw, an
+    address) would key the other jobs by the first instance's state.
+    """
+    from ..experiments.cache import prefetcher_fingerprint
+
+    if prefetcher_fingerprint(factory()) != prefetcher_fingerprint(factory()):
+        raise ConformanceError(
+            f"{factory().name}: two fresh instances from one factory "
+            "fingerprint differently — construction is not deterministic")
 
 
 def check_warmup_discipline(factory: PrefetcherFactory, trace) -> None:
@@ -185,6 +203,7 @@ def check_sampling_stitch_safety(factory: PrefetcherFactory, trace) -> None:
 # grows automatically when a check is added.
 CONFORMANCE_CHECKS: dict[str, Callable[[PrefetcherFactory, object], None]] = {
     "determinism": check_determinism,
+    "construction_determinism": check_construction_determinism,
     "warmup_discipline": check_warmup_discipline,
     "address_legality": check_address_legality,
     "feedback_conservation": check_feedback_conservation,

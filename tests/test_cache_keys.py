@@ -7,6 +7,8 @@ one token.  These tests pin that the tokens keep the key exact:
 * every prefetcher configuration the experiment modules build keys the
   same on every construction, and only spellings of one configuration
   share a key;
+* a batch fingerprints each configuration once, and every job's key is
+  the one hashed from its own fresh prefetcher;
 * keys do not depend on the process (hash seed, object addresses);
 * values that differ in a scalar's type, a float's sign or a list's
   layout never share a key, while the documented aliases (tuple and list,
@@ -24,7 +26,13 @@ from pathlib import Path
 
 from hypothesis import given, strategies as st
 
-from repro.experiments.cache import canonical, fingerprint, prefetcher_fingerprint
+from repro.experiments import engine as engine_module
+from repro.experiments.cache import (CACHE_VERSION, canonical, fingerprint,
+                                     prefetcher_fingerprint)
+from repro.experiments.engine import ExperimentEngine
+from repro.experiments.runner import SuiteRunner
+from repro.experiments.single_core import run_single_core
+from repro.memtrace.workloads import quick_suite
 from repro.prefetchers import COMPETITORS
 from repro.prefetchers.base import FillLevel, NoPrefetcher
 from repro.prefetchers.design_b import DesignB
@@ -84,6 +92,44 @@ class TestConfigurationKeys:
         aliases = sorted((g for g in groups.values() if len(g) > 1), key=len)
         assert aliases == [DEFAULT_PYTHIA, DEFAULT_PMP]
         assert (len(CONFIGURATIONS), len(groups)) == (46, 38)
+
+
+class TestPerConfigurationKeys:
+    def test_fig8_batch_fingerprints_each_configuration_once(
+            self, tmp_path, monkeypatch):
+        """Fig 8's 44 jobs are 11 configurations over 4 traces: the engine
+        fingerprints 11 prefetchers, and every key is the per-job key."""
+        fingerprinted = []
+
+        def counting(prefetcher):
+            fingerprinted.append(prefetcher.name)
+            return prefetcher_fingerprint(prefetcher)
+
+        expected = []
+        run_jobs = ExperimentEngine.run_jobs
+
+        def recording(engine, jobs):
+            # Each job's own fresh prefetcher, fingerprinted before the
+            # batch simulates (and so trains) it.
+            expected.extend(fingerprint([
+                CACHE_VERSION, job.trace.content_hash(),
+                prefetcher_fingerprint(job.prefetcher),
+                job.config.fingerprint(), repr(job.warmup_fraction)])
+                for job in jobs)
+            return run_jobs(engine, jobs)
+
+        monkeypatch.setattr(engine_module, "prefetcher_fingerprint", counting)
+        monkeypatch.setattr(ExperimentEngine, "run_jobs", recording)
+        runner = SuiteRunner(specs=quick_suite()[:4], accesses=200,
+                             cache=tmp_path)
+        run_single_core(runner, include_pmp_limit=True)
+
+        assert len(expected) == 44
+        assert sorted(fingerprinted) == sorted([*COMPETITORS, "pmp-limit",
+                                                "none"])
+        # The cache stores each result under the key the engine used.
+        stored = {path.stem for path in runner.cache.results_dir.iterdir()}
+        assert stored == set(expected) and len(stored) == 44
 
 
 #: Fingerprints every Prefetcher subclass that builds without arguments;

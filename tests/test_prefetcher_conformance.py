@@ -3,15 +3,17 @@
 Every engine in ``COMPETITORS`` is auto-discovered, and every engine that
 produces a number without being registered is listed in
 :data:`UNREGISTERED`.  Each runs through the shared conformance suite
-(:mod:`repro.prefetchers.conformance`): determinism, warmup discipline,
-address legality, feedback conservation, the hit-run differential, and
-sampled-stitching safety.  A guard fails when an engine defined under
-``repro.prefetchers`` is in neither, and the registry's duplicate-name
-guard is pinned here too, next to the discovery it protects.
+(:mod:`repro.prefetchers.conformance`): determinism, construction
+determinism, warmup discipline, address legality, feedback conservation,
+the hit-run differential, and sampled-stitching safety.  A guard fails
+when an engine defined under ``repro.prefetchers`` is in neither, and the
+registry's duplicate-name guard is pinned here too, next to the discovery
+it protects.
 """
 
 import importlib
 import inspect
+import itertools
 import pkgutil
 import typing
 from dataclasses import replace
@@ -175,6 +177,19 @@ def test_run_conformance_reports_failures_not_raises(trace):
     failures = run_conformance(Liar, trace)
     assert failures
     assert any("address_legality" in f for f in failures)
+
+
+def test_construction_determinism_rejects_a_stamped_factory():
+    """A factory that numbers its instances breaks per-configuration keys."""
+    serial = itertools.count()
+
+    def stamped():
+        engine = NextLine()
+        engine.serial = next(serial)
+        return engine
+
+    with pytest.raises(ConformanceError, match="fingerprint differently"):
+        CONFORMANCE_CHECKS["construction_determinism"](stamped, None)
 
 
 def test_conformance_error_is_an_assertion(trace):
