@@ -3,14 +3,14 @@
 Examples::
 
     pmp-repro fig8                  # five-prefetcher single-core NIPC
-    pmp-repro run fig8 --workers 4  # same, fanned out over 4 processes
+    pmp-repro run fig8 --workers 4  # same, on 4 local worker processes
     pmp-repro table1                # PCR/PDR feature analysis
     pmp-repro fig12a --accesses 40000
     pmp-repro fig13 --traces 4
     pmp-repro storage               # Tables III and V
     pmp-repro all --no-cache        # everything (slow), bypass result cache
     pmp-repro run fig9 --cache-dir /tmp/pmp-cache
-    pmp-repro fig8 --workers 8 --job-timeout 600   # watchdog stuck workers
+    pmp-repro fig8 --workers 8 --job-timeout 600   # reap and retry hung jobs
     pmp-repro fig8 --resume run-20260806-101530-a1b2c3  # after an interrupt
     pmp-repro bench                 # performance harness -> BENCH_*.json
     pmp-repro bench --compare benchmarks/baselines/BENCH_micro.json
@@ -30,7 +30,7 @@ Fault tolerance: each simulating run appends finished jobs to a journal
 under ``<cache-dir>/runs/<run-id>/``.  SIGINT/SIGTERM stop gracefully at
 the next job boundary, flush the journal and print the ``--resume``
 hint; ``--resume <run-id>`` replays journaled jobs and simulates only
-the rest.  ``--job-timeout`` arms the per-job watchdog, ``--fail-fast``
+the rest.  ``--job-timeout`` bounds every parallel job, ``--fail-fast``
 aborts on the first deterministic job failure instead of finishing the
 batch and reporting all failures at the end.
 """
@@ -355,7 +355,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--trace-cache", default="",
                         help="directory to cache built traces between runs")
     parser.add_argument("--workers", type=int, default=0,
-                        help="simulate() processes (0/1 = serial)")
+                        help="local lease-worker processes (0/1 = "
+                             "serial); with --fabric, beside external ones")
     parser.add_argument("--cache", action=argparse.BooleanOptionalAction,
                         default=True,
                         help="persist simulation results across runs")
@@ -392,9 +393,10 @@ def main(argv: list[str] | None = None) -> int:
                              "InvariantViolation on the first breach")
     parser.add_argument("--job-timeout", type=float, default=None,
                         metavar="SECONDS",
-                        help="per-job wall-clock watchdog for parallel runs; "
-                             "a stuck worker is killed and the job retried "
-                             "on a fresh pool")
+                        help="per-job wall-clock deadline for --workers N "
+                             "and --fabric runs: a job claimed for longer "
+                             "is reaped and retried (a local worker holding "
+                             "it is killed and replaced)")
     parser.add_argument("--fail-fast", action="store_true",
                         help="abort on the first deterministic job failure "
                              "instead of finishing the batch and reporting "

@@ -6,29 +6,29 @@ system configs) into a flat list of :class:`SimJob`s and executes them:
 1. **Replay** — each job is content-hashed (see
    :mod:`repro.experiments.cache`); a journaled result from a resumed
    run, or a checksummed cache entry, returns without simulating.
-2. **Fan-out** — remaining jobs run serially (``workers <= 1``) or on a
-   :class:`~concurrent.futures.ProcessPoolExecutor` with a sliding
-   submission window.  Results are placed back by job index, and every
-   job's prefetcher instance is constructed in the parent *in job order*
+2. **Fan-out** — remaining jobs run serially (``workers <= 1``) or as
+   leases on the :mod:`repro.fabric` broker: one lease per distinct job
+   key, simulated by ``workers`` local worker processes forked for the
+   batch (and, under ``fabric``, by any external ``pmp-repro fabric
+   worker``).  Results are placed back by job index, and every job's
+   prefetcher instance is constructed in the parent *in job order*
    before dispatch, so parallel runs are bit-identical to serial runs
    regardless of completion order.
 3. **Write-back** — each result is persisted to the cache *and* the run
    journal the moment its job completes (not at batch end), so a crash
    or SIGINT loses at most the jobs in flight.
 
-Fault tolerance (see :mod:`repro.experiments.faults` for the taxonomy):
+Fault tolerance (see :mod:`repro.experiments.faults` for the taxonomy
+and :mod:`repro.fabric.broker` for the mechanics) is per lease:
 
-* a **watchdog** enforces ``FaultPolicy.job_timeout`` per job, measured
-  from when the job starts on a worker; an overdue job's pool is killed
-  (stuck workers are terminated, not abandoned) and the job retries on a
-  fresh pool, up to ``max_attempts``;
-* a **pool crash** (``BrokenProcessPool`` after a worker segfault/OOM
-  kill) rebuilds the pool with bounded exponential backoff and
-  resubmits the unfinished jobs; after ``max_pool_rebuilds`` the
-  remainder degrades — loudly, counted in the manifest — to in-process
-  execution;
-* a job that cannot be **pickled** falls back to in-process execution,
-  as before;
+* a claim held past ``FaultPolicy.job_timeout`` is reaped and retried,
+  and its local holder is killed;
+* a local worker that dies mid-job has its lease reaped at once and is
+  replaced;
+* every retry waits ``FaultPolicy.backoff`` and a job gets
+  ``max_attempts`` before it becomes a structured :class:`JobFailure`;
+* a job that cannot be **pickled** runs in-process, as does the
+  remainder of a batch whose every worker is gone;
 * a **deterministic exception** inside ``simulate()`` never retries: it
   becomes a structured :class:`JobFailure` carrying the original worker
   traceback, and the batch finishes before raising :class:`BatchFailed`
@@ -42,12 +42,11 @@ at the next completion boundary, flushes the journal and raises
 from __future__ import annotations
 
 import logging
+import shutil
+import tempfile
 import time
-from collections import deque
-from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor, Future,
-                                ProcessPoolExecutor)
-from concurrent.futures import wait as futures_wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import TYPE_CHECKING
 
 from ..memtrace.trace import Trace, TraceArrays
@@ -59,10 +58,9 @@ from ..sim.observers import merge_counter_snapshots
 from ..sim.params import SystemConfig
 from ..sim.stats import SimResult
 from .cache import CACHE_VERSION, ResultCache, fingerprint, prefetcher_fingerprint
-from .faults import (KIND_POOL_CRASH, KIND_RAISE, KIND_TIMEOUT, BatchFailed,
-                     FaultPolicy, JobFailure, JobTimeout, RunInterrupted,
-                     RemoteJobError, chaos_enabled, failure_from_exception,
-                     has_remote_traceback, maybe_inject_chaos)
+from .faults import (KIND_RAISE, BatchFailed, FaultPolicy, JobFailure,
+                     RunInterrupted, RemoteJobError, chaos_enabled,
+                     failure_from_exception, maybe_inject_chaos)
 from .journal import RunJournal
 
 if TYPE_CHECKING:  # imported lazily at runtime (repro.fabric imports us)
@@ -161,28 +159,23 @@ class EngineCounters:
     # ---- fault-tolerance accounting ----
     #: Jobs that ended as structured JobFailure records.
     failed: int = 0
-    #: Job executions re-run because of a transport fault (timeout or
-    #: pool crash) — includes innocent jobs resubmitted when their pool
-    #: died under them.
+    #: Reaped leases republished at a bumped epoch for another attempt
+    #: (a transport fault: deadline, dead holder or stale heartbeat).
     retried: int = 0
-    #: Watchdog deadline expiries (one per overdue attempt).
+    #: Leases reaped for overrunning ``FaultPolicy.job_timeout`` (one per
+    #: overdue attempt).
     timed_out: int = 0
-    #: Fresh pools built after a crash or a watchdog kill.
-    pool_rebuilds: int = 0
     #: Jobs replayed from a resumed run's journal.
     journal_replayed: int = 0
-    #: Jobs executed in-process because they could not cross the process
-    #: boundary (pickling) or the pool-rebuild budget was exhausted —
-    #: or, in fabric mode, because every worker died (graceful
-    #: degradation claims the remainder as "broker-inline").
+    #: Jobs executed in-process by the broker: a payload that could not
+    #: be pickled, or the remainder of a batch whose every worker died
+    #: (graceful degradation claims it as "broker-inline").
     inline_fallbacks: int = 0
-    # ---- fabric (lease-based distribution) accounting ----
-    #: Claimed leases reaped because their heartbeat went stale (one per
-    #: expiry, so a job can contribute several).
+    # ---- lease accounting ----
+    #: Claimed leases reaped because their holder died or its heartbeat
+    #: went stale (one per expiry, so a job can contribute several).
     lease_expired: int = 0
-    #: Expired leases republished at a bumped epoch for another worker.
-    lease_reassigned: int = 0
-    #: Jobs completed by external fabric workers (not inline fallback).
+    #: Jobs completed by fabric workers, local or external (not inline).
     fabric_completed: int = 0
     # Accumulated {event: {component: count}} from jobs that ran with
     # trace_events on (cache hits included — traced results round-trip
@@ -201,11 +194,9 @@ class EngineCounters:
             "failed": self.failed,
             "retried": self.retried,
             "timed_out": self.timed_out,
-            "pool_rebuilds": self.pool_rebuilds,
             "journal_replayed": self.journal_replayed,
             "inline_fallbacks": self.inline_fallbacks,
             "lease_expired": self.lease_expired,
-            "lease_reassigned": self.lease_reassigned,
             "fabric_completed": self.fabric_completed,
         }
         if self.event_totals:
@@ -222,6 +213,9 @@ class _WorkItem:
     key: str | None
     payload: tuple
     attempts: int = 0
+    #: Indices of later jobs in the batch with the same key: one lease
+    #: runs them all, and its result lands at each.
+    twins: list[int] = field(default_factory=list)
 
 
 @dataclass
@@ -233,10 +227,10 @@ class ExperimentEngine:
     counters: EngineCounters = field(default_factory=EngineCounters)
     policy: FaultPolicy = field(default_factory=FaultPolicy)
     journal: RunJournal | None = None
-    #: Lease-based distributed execution (repro.fabric).  When set, the
-    #: batch is published as durable leases under the journal's run
-    #: directory and external ``pmp-repro fabric worker`` processes do
-    #: the simulating; requires ``journal``.
+    #: Open the batch to external ``pmp-repro fabric worker`` processes
+    #: (repro.fabric): its leases are published under the journal's run
+    #: directory, so this requires ``journal``.  Without it, a parallel
+    #: batch still runs on leases, with the default configuration.
     fabric: "FabricConfig | None" = None
     #: JobFailure records accumulated across batches (manifest fodder).
     failures: list[JobFailure] = field(default_factory=list)
@@ -260,8 +254,10 @@ class ExperimentEngine:
         failures_before = len(self.failures)
         results: list[SimResult | None] = [None] * len(jobs)
         pending: list[tuple[int, SimJob, str | None]] = []
-        need_key = (self.cache is not None or self.journal is not None
-                    or self.fabric is not None or chaos_enabled())
+        # Leases are keyed, so every parallel batch is.
+        need_key = (self.fabric is not None or self.workers > 1
+                    or self.cache is not None or self.journal is not None
+                    or chaos_enabled())
         for index, job in enumerate(jobs):
             key = job.key() if need_key else None
             if self.journal is not None and key is not None:
@@ -280,13 +276,11 @@ class ExperimentEngine:
             pending.append((index, job, key))
 
         try:
-            if pending:
-                if self.fabric is not None:
-                    self._run_fabric(pending, results)
-                elif self.workers > 1 and len(pending) > 1:
-                    self._run_parallel(pending, results)
-                else:
-                    self._run_serial(pending, results)
+            if ((self.fabric is not None and pending)
+                    or (self.workers > 1 and len(pending) > 1)):
+                self._run_fabric(pending, results)
+            else:
+                self._run_serial(pending, results)
         except KeyboardInterrupt:
             # Bare Ctrl+C without the CLI's signal handler installed:
             # flush what completed and surface the resume hint.
@@ -312,6 +306,8 @@ class ExperimentEngine:
                   result: SimResult) -> None:
         """One job finished: place, count, cache and journal its result."""
         results[item.index] = result
+        for index in item.twins:
+            results[index] = SimResult.from_dict(result.to_dict())
         self.counters.simulated += 1
         if audit_requested(item.job.check_invariants or None):
             self.counters.audited += 1
@@ -326,19 +322,20 @@ class ExperimentEngine:
             item.index, item.key, item.job.trace.name,
             item.job.prefetcher.name, kind, exc,
             attempts=max(1, item.attempts))
-        self._register_failure(failure, exc)
+        self._register_failure(item, failure, exc)
 
-    def _register_failure(self, failure: JobFailure,
+    def _register_failure(self, item: _WorkItem, failure: JobFailure,
                           cause: BaseException | None) -> None:
-        """Count, log and journal a structured failure (fabric brokers
-        report failures in this form directly — the original exception
-        object never crossed the filesystem)."""
-        log.warning("job %d (%s/%s) failed [%s after %d attempt(s)]: %s",
-                    failure.index, failure.trace_name,
-                    failure.prefetcher_name, failure.kind, failure.attempts,
-                    failure.message)
-        self.counters.failed += 1
-        self.failures.append(failure)
+        """Count, log and journal a structured failure of the item and of
+        each twin (the broker reports failures in this form directly;
+        ``cause`` is None when a worker's exception could not cross)."""
+        for index in (item.index, *item.twins):
+            record = replace(failure, index=index)
+            log.warning("job %d (%s/%s) failed [%s after %d attempt(s)]: %s",
+                        index, record.trace_name, record.prefetcher_name,
+                        record.kind, record.attempts, record.message)
+            self.counters.failed += 1
+            self.failures.append(record)
         if self.journal is not None:
             self.journal.record_failure(failure.key, failure)
         if self.policy.fail_fast:
@@ -355,13 +352,22 @@ class ExperimentEngine:
             self.journal.run_id if self.journal is not None else None,
             completed=len(results) - remaining, remaining=remaining)
 
-    def _simulate_inline(self, job: SimJob) -> SimResult:
-        return simulate(job.trace, job.prefetcher, job.config,
-                        job.warmup_fraction, trace_events=job.trace_events,
-                        check_invariants=job.check_invariants or None,
-                        fastpath=job.fastpath, sampling=job.sampling)
-
-    # ------------------------------------------------------------- serial path
+    def _run_inline(self, results: list, item: _WorkItem) -> SimResult | None:
+        """Simulate one job in this process: place its result, or record
+        its failure and return None."""
+        item.attempts += 1
+        job = item.job
+        try:
+            result = simulate(job.trace, job.prefetcher, job.config,
+                              job.warmup_fraction,
+                              trace_events=job.trace_events,
+                              check_invariants=job.check_invariants or None,
+                              fastpath=job.fastpath, sampling=job.sampling)
+        except Exception as exc:
+            self._fail(item, KIND_RAISE, exc)
+            return None
+        self._complete(results, item, result)
+        return result
 
     def _run_serial(self, pending: list[tuple[int, SimJob, str | None]],
                     results: list[SimResult | None]) -> None:
@@ -369,264 +375,67 @@ class ExperimentEngine:
             if self._stop:
                 self._flush_journal()
                 raise self._interrupted(results)
-            item = _WorkItem(index, job, key, payload=(), attempts=1)
-            try:
-                result = self._simulate_inline(job)
-            except Exception as exc:
-                self._fail(item, KIND_RAISE, exc)
-                continue
-            self._complete(results, item, result)
+            self._run_inline(results, _WorkItem(index, job, key, payload=()))
 
-    # ------------------------------------------------------------- fabric path
+    # -------------------------------------------------------------- lease path
 
     def _run_fabric(self, pending: list[tuple[int, SimJob, str | None]],
                     results: list[SimResult | None]) -> None:
-        """Distribute pending jobs as durable leases (repro.fabric).
+        """Run pending jobs as leases on the fabric broker.
 
-        The broker publishes every job under the journal's run directory
-        and consumes completions back through the same ``_complete`` /
-        ``_register_failure`` plumbing the in-process paths use, so
-        caching, journaling and failure accounting are identical — and a
-        fabric run's numbers are bit-identical to a serial run's.
+        The broker publishes one lease per distinct key, forks the local
+        workers and consumes completions back through the same
+        ``_complete`` / ``_register_failure`` plumbing the serial path
+        uses, so caching, journaling and failure accounting are
+        identical — and a leased run's numbers are bit-identical to a
+        serial run's.  Leases live under the journal's run directory, or
+        without a journal in a private directory removed afterwards.
         """
         from ..fabric.broker import FabricBroker
+        from ..fabric.lease import FabricConfig
         from ..fabric.protocol import BATCH_PAUSED
-        if self.journal is None:
+        if self.fabric is not None and self.journal is None:
             raise ValueError(
                 "fabric execution requires a run journal (the lease "
                 "directories live under the journal's run directory)")
 
-        def inline(item: _WorkItem) -> dict | None:
-            item.attempts += 1
-            try:
-                result = self._simulate_inline(item.job)
-            except Exception as exc:
-                self._fail(item, KIND_RAISE, exc)
-                return None
-            self._complete(results, item, result)
-            return result.to_dict()
-
+        private = None
+        if self.journal is not None:
+            run_dir, run_id = self.journal.directory, self.journal.run_id
+        else:
+            run_dir = private = Path(tempfile.mkdtemp(prefix="repro-leases-"))
+            run_id = None
         broker = FabricBroker(
-            run_dir=self.journal.directory, run_id=self.journal.run_id,
-            config=self.fabric, policy=self.policy, counters=self.counters,
+            run_dir=run_dir, run_id=run_id,
+            config=self.fabric or FabricConfig(), policy=self.policy,
+            counters=self.counters,
             on_result=lambda item, result: self._complete(
                 results, item, result),
             on_failure=self._register_failure,
-            inline=inline,
-            should_stop=lambda: self._stop)
+            inline=lambda item: self._run_inline(results, item),
+            should_stop=lambda: self._stop,
+            local_workers=self.workers if self.workers > 1 else 0)
         try:
-            status = broker.run(list(self._work_items(pending)))
+            status = broker.run(self._work_items(pending))
         finally:
             self.fabric_census = broker.census_snapshot()
+            if private is not None:
+                shutil.rmtree(private, ignore_errors=True)
         if status == BATCH_PAUSED:
             self._flush_journal()
             raise self._interrupted(results)
 
-    # ----------------------------------------------------------- parallel path
-
-    def _work_items(self, pending) -> deque[_WorkItem]:
-        items: deque[_WorkItem] = deque()
+    @staticmethod
+    def _work_items(pending) -> list[_WorkItem]:
+        """One work item per distinct key; repeats ride along as twins."""
+        items: dict[str, _WorkItem] = {}
         for index, job, key in pending:
+            if key in items:
+                items[key].twins.append(index)
+                continue
             payload = (job.trace.name, job.trace.family, job.trace.seed,
                        job.trace.arrays(), job.prefetcher, job.config,
                        job.warmup_fraction, job.trace_events,
                        job.check_invariants, job.fastpath, job.sampling, key)
-            items.append(_WorkItem(index, job, key, payload))
-        return items
-
-    @staticmethod
-    def _kill_pool(pool: ProcessPoolExecutor) -> None:
-        """Tear a pool down *now*, terminating stuck or orphaned workers.
-
-        A plain ``shutdown()`` would wait for a hung worker forever (and
-        the interpreter's atexit hook would block on it even with
-        ``wait=False``), so the watchdog terminates the worker processes
-        directly and then reaps them.
-        """
-        procs = getattr(pool, "_processes", None)
-        processes = list(procs.values()) if procs else []
-        try:
-            pool.shutdown(wait=False, cancel_futures=True)
-        except Exception:
-            pass
-        for proc in processes:
-            try:
-                proc.terminate()
-            except Exception:
-                pass
-        for proc in processes:
-            try:
-                proc.join(timeout=5)
-            except Exception:
-                pass
-
-    def _run_parallel(self, pending: list[tuple[int, SimJob, str | None]],
-                      results: list[SimResult | None]) -> None:
-        """Fan pending jobs out over a watchdogged process pool.
-
-        Submission is windowed to the pool size so a job's wall-clock
-        budget starts when it actually starts executing; results land by
-        index, preserving bit-identical ordering semantics.
-        """
-        policy = self.policy
-        queue = self._work_items(pending)
-        inline: list[_WorkItem] = []
-        pool_size = max(1, min(self.workers, len(queue)))
-        crash_rebuilds = 0
-        pool: ProcessPoolExecutor | None = None
-        active: dict[Future, _WorkItem] = {}
-        deadlines: dict[Future, float] = {}
-
-        def requeue_or_fail(item: _WorkItem, kind: str,
-                            exc: BaseException) -> None:
-            if item.attempts >= policy.max_attempts:
-                self._fail(item, kind, exc)
-            else:
-                queue.append(item)
-                self.counters.retried += 1
-
-        def fresh_pool() -> ProcessPoolExecutor:
-            self.counters.pool_rebuilds += 1
-            return ProcessPoolExecutor(
-                max_workers=max(1, min(pool_size, len(queue))))
-
-        def handle_crash(exc: BaseException) -> None:
-            """A worker death broke the pool: recover or degrade."""
-            nonlocal pool, crash_rebuilds
-            for item in list(active.values()):
-                item.attempts += 1
-                requeue_or_fail(item, KIND_POOL_CRASH, exc)
-            active.clear()
-            deadlines.clear()
-            if pool is not None:
-                self._kill_pool(pool)
-                pool = None
-            crash_rebuilds += 1
-            if self._stop:
-                return  # the loop raises RunInterrupted next iteration
-            if crash_rebuilds > policy.max_pool_rebuilds:
-                log.warning(
-                    "pool crashed %d times; rebuild budget exhausted — "
-                    "running the remaining %d job(s) in-process",
-                    crash_rebuilds, len(queue))
-                return  # pool stays None: the loop degrades to inline
-            if queue:
-                backoff = policy.backoff(crash_rebuilds)
-                log.warning("pool crash (%s); rebuilding in %.2fs "
-                            "(%d job(s) outstanding)",
-                            type(exc).__name__, backoff, len(queue))
-                policy.sleep(backoff)
-                pool = fresh_pool()
-
-        try:
-            pool = ProcessPoolExecutor(max_workers=pool_size)
-            while queue or active:
-                if self._stop:
-                    self._flush_journal()
-                    raise self._interrupted(results)
-                if pool is None:
-                    # Rebuild budget exhausted: degrade the remainder to
-                    # in-process execution (visible in the manifest).
-                    self.counters.inline_fallbacks += len(queue)
-                    inline.extend(queue)
-                    queue.clear()
-                    break
-                # Keep the submission window full.
-                broken_on_submit: BaseException | None = None
-                while queue and len(active) < pool_size:
-                    item = queue.popleft()
-                    try:
-                        fut = pool.submit(_simulate_payload, *item.payload)
-                    except BrokenExecutor as exc:
-                        queue.appendleft(item)
-                        broken_on_submit = exc
-                        break
-                    except Exception:  # local submit-side failure: ship
-                        inline.append(item)  # the job in-process instead
-                        self.counters.inline_fallbacks += 1
-                        continue
-                    active[fut] = item
-                    if policy.job_timeout:
-                        deadlines[fut] = time.monotonic() + policy.job_timeout
-                if broken_on_submit is not None:
-                    handle_crash(broken_on_submit)
-                    continue
-                if not active:
-                    continue
-
-                wait_timeout = None
-                if deadlines:
-                    wait_timeout = max(
-                        0.0, min(deadlines.values()) - time.monotonic())
-                done, _ = futures_wait(set(active), timeout=wait_timeout,
-                                       return_when=FIRST_COMPLETED)
-
-                crashed: BaseException | None = None
-                for fut in done:
-                    item = active.pop(fut)
-                    deadlines.pop(fut, None)
-                    exc = fut.exception()
-                    if exc is None:
-                        self._complete(results, item, fut.result())
-                    elif isinstance(exc, BrokenExecutor):
-                        crashed = exc
-                        item.attempts += 1
-                        requeue_or_fail(item, KIND_POOL_CRASH, exc)
-                    elif has_remote_traceback(exc):
-                        item.attempts += 1
-                        self._fail(item, KIND_RAISE, exc)
-                    else:
-                        # Local failure shipping the job (e.g. pickling):
-                        # run it in-process, as the engine always has.
-                        inline.append(item)
-                        self.counters.inline_fallbacks += 1
-
-                if crashed is not None:
-                    handle_crash(crashed)
-                    continue
-
-                if deadlines:
-                    now = time.monotonic()
-                    overdue = [fut for fut, when in deadlines.items()
-                               if when <= now]
-                    if overdue:
-                        for fut in overdue:
-                            item = active.pop(fut)
-                            deadlines.pop(fut, None)
-                            self.counters.timed_out += 1
-                            item.attempts += 1
-                            log.warning(
-                                "watchdog: job %d (%s/%s) exceeded %.1fs "
-                                "(attempt %d)", item.index,
-                                item.job.trace.name, item.job.prefetcher.name,
-                                policy.job_timeout, item.attempts)
-                            requeue_or_fail(item, KIND_TIMEOUT, JobTimeout(
-                                f"job exceeded {policy.job_timeout:.1f}s "
-                                f"wall-clock budget"))
-                        # The stuck worker holds a pool slot hostage, so
-                        # the pool is killed; innocents go back to the
-                        # queue head and rerun on the fresh pool.
-                        for item in active.values():
-                            queue.appendleft(item)
-                            self.counters.retried += 1
-                        active.clear()
-                        deadlines.clear()
-                        self._kill_pool(pool)
-                        pool = fresh_pool() if queue else None
-                        if pool is None:
-                            break
-        finally:
-            if pool is not None:
-                self._kill_pool(pool)
-
-        for item in inline:
-            if self._stop:
-                self._flush_journal()
-                raise self._interrupted(results)
-            item.attempts += 1
-            try:
-                result = self._simulate_inline(item.job)
-            except Exception as exc:
-                self._fail(item, KIND_RAISE, exc)
-                continue
-            self._complete(results, item, result)
+            items[key] = _WorkItem(index, job, key, payload)
+        return list(items.values())

@@ -1,31 +1,32 @@
 """Fault taxonomy and policy for the experiment engine.
 
 A campaign-scale sweep (125 traces × many configs) dies three ways: a
-worker hangs forever, a worker process dies and takes the pool with it,
-or a simulation raises deterministically.  Those are *different* faults
-and deserve different treatment:
+job hangs forever, a worker process dies mid-job, or a simulation raises
+deterministically.  Those are *different* faults and deserve different
+treatment:
 
 * **Transport failures** — the job never produced an answer because the
-  machinery failed (``BrokenProcessPool`` after a worker segfault/OOM
-  kill, a pickling error while shipping the job, a watchdog timeout).
-  Re-running the job can succeed, so the engine retries: pickling
-  failures run inline, pool crashes and timeouts retry on a fresh pool
-  with bounded exponential backoff.
+  machinery failed (a worker killed by a segfault or the OOM killer, a
+  lease held past its deadline or gone silent, a payload that cannot be
+  pickled).  Re-running the job can succeed, so the engine retries: the
+  lease broker republishes the lease with bounded exponential backoff,
+  and an unpicklable payload runs in-process.
 * **Deterministic failures** — ``simulate()`` itself raised in the
   worker.  Re-running reproduces the same exception, so retrying is
   waste and (worse) hides the bug.  These become structured
-  :class:`JobFailure` records carrying the original remote traceback;
+  :class:`JobFailure` records carrying the original worker traceback;
   the batch keeps going unless ``fail_fast`` is set.
 
-Classification keys off how :mod:`concurrent.futures` surfaces worker
-exceptions: an exception raised *inside* a worker is re-raised in the
-parent with a ``_RemoteTraceback`` chained as its ``__cause__`` whose
-formatted stack ran through the worker loop; feed-side pickling errors
-and pool bookkeeping failures carry no such stack (see
-:func:`has_remote_traceback`).
+Fig 13's private process pool classifies through
+:func:`is_transport_failure`, which keys off how :mod:`concurrent.futures`
+surfaces worker exceptions: an exception raised *inside* a worker is
+re-raised in the parent with a ``_RemoteTraceback`` chained as its
+``__cause__`` whose formatted stack ran through the worker loop;
+feed-side pickling errors and pool bookkeeping failures carry no such
+stack (see :func:`has_remote_traceback`).
 
 The module also hosts the seedable **chaos injector** used by the chaos
-CI smoke job: with ``REPRO_CHAOS_SEED`` set, worker processes
+CI job: with ``REPRO_CHAOS_SEED`` set, worker processes
 deterministically hang, crash, or raise on a job's *first* attempt
 (a file latch under ``REPRO_CHAOS_DIR`` arms each fault exactly once),
 which exercises every recovery path of the engine on an otherwise
@@ -42,23 +43,21 @@ import traceback as traceback_module
 from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 log = logging.getLogger("repro.experiments.faults")
 
 #: JobFailure.kind values.
 KIND_RAISE = "raise"          # deterministic exception inside simulate()
-KIND_TIMEOUT = "timeout"      # watchdog deadline exceeded, retries exhausted
-KIND_POOL_CRASH = "pool-crash"  # worker/pool death, retries exhausted
-KIND_LEASE_EXPIRED = "lease-expired"  # fabric lease reaped, retries exhausted
+KIND_TIMEOUT = "timeout"      # lease held past its deadline, retries exhausted
+KIND_LEASE_EXPIRED = "lease-expired"  # lease holder lost, retries exhausted
 
 
 class JobTimeout(RuntimeError):
-    """A job exceeded the per-job wall-clock budget (watchdog kill)."""
+    """A leased job overran ``FaultPolicy.job_timeout`` on every attempt."""
 
 
 class LeaseExpired(RuntimeError):
-    """A fabric lease lost its holder's heartbeat too many times.
+    """A lease lost its holder too many times.
 
     A lease expiry is the fabric's transport fault: the worker holding
     the claim died (or partitioned) without producing an answer, so the
@@ -120,7 +119,7 @@ class JobFailure:
     key: str | None
     trace_name: str
     prefetcher_name: str
-    kind: str               # KIND_RAISE / KIND_TIMEOUT / KIND_POOL_CRASH
+    kind: str   # KIND_RAISE / KIND_TIMEOUT / KIND_LEASE_EXPIRED
     error_type: str
     message: str
     traceback: str
@@ -148,17 +147,10 @@ class JobFailure:
 def failure_from_exception(index: int, key: str | None, trace_name: str,
                            prefetcher_name: str, kind: str, exc: BaseException,
                            attempts: int = 1) -> JobFailure:
-    """Build a :class:`JobFailure`, preserving the *original* traceback.
-
-    For worker exceptions the remote traceback string chained by
-    ``concurrent.futures`` is used verbatim; for local exceptions the
-    normal formatted traceback is captured.
-    """
-    if has_remote_traceback(exc):
-        tb = str(exc.__cause__)
-    else:
-        tb = "".join(traceback_module.format_exception(
-            type(exc), exc, exc.__traceback__))
+    """Build a :class:`JobFailure` carrying the exception's formatted
+    traceback (with its chained causes)."""
+    tb = "".join(traceback_module.format_exception(
+        type(exc), exc, exc.__traceback__))
     return JobFailure(index=index, key=key, trace_name=trace_name,
                       prefetcher_name=prefetcher_name, kind=kind,
                       error_type=type(exc).__name__, message=str(exc),
@@ -166,21 +158,22 @@ def failure_from_exception(index: int, key: str | None, trace_name: str,
 
 
 def lease_expiry_failure(index: int, key: str | None, trace_name: str,
-                         prefetcher_name: str, attempts: int,
-                         reason: str) -> JobFailure:
-    """The structured record of a lease that expired its retry budget.
+                         prefetcher_name: str, attempts: int, reason: str,
+                         kind: str = KIND_LEASE_EXPIRED) -> JobFailure:
+    """The structured record of a lease reaped until its retry budget ran
+    out (``kind``: the last reap's cause, deadline or lost holder).
 
-    Lease expiries carry no traceback (the worker vanished rather than
-    raised), so the record spells out the transport-vs-deterministic
+    Reaped leases carry no traceback (the worker hung or vanished rather
+    than raised), so the record spells out the transport-vs-deterministic
     classification in its message instead.
     """
-    message = (f"lease expired {attempts} time(s) without a result "
-               f"(transport fault — worker lost, job innocent): {reason}")
+    error_type = "JobTimeout" if kind == KIND_TIMEOUT else "LeaseExpired"
+    message = (f"lease reaped {attempts} time(s) without a result "
+               f"(transport fault — job innocent): {reason}")
     return JobFailure(index=index, key=key, trace_name=trace_name,
-                      prefetcher_name=prefetcher_name,
-                      kind=KIND_LEASE_EXPIRED, error_type="LeaseExpired",
-                      message=message,
-                      traceback=f"LeaseExpired: {message}\n",
+                      prefetcher_name=prefetcher_name, kind=kind,
+                      error_type=error_type, message=message,
+                      traceback=f"{error_type}: {message}\n",
                       attempts=attempts)
 
 
@@ -203,51 +196,39 @@ def has_remote_traceback(exc: BaseException) -> bool:
     return "_process_worker" in str(cause)
 
 
-def is_pool_failure(exc: BaseException) -> bool:
-    """The executor itself died (worker killed, pipe torn down)."""
-    return isinstance(exc, BrokenExecutor)
-
-
 def is_transport_failure(exc: BaseException) -> bool:
     """The job never ran to completion for machinery reasons.
 
     Pool deaths and local (pickling) failures are transport; an exception
     with a remote traceback actually executed and is deterministic.
     """
-    return is_pool_failure(exc) or not has_remote_traceback(exc)
+    return isinstance(exc, BrokenExecutor) or not has_remote_traceback(exc)
 
 
 # ----------------------------------------------------------------- fault policy
 
 @dataclass
 class FaultPolicy:
-    """Retry/timeout budget governing one :class:`ExperimentEngine`.
+    """Retry/timeout budget governing one :class:`ExperimentEngine`."""
 
-    ``sleep`` is injectable so tests can assert the backoff schedule
-    without waiting it out.
-    """
-
-    #: Per-job wall-clock budget in seconds, measured from when the job
-    #: starts on a worker (submission is windowed to pool size, so a
-    #: queued job's clock does not run).  ``None`` disables the watchdog.
+    #: Per-lease wall-clock deadline in seconds, measured from when the
+    #: broker first sees the job claimed (a queued job's clock does not
+    #: run).  A claim held past it is reaped and retried.  ``None``
+    #: disables the deadline; serial in-process runs have none.
     job_timeout: float | None = None
     #: Total attempts per job (first run + retries) for transport faults.
     max_attempts: int = 3
-    #: Pool rebuilds allowed per batch before degrading the remainder to
-    #: in-process execution (loudly — the manifest records it).
-    max_pool_rebuilds: int = 3
     backoff_base: float = 0.5
     backoff_factor: float = 2.0
     backoff_max: float = 30.0
     #: Raise the first failure immediately instead of recording it and
     #: finishing the batch.
     fail_fast: bool = False
-    sleep: Callable[[float], None] = time.sleep
 
-    def backoff(self, rebuild_index: int) -> float:
-        """Sleep before the ``rebuild_index``-th pool rebuild (1-based)."""
+    def backoff(self, attempt: int) -> float:
+        """Delay before the ``attempt``-th retry of a reaped lease (1-based)."""
         return min(self.backoff_max,
-                   self.backoff_base * self.backoff_factor ** (rebuild_index - 1))
+                   self.backoff_base * self.backoff_factor ** (attempt - 1))
 
 
 # -------------------------------------------------------------- chaos injection
@@ -311,7 +292,7 @@ def _in_worker_process() -> bool:
 def maybe_inject_chaos(key: str | None) -> None:
     """Fire this job's planned fault once, if chaos is armed.
 
-    Only ever fires inside a pool worker (``os._exit`` in the parent
+    Only ever fires inside a worker process (``os._exit`` in the parent
     would kill the whole run), and only on the first attempt: the latch
     file is created before the fault so every retry runs clean.
     """

@@ -51,9 +51,9 @@ class RunManifest:
     #: Jobs that ended as structured JobFailure records (tracebacks under
     #: ``extra["fault_tolerance"]["failures"]``).
     failed: int = 0
-    #: Job executions re-run after a transport fault (timeout/pool crash).
+    #: Job executions re-run after a transport fault (a reaped lease).
     retried: int = 0
-    #: Watchdog deadline expiries.
+    #: Leases reaped past the job deadline.
     timed_out: int = 0
     #: Corrupt cache entries moved to quarantine during this run.
     quarantined: int = 0

@@ -5,15 +5,15 @@ so traces and baseline runs are computed once and reused across the
 experiment matrix (baseline runs dominate cost otherwise).
 
 The runner delegates execution to an :class:`ExperimentEngine`, which adds
-two orthogonal capabilities:
+three orthogonal capabilities:
 
-* ``workers=N`` fans ``simulate()`` calls out over a process pool with
-  deterministic job ordering — parallel results are bit-identical to
-  serial ones (asserted by ``tests/test_parallel_runner.py``).
+* ``workers=N`` fans ``simulate()`` calls out to N local lease workers
+  with deterministic job ordering — parallel results are bit-identical
+  to serial ones (asserted by ``tests/test_parallel_runner.py``).
 * ``cache=<dir>`` persists every result on disk keyed by a content hash of
   (trace stream, prefetcher state, full system config, warmup), so reruns
   of any experiment replay instantly and exactly.
-* fault tolerance: ``job_timeout`` arms the engine's watchdog,
+* fault tolerance: ``job_timeout`` is the per-lease deadline,
   ``fail_fast`` turns deterministic job failures from end-of-batch
   :class:`BatchFailed` reports into immediate aborts, and ``journal``
   attaches a :class:`~repro.experiments.journal.RunJournal` so an
@@ -60,10 +60,10 @@ DEFAULT_ACCESSES = scale_defaults("experiment_accesses")
 class SuiteRunner:
     """Runs prefetcher configurations over a workload suite with caching.
 
-    ``workers=0`` (or 1) runs serially in-process; ``workers=N`` uses a
-    process pool.  ``cache`` may be a :class:`ResultCache` or a directory
-    path; ``None`` disables the persistent cache (in-memory baseline
-    memoisation still applies).
+    ``workers=0`` (or 1) runs serially in-process; ``workers=N`` runs
+    each batch on N forked lease workers.  ``cache`` may be a
+    :class:`ResultCache` or a directory path; ``None`` disables the
+    persistent cache (in-memory baseline memoisation still applies).
     """
 
     specs: Sequence[WorkloadSpec] = field(default_factory=quick_suite)
@@ -84,8 +84,8 @@ class SuiteRunner:
     # (results are bit-identical either way; ``--no-fastpath`` on the
     # CLI forces every access through the event kernel).
     fastpath: bool = True
-    # Per-job wall-clock watchdog budget in seconds (parallel runs only;
-    # None disables).  Timed-out jobs retry on a fresh pool.
+    # Per-lease wall-clock deadline in seconds (leased runs only; None
+    # disables).  A claim held past it is reaped and retried.
     job_timeout: float | None = None
     # Raise the first deterministic job failure immediately instead of
     # finishing the batch and raising a BatchFailed summary.
@@ -99,9 +99,9 @@ class SuiteRunner:
     # estimates, so the engine's cache keys are salted with the sampling
     # fingerprint — sampled and exact runs never alias.
     sampling: "SamplingConfig | None" = None
-    # Lease-based distributed execution (repro.fabric): jobs are
-    # published as durable leases under the journal's run directory for
-    # external `pmp-repro fabric worker` processes.  Requires journal.
+    # Open leased batches to external `pmp-repro fabric worker`
+    # processes (repro.fabric): leases are published under the
+    # journal's run directory.  Requires journal.
     fabric: "FabricConfig | None" = None
 
     def __post_init__(self) -> None:
@@ -314,13 +314,12 @@ class SuiteRunner:
                 "lease_ttl": self.fabric.lease_ttl,
                 "inline_fallback": self.fabric.inline_fallback,
                 "lease_expired": counters.lease_expired,
-                "lease_reassigned": counters.lease_reassigned,
                 "completed_by_workers": counters.fabric_completed,
                 "inline_fallbacks": counters.inline_fallbacks,
                 "workers": self.engine.fabric_census,
             }
         fault = {key: value for key, value in (
-            ("pool_rebuilds", counters.pool_rebuilds),
+            ("lease_expired", counters.lease_expired),
             ("journal_replayed", counters.journal_replayed),
             ("inline_fallbacks", counters.inline_fallbacks),
         ) if value}

@@ -16,7 +16,7 @@ state, per-state lease counts and the worker census with heartbeat ages.
 The chaos knobs ``REPRO_FABRIC_CLAIM_HOLD`` (seconds to sleep after each
 claim) and ``REPRO_FABRIC_FREEZE_HEARTBEAT`` (suppress all renewals)
 apply to ``worker`` and exist for the fault-injection suite and the CI
-``chaos-fabric`` job.
+``chaos`` job.
 """
 
 from __future__ import annotations

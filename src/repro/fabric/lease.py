@@ -25,7 +25,9 @@ race has exactly one winner:
 
 from __future__ import annotations
 
+import base64
 import os
+import pickle
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -188,3 +190,21 @@ def verified_result(record: dict | None) -> dict | None:
     if result_checksum(result) != record["checksum"]:
         return None
     return result
+
+
+def encode_exception(exc: BaseException) -> str | None:
+    """A worker's exception as text for its ``failed/`` record (so a
+    ``fail_fast`` broker raises the original), or ``None``."""
+    try:
+        return base64.b64encode(pickle.dumps(exc)).decode("ascii")
+    except (pickle.PicklingError, TypeError, AttributeError):
+        return None
+
+
+def decode_exception(text: str | None) -> BaseException | None:
+    """The exception :func:`encode_exception` stored, or ``None``."""
+    try:
+        exc = pickle.loads(base64.b64decode(text or ""))
+    except Exception:  # noqa: BLE001 -- unreadable: fall back to the text
+        return None
+    return exc if isinstance(exc, BaseException) else None

@@ -168,10 +168,11 @@ def read_batch(run_dir: str | Path) -> dict | None:
 
 # ------------------------------------------------------------- worker census
 
-def new_worker_id() -> str:
-    """Filesystem-safe, collision-resistant worker identity."""
+def new_worker_id(tag: str | None = None) -> str:
+    """Filesystem-safe, collision-resistant ``<host>-<pid>-<tag>``
+    identity; the tag is random unless given."""
     host = socket.gethostname().replace("/", "_") or "host"
-    return f"{host}-{os.getpid()}-{os.urandom(2).hex()}"
+    return f"{host}-{os.getpid()}-{tag or os.urandom(2).hex()}"
 
 
 def worker_path(run_dir: str | Path, worker_id: str) -> Path:
@@ -194,13 +195,3 @@ def scan_workers(run_dir: str | Path) -> dict[str, tuple[Path, dict]]:
         if record is not None:
             out[name[:-len(".json")]] = (path, record)
     return out
-
-
-def live_workers(run_dir: str | Path, ttl: float) -> dict[str, dict]:
-    """Census entries whose heartbeat (file mtime) is fresher than ``ttl``."""
-    live: dict[str, dict] = {}
-    for worker_id, (path, record) in scan_workers(run_dir).items():
-        age = heartbeat_age(path)
-        if age is not None and age <= ttl:
-            live[worker_id] = record
-    return live

@@ -1,10 +1,11 @@
 """The fabric worker: claim, heartbeat, simulate, land the result, repeat.
 
-A worker is an independent process (``pmp-repro fabric worker``) — or,
-in tests, a plain thread — pointed at a runs root.  It discovers an open
-batch, registers a census entry, and loops: claim the lowest-index open
-lease (atomic rename; losing the race just means trying the next one),
-load the pickled payload, simulate, and land the outcome:
+A worker is an independent process — ``pmp-repro fabric worker``, one
+the broker forks for a ``--workers N`` batch, or, in tests, a plain
+thread — pointed at a runs root.  It discovers an open batch, registers
+a census entry, and loops: claim an open lease (atomic rename; losing
+the race just means trying the next one), load the pickled payload,
+simulate, and land the outcome:
 
 * success → a checksummed ``done/`` record (the broker verifies it
   before journaling — a truncated write is a transport fault, not a
@@ -13,13 +14,13 @@ load the pickled payload, simulate, and land the outcome:
   carrying the traceback (the broker never retries those);
 * a missing payload → the claim is released untouched.
 
-A daemon heartbeat thread renews the census entry and the held claim
-every ``FabricConfig.beat_interval()`` seconds with fsynced mtime bumps.
-The worker holds **no state the run depends on**: SIGKILL it at any
-point and the only consequence is that its claim's heartbeat goes stale
-and the broker reassigns the lease.
+A forked worker then wakes the broker through its pipe.  A daemon
+heartbeat thread renews the census entry and the held claim every
+``FabricConfig.beat_interval()`` seconds with fsynced mtime bumps.  The
+worker holds **no state the run depends on**: SIGKILL it at any point
+and the broker reaps its claim and reassigns the lease.
 
-Test hooks (used by the chaos suite and the CI ``chaos-fabric`` job):
+Test hooks (used by the chaos suite and the CI ``chaos`` job):
 ``claim_hold`` sleeps after each claim (widening the mid-lease window a
 fault injector needs) and ``freeze_heartbeat`` suppresses every renewal,
 turning the worker into a live-but-silent partition.  Both map to the
@@ -41,8 +42,8 @@ from pathlib import Path
 from .lease import FabricConfig
 from . import lease as lease_mod
 from .protocol import (BATCH_OPEN, ensure_layout, jobs_dir, lease_filename,
-                       new_worker_id, read_batch, read_json, scan_leases,
-                       state_dir, worker_path, write_json_atomic)
+                       new_worker_id, read_batch, scan_leases, state_dir,
+                       worker_path, write_json_atomic)
 
 log = logging.getLogger("repro.fabric.worker")
 
@@ -97,6 +98,8 @@ class FabricWorker:
     claim_hold: float = 0.0
     #: Test hook: never renew any heartbeat after registration.
     freeze_heartbeat: bool = False
+    #: Write end of the broker's wake pipe (forked local workers only).
+    wake_fd: int | None = None
     sleep = staticmethod(time.sleep)
 
     jobs_done: int = field(default=0, init=False)
@@ -137,14 +140,14 @@ class FabricWorker:
     # -------------------------------------------------------------- claiming
 
     def _claim_next(self, run_dir: Path) -> dict | None:
-        """Claim the open lease with the lowest job index, if any."""
-        candidates = []
-        for key, (epoch, path) in scan_leases(run_dir, "open").items():
-            record = read_json(path)
-            if record is None:
-                continue
-            candidates.append((record.get("index", 1 << 30), key, epoch))
-        for _index, key, epoch in sorted(candidates):
+        """Claim an open lease, if any.
+
+        Results are placed by job index, so which lease a worker takes
+        cannot move a number; taking them in filename order reads no
+        record but those of the leases it tries.
+        """
+        for key, (epoch, _path) in sorted(scan_leases(run_dir,
+                                                      "open").items()):
             record = lease_mod.claim(run_dir, key, epoch, self.worker_id)
             if record is not None:
                 return record
@@ -176,14 +179,24 @@ class FabricWorker:
                     "error_type": type(exc).__name__,
                     "message": str(exc),
                     "traceback": "".join(traceback_module.format_exception(
-                        type(exc), exc, exc.__traceback__))})
+                        type(exc), exc, exc.__traceback__)),
+                    "exception": lease_mod.encode_exception(exc)})
                 log.warning("worker %s: job %s… raised %s", self.worker_id,
                             key[:12], type(exc).__name__)
-                return
-            lease_mod.complete(run_dir, record, result.to_dict())
-            self.jobs_done += 1
+            else:
+                lease_mod.complete(run_dir, record, result.to_dict())
+                self.jobs_done += 1
+            self._wake_broker()
         finally:
             self._current_claim = None
+
+    def _wake_broker(self) -> None:
+        if self.wake_fd is None:
+            return
+        try:
+            os.write(self.wake_fd, b"\0")
+        except BlockingIOError:
+            pass  # the pipe is full: the broker is already due to wake
 
     # ------------------------------------------------------------ heartbeats
 

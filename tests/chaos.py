@@ -4,7 +4,7 @@ Fault-injection counterpart to :mod:`repro.experiments.faults`: where the
 engine's env-knob injector (``REPRO_CHAOS_SEED``) faults *jobs* picked by
 hash draw, :class:`FaultyPrefetcher` puts the fault under direct test
 control — construct it with a mode and it fires exactly once, inside a
-pool worker, on the first demand access it sees.
+worker process, on the first demand access it sees.
 
 The once-only guarantee uses the same trick as the engine's injector: a
 file latch created with ``exist_ok=False`` *before* the fault fires, so
@@ -15,14 +15,14 @@ unfaulted run — the fault perturbs the machinery, never the simulation.
 Modes:
 
 * ``"none"``  — behave exactly like PMP (the clean reference),
-* ``"hang"``  — sleep past the watchdog budget (transport: timeout),
-* ``"crash"`` — ``os._exit(139)``, killing the worker and breaking the
-  pool (transport: pool crash),
+* ``"hang"``  — sleep past the job deadline (transport: timeout),
+* ``"crash"`` — ``os._exit(139)``, killing the worker mid-lease
+  (transport: lease expired),
 * ``"raise"`` — raise :class:`ChaosRaise` (deterministic failure).
 
-``only_in_worker`` (default on) suppresses the fault outside pool
-workers so an inline fallback or serial reference run can never hang or
-kill the test process.
+``only_in_worker`` (default on) suppresses the fault outside worker
+processes so an inline fallback or serial reference run can never hang
+or kill the test process.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ class ChaosRaise(RuntimeError):
 
 
 def in_worker_process() -> bool:
-    """True inside a process-pool worker (it has a parent process)."""
+    """True inside a worker process (it has a parent process)."""
     return multiprocessing.parent_process() is not None
 
 
@@ -140,6 +140,19 @@ def spawn_fabric_worker(cache_dir: str | Path, *, run_id: str | None = None,
         cmd += ["--worker-id", worker_id]
     return subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE,
                             stderr=subprocess.STDOUT)
+
+
+def record_backoffs(policy) -> list[float]:
+    """Wrap ``policy.backoff`` to record every retry delay it grants."""
+    delays: list[float] = []
+    backoff = policy.backoff
+
+    def recording(attempt: int) -> float:
+        delays.append(backoff(attempt))
+        return delays[-1]
+
+    policy.backoff = recording
+    return delays
 
 
 def wait_for(predicate, timeout: float = 30.0, interval: float = 0.02):

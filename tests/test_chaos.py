@@ -18,13 +18,15 @@ import time
 
 import pytest
 
-from tests.chaos import ChaosRaise, FaultyPrefetcher, corrupt_cache_entry
+from tests.chaos import (ChaosRaise, FaultyPrefetcher, corrupt_cache_entry,
+                         record_backoffs)
 from repro.experiments.cache import ResultCache
 from repro.experiments.faults import (CHAOS_DIR_ENV, CHAOS_MODES_ENV,
                                       CHAOS_RATE_ENV, CHAOS_SEED_ENV,
                                       BatchFailed, RunInterrupted, chaos_plan)
 from repro.experiments.journal import RunJournal
 from repro.experiments.runner import SuiteRunner
+from repro.fabric import FabricConfig
 from repro.memtrace.workloads import quick_suite
 from repro.prefetchers.pmp import PMP
 
@@ -46,17 +48,19 @@ def clean_outcome():
 class TestHungWorker:
     def test_timeout_then_retry_is_bit_identical(self, tmp_path,
                                                  clean_outcome):
-        """Watchdog kills the stuck pool; the retried job completes clean."""
+        """The deadline reaps the hung lease and kills its worker; the
+        retry completes clean on a worker."""
         runner = SuiteRunner(specs=SPECS, accesses=ACCESSES, workers=2,
                              job_timeout=1.0)
-        runner.engine.policy.sleep = lambda _s: None
         results = runner.run(lambda: FaultyPrefetcher(
             mode="hang", latch_dir=tmp_path, hang_seconds=30.0))
         assert result_dicts(results) == clean_outcome
         counters = runner.engine.counters
         assert counters.timed_out >= 1
         assert counters.retried >= 1
-        assert counters.pool_rebuilds >= 1
+        assert counters.lease_expired == 0  # a deadline reap, not a death
+        assert counters.fabric_completed == len(SPECS)
+        assert counters.inline_fallbacks == 0
         assert counters.failed == 0
 
     def test_watchdog_reports_in_manifest(self, tmp_path):
@@ -68,22 +72,27 @@ class TestHungWorker:
         assert manifest.failed == 0
 
 
-class TestCrashedPool:
-    def test_pool_rebuilds_with_backoff_and_matches_clean_run(
+class TestCrashedWorker:
+    def test_dead_worker_lease_retried_with_backoff_and_matches_clean_run(
             self, tmp_path, clean_outcome):
-        sleeps: list[float] = []
+        """A worker dies mid-job: its lease is reaped at once (no
+        ``lease_ttl`` wait), retried after the policy's backoff on a
+        replacement worker, and the numbers are untouched."""
         runner = SuiteRunner(specs=SPECS, accesses=ACCESSES, workers=2)
-        runner.engine.policy.sleep = sleeps.append
+        policy = runner.engine.policy
+        delays = record_backoffs(policy)
         results = runner.run(lambda: FaultyPrefetcher(
             mode="crash", latch_dir=tmp_path))
         assert result_dicts(results) == clean_outcome
         counters = runner.engine.counters
-        assert counters.pool_rebuilds >= 1
+        assert counters.lease_expired >= 1
         assert counters.retried >= 1
+        assert counters.fabric_completed == len(SPECS)
         assert counters.failed == 0
-        # The first rebuild waited exactly the base backoff.
-        assert sleeps and sleeps[0] == runner.engine.policy.backoff_base
-        assert sleeps == sorted(sleeps)  # backoff never shrinks
+        assert counters.wall_seconds < FabricConfig().lease_ttl / 2
+        # The first retry waited exactly the base backoff.
+        assert delays and delays[0] == policy.backoff_base
+        assert delays == sorted(delays)  # backoff never shrinks
 
 
 class TestDeterministicFailure:
@@ -269,10 +278,9 @@ class TestEnvKnobChaos:
         monkeypatch.setenv(CHAOS_MODES_ENV, "crash")
         monkeypatch.setenv(CHAOS_DIR_ENV, str(tmp_path / "chaos"))
         runner = SuiteRunner(specs=SPECS, accesses=ACCESSES, workers=2)
-        runner.engine.policy.sleep = lambda _s: None
         results = runner.run(lambda: FaultyPrefetcher(mode="none"))
         assert result_dicts(results) == clean_outcome
         counters = runner.engine.counters
-        assert counters.pool_rebuilds >= 1
+        assert counters.lease_expired >= 2
         assert counters.retried >= 2  # every job crashed once, then ran clean
         assert counters.failed == 0

@@ -15,18 +15,22 @@ import json
 import os
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
+from tests.chaos import ChaosRaise, FaultyPrefetcher
 from repro.experiments.engine import EngineCounters
-from repro.experiments.faults import KIND_LEASE_EXPIRED, BatchFailed
+from repro.experiments.faults import (KIND_LEASE_EXPIRED, BatchFailed,
+                                      FaultPolicy)
 from repro.experiments.journal import RunJournal
 from repro.experiments.runner import SuiteRunner
-from repro.fabric import FabricConfig, FabricWorker
+from repro.fabric import FabricBroker, FabricConfig, FabricWorker
 from repro.fabric import lease
-from repro.fabric.protocol import (ensure_layout, lease_filename,
-                                   parse_lease_filename, read_json,
-                                   scan_leases, state_dir)
+from repro.fabric import worker as worker_module
+from repro.fabric.protocol import (BATCH_OPEN, ensure_layout, lease_filename,
+                                   parse_lease_filename, read_batch,
+                                   read_json, scan_leases, state_dir)
 from repro.memtrace.workloads import quick_suite
 from repro.prefetchers.pmp import PMP
 
@@ -47,12 +51,12 @@ def clean_outcome():
 
 
 def fabric_runner(tmp_path, *, grace=10.0, inline=True, ttl=5.0,
-                  run_id=None) -> SuiteRunner:
+                  run_id=None, **kwargs) -> SuiteRunner:
     journal = RunJournal(tmp_path / "runs", run_id)
     config = FabricConfig(lease_ttl=ttl, poll_interval=0.05,
                           worker_grace=grace, inline_fallback=inline)
     return SuiteRunner(specs=SPECS, accesses=ACCESSES, journal=journal,
-                       fabric=config)
+                       fabric=config, **kwargs)
 
 
 def start_worker_threads(tmp_path, count=2, ttl=5.0):
@@ -151,6 +155,34 @@ class TestLeaseStateMachine:
         scanned = scan_leases(tmp_path, "open")
         assert scanned[KEY][0] == 2
 
+    def test_claim_reads_grow_linearly_with_jobs(self, tmp_path,
+                                                 monkeypatch):
+        """A worker reads only the records of the leases it tries, so a
+        batch costs O(jobs) record reads, not O(jobs²)."""
+        reads = {"count": 0}
+        read = lease.read_json
+
+        def counting(path):
+            reads["count"] += 1
+            return read(path)
+
+        monkeypatch.setattr(lease, "read_json", counting)
+        monkeypatch.setattr(worker_module, "read_json", counting,
+                            raising=False)
+        per_batch = {}
+        for jobs in (20, 40):
+            run_dir = tmp_path / f"batch-{jobs}"
+            for index in range(jobs):
+                self._open_lease(run_dir, key=f"{index:04d}" + "k" * 12)
+            worker = FabricWorker(root=tmp_path, worker_id="w1")
+            reads["count"] = 0
+            while worker._claim_next(run_dir) is not None:
+                pass
+            per_batch[jobs] = reads["count"]
+            assert not scan_leases(run_dir, "open")
+        assert per_batch[20] <= 2 * 20
+        assert per_batch[40] <= 2 * per_batch[20]
+
 
 # -------------------------------------------------------------- end-to-end
 
@@ -199,6 +231,36 @@ class TestFabricEndToEnd:
         assert journal.failed == len(SPECS)
         assert runner.engine.counters.lease_expired >= len(SPECS)
 
+    def test_identical_jobs_share_one_lease(self, tmp_path):
+        """Two jobs with one key get one lease whose result fills both
+        slots; a lease per job would collide on the shared key and leave
+        one slot empty."""
+        specs = quick_suite()[:2]
+        serial = SuiteRunner(specs=specs, accesses=2_000).matrix(
+            {"a": PMP, "b": PMP})
+        runner = SuiteRunner(specs=specs, accesses=2_000,
+                             journal=RunJournal(tmp_path / "runs"),
+                             fabric=FabricConfig(worker_grace=0.2,
+                                                 poll_interval=0.05))
+        matrix = runner.matrix({"a": PMP, "b": PMP})
+        for name in ("a", "b"):
+            assert result_dicts(matrix[name]) == result_dicts(serial[name])
+        assert runner.engine.counters.simulated == len(specs)
+
+    def test_aborted_batch_is_paused_and_workers_exit(self, tmp_path):
+        """A fail-fast abort leaves the batch paused, not open, so an
+        attached worker stops serving it instead of polling for ever."""
+        runner = fabric_runner(tmp_path, run_id="run-abort", fail_fast=True)
+        workers, threads = start_worker_threads(tmp_path, count=1)
+        with pytest.raises(ChaosRaise):
+            runner.run(lambda: FaultyPrefetcher(
+                mode="raise", latch_dir=tmp_path / "latch",
+                only_in_worker=False))
+        batch = read_batch(tmp_path / "runs" / "run-abort")
+        assert batch["status"] != BATCH_OPEN
+        threads[0].join(timeout=30.0)
+        assert not threads[0].is_alive()
+
     def test_fabric_requires_journal(self):
         with pytest.raises(ValueError, match="journal"):
             SuiteRunner(specs=SPECS, accesses=ACCESSES,
@@ -225,26 +287,40 @@ class TestLeaseCounters:
     def test_to_dict_carries_lease_counters(self):
         counters = EngineCounters()
         counters.lease_expired += 3
-        counters.lease_reassigned += 2
         counters.fabric_completed += 5
         counters.retried += 2
         data = counters.to_dict()
         assert data["lease_expired"] == 3
-        assert data["lease_reassigned"] == 2
         assert data["fabric_completed"] == 5
         assert data["retried"] == 2
 
-    def test_expiry_reassignment_arithmetic(self):
-        """Every reassignment is an expiry, but not vice versa: the
-        final expiry of a job classifies instead of republishing."""
+    def test_expiry_reassignment_arithmetic(self, tmp_path):
+        """Every retry is an expiry, but not vice versa: the final
+        expiry of a job classifies instead of republishing."""
         counters = EngineCounters()
-        for _ in range(3):           # three expiries...
-            counters.lease_expired += 1
-        for _ in range(2):           # ...two of which reassigned
-            counters.lease_reassigned += 1
-            counters.retried += 1
-        assert counters.lease_expired >= counters.lease_reassigned
-        assert counters.retried == counters.lease_reassigned
+        failures = []
+        item = SimpleNamespace(
+            key=KEY, index=0, payload=(), twins=[],
+            job=SimpleNamespace(trace=SimpleNamespace(name="t"),
+                                prefetcher=SimpleNamespace(name="p")))
+        broker = FabricBroker(
+            run_dir=tmp_path, run_id=None, config=FabricConfig(lease_ttl=1.0),
+            policy=FaultPolicy(max_attempts=3), counters=counters,
+            on_result=None, inline=None,
+            on_failure=lambda _item, failure, _cause: failures.append(failure))
+        ensure_layout(tmp_path)
+        broker._publish([item])
+        for epoch in range(3):
+            assert lease.claim(tmp_path, KEY, epoch, "w1",
+                               now=float("inf")) is not None
+            claimed = state_dir(tmp_path, "claimed") / lease_filename(KEY,
+                                                                      epoch)
+            stale = time.time() - 100.0
+            os.utime(claimed, (stale, stale))
+            broker._reap_claims()
+        assert counters.lease_expired == 3
+        assert counters.retried == 2
+        assert [f.kind for f in failures] == [KIND_LEASE_EXPIRED]
 
     def test_manifest_round_trips_fabric_section(self, tmp_path):
         runner = fabric_runner(tmp_path, grace=0.2, ttl=1.0)
@@ -254,7 +330,6 @@ class TestLeaseCounters:
         fab = data["extra"]["fabric"]
         assert fab["inline_fallbacks"] == len(SPECS)
         assert fab["lease_expired"] == 0
-        assert fab["lease_reassigned"] == 0
         assert fab["inline_fallback"] is True
         assert isinstance(fab["workers"], list)
 

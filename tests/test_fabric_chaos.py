@@ -1,10 +1,12 @@
-"""Process-shaped fabric faults: SIGKILL, silent partitions, claim races.
+"""Process-shaped fabric faults: SIGKILL, silent partitions, hung jobs,
+claim races.
 
 These drills run *real* ``pmp-repro fabric worker`` subprocesses against
 a broker embedded in the test process and aim faults at the worst
 moments — a worker killed while holding a claim, a worker alive but
-silent (frozen heartbeat) whose lease must be taken over, two claimants
-racing one rename.  The recovery contract is the same as everywhere in
+silent (frozen heartbeat) whose lease must be taken over, a job that
+hangs while its worker keeps heartbeating, two claimants racing one
+rename.  The recovery contract is the same as everywhere in
 the chaos suite: the batch completes with numbers bit-identical to a
 clean serial run, and the expiry/reassignment story is visible in the
 counters afterwards.
@@ -12,17 +14,24 @@ counters afterwards.
 
 from __future__ import annotations
 
+import os
+import signal
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
-from tests.chaos import (claim_holder_pid, spawn_fabric_worker,
+from tests.chaos import (FaultyPrefetcher, claim_holder_pid,
+                         spawn_fabric_worker, wait_for,
                          wait_for_fabric_claim)
 from repro.experiments.journal import RunJournal
 from repro.experiments.runner import SuiteRunner
-from repro.fabric import FabricConfig
+from repro.fabric import FabricConfig, FabricWorker
 from repro.fabric import lease
-from repro.fabric.protocol import ensure_layout
+from repro.fabric.protocol import ensure_layout, scan_workers
 from repro.memtrace.workloads import quick_suite
 from repro.prefetchers.pmp import PMP
 
@@ -40,12 +49,12 @@ def clean_outcome():
     return result_dicts(runner.run(PMP))
 
 
-def fabric_runner(tmp_path, run_id, *, ttl=1.5, grace=10.0):
+def fabric_runner(tmp_path, run_id, *, ttl=1.5, grace=10.0, **kwargs):
     journal = RunJournal(tmp_path / "runs", run_id)
     config = FabricConfig(lease_ttl=ttl, poll_interval=0.05,
                           worker_grace=grace)
     return SuiteRunner(specs=SPECS, accesses=ACCESSES, journal=journal,
-                       fabric=config)
+                       fabric=config, **kwargs)
 
 
 @pytest.mark.slow
@@ -77,7 +86,7 @@ class TestSigkilledWorker:
         assert result_dicts(results) == clean_outcome
         counters = runner.engine.counters
         assert counters.lease_expired >= 1      # the orphaned claim aged out
-        assert counters.lease_reassigned >= 1   # ...and was republished
+        assert counters.retried >= 1            # ...and was republished
         assert counters.inline_fallbacks >= 1   # no workers left: broker ran it
         assert counters.failed == 0
         fab = runner.manifest("unit").extra["fabric"]
@@ -118,10 +127,95 @@ class TestFrozenHeartbeat:
         assert result_dicts(results) == clean_outcome
         counters = runner.engine.counters
         assert counters.lease_expired >= 1      # the frozen claim was reaped
-        assert counters.lease_reassigned >= 1
+        assert counters.retried >= 1
         assert counters.fabric_completed == len(SPECS)  # all done by workers
         assert counters.inline_fallbacks == 0
         assert counters.failed == 0
+
+
+@pytest.mark.slow
+class TestHungJob:
+    @pytest.mark.parametrize("workers", ["external", "local"])
+    def test_hung_job_reaped_within_deadline_then_retried(
+            self, tmp_path, monkeypatch, clean_outcome, workers):
+        """A job hangs while its worker keeps heartbeating: the deadline
+        reaps its lease within ``job_timeout`` plus one poll, and the
+        retry lands a bit-identical result.  An external holder is
+        fenced off and left to finish; a local one is killed."""
+        timeout, poll = 1.0, 0.05
+        held = []
+        reap = lease.reap
+
+        def timed_reap(run_dir, key, epoch, record, not_before):
+            held.append(time.time() - record["claimed_unix"])
+            return reap(run_dir, key, epoch, record, not_before)
+
+        monkeypatch.setattr(lease, "reap", timed_reap)
+        local = workers == "local"
+        runner = fabric_runner(tmp_path, "run-hang", ttl=1.5,
+                               job_timeout=timeout,
+                               workers=2 if local else 0)
+        threads = []
+        if not local:   # in-process stand-ins for external workers
+            for _ in range(2):
+                worker = FabricWorker(
+                    root=tmp_path / "runs", run_id="run-hang",
+                    config=FabricConfig(lease_ttl=1.5, poll_interval=poll),
+                    max_idle=30.0)
+                threads.append(threading.Thread(target=worker.run,
+                                                daemon=True))
+                threads[-1].start()
+        results = runner.run(lambda: FaultyPrefetcher(
+            mode="hang", latch_dir=tmp_path / "latch", hang_seconds=4.0,
+            only_in_worker=local))
+        for thread in threads:   # the fenced holder wakes and exits
+            thread.join(timeout=30.0)
+            assert not thread.is_alive()
+
+        assert result_dicts(results) == clean_outcome
+        counters = runner.engine.counters
+        assert counters.timed_out == 1
+        assert counters.retried == 1
+        assert counters.lease_expired == 0  # the heartbeat never went stale
+        assert counters.fabric_completed == len(SPECS)
+        assert counters.failed == 0
+        assert len(held) == 1 and held[0] <= timeout + poll + 0.5
+
+
+def process_alive(pid: int) -> bool:
+    """True while ``pid`` runs (an exited, unreaped zombie is not)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.slow
+class TestBrokerDeath:
+    def test_local_workers_exit_with_a_killed_broker(self, tmp_path):
+        """SIGKILL a ``--workers 2`` run mid-batch: its forked workers
+        exit too, instead of serving a batch no one will close."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        broker = subprocess.Popen(
+            [sys.executable, "-m", "repro", "fig8", "--workers", "2",
+             "--traces", "2", "--accesses", "20000", "--no-cache",
+             "--cache-dir", str(tmp_path), "--run-id", "run-orphans"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        run_dir = tmp_path / "runs" / "run-orphans"
+        try:
+            wait_for(lambda: len(scan_workers(run_dir)) == 2, timeout=60.0)
+            pids = [record["pid"] for _path, record
+                    in scan_workers(run_dir).values()]
+        finally:
+            broker.kill()
+            broker.wait(timeout=30.0)
+        try:
+            wait_for(lambda: not any(map(process_alive, pids)), timeout=30.0)
+        finally:   # never leave an orphan behind, even on failure
+            for pid in filter(process_alive, pids):
+                os.kill(pid, signal.SIGKILL)
 
 
 class TestDuplicateClaimRace:

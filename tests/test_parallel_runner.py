@@ -70,6 +70,17 @@ class TestParallelDeterminism:
             assert got == want
 
 
+    def test_identical_jobs_in_one_batch_fill_every_slot(self):
+        """One lease per key: a batch naming one configuration twice
+        places its result at both indices."""
+        factories = {"a": PMP, "b": PMP}
+        serial = SuiteRunner(specs=SPECS, accesses=ACCESSES).matrix(factories)
+        parallel = SuiteRunner(specs=SPECS, accesses=ACCESSES,
+                               workers=2).matrix(factories)
+        for name in factories:
+            assert result_dicts(parallel[name]) == result_dicts(serial[name])
+
+
 class TestPersistentCache:
     def test_warm_cache_replays_exactly_with_zero_simulations(
             self, tmp_path, serial_outcome):
