@@ -264,6 +264,19 @@ def cmd_fig12b(args: argparse.Namespace) -> None:
                              llc_size_sweep(_runner(args))))
 
 
+def _fig13_dropped_flags(args: argparse.Namespace) -> list[str]:
+    """The set flags that Fig 13, which takes only the trace, access and
+    ``--workers`` options, cannot honour."""
+    return [flag for flag, value in (
+        ("--job-timeout", args.job_timeout is not None),
+        ("--fail-fast", args.fail_fast), ("--fabric", args.fabric),
+        ("--resume", args.resume is not None),
+        ("--run-id", args.run_id is not None),
+        ("--trace-cache", bool(args.trace_cache)),
+        ("--trace-events", args.trace_events), ("--sample", args.sample))
+        if value]
+
+
 def cmd_fig13(args: argparse.Namespace) -> None:
     """Fig 13: 4-core homogeneous and heterogeneous mixes."""
     print(fig13_report(fig13(_specs(args), accesses=args.accesses // 2,
@@ -328,8 +341,8 @@ def main(argv: list[str] | None = None) -> int:
         from .sampling.cli import sample_main
         return sample_main(argv[1:])
     # `pmp-repro fabric ...` is the lease-based distributed fabric:
-    # `worker` and `status` own their argument sets; `broker <experiment>`
-    # delegates back here with --fabric appended.
+    # `worker` and `status` own their argument sets (its broker is an
+    # ordinary experiment run with --fabric).
     if argv and argv[0] == "fabric":
         from .fabric.cli import fabric_main
         return fabric_main(argv[1:])
@@ -444,6 +457,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.fabric and not args.journal:
         parser.error("--fabric requires journaling (the lease directories "
                      "live under the journal's run directory)")
+    if args.experiment in ("fig13", "all"):
+        dropped = _fig13_dropped_flags(args)
+        if dropped:
+            parser.error(f"fig13 does not run on the experiment engine yet "
+                         f"and would ignore {', '.join(dropped)}")
     args.all_runners = []
     args.journal_obj = None
     if args.resume:

@@ -24,9 +24,14 @@ policy is **per lease**:
   (``inline_fallbacks``) — or, with ``inline_fallback`` off, the latter
   fails as lease expiries.
 
-Every exit that is not a completion leaves the batch paused, so attached
+Each key leaves the batch once — with a result, a reported failure,
+exhausted retries, worker collapse or an inline run — and once the
+engine has cached and journaled that outcome the broker deletes the
+key's payload, leases and outcome record, so each record is read once
+and a wake-up costs work in the number of workers, not of jobs.  Every
+exit that is not a completion leaves the batch paused, so attached
 workers stop serving it.  A broker that dies and resumes harvests any
-``done/`` records a worker landed while it was gone, so no finished
+verified result a worker landed while it was gone, so no finished
 simulation is ever re-run.
 """
 
@@ -50,11 +55,11 @@ from ..experiments.faults import (KIND_LEASE_EXPIRED, KIND_RAISE,
                                   lease_expiry_failure)
 from ..sim.stats import SimResult
 from . import lease as lease_mod
-from .lease import FabricConfig, verified_result
-from .protocol import (BATCH_COMPLETE, BATCH_OPEN, BATCH_PAUSED,
+from .lease import FabricConfig, verified_outcome
+from .protocol import (BATCH_COMPLETE, BATCH_OPEN, BATCH_PAUSED, LEASE_STATES,
                        ensure_layout, heartbeat_age, jobs_dir, lease_filename,
-                       new_worker_id, read_json, scan_leases, scan_workers,
-                       state_dir, write_batch)
+                       lease_files, new_worker_id, read_json, scan_leases,
+                       scan_workers, state_dir, write_batch)
 from .worker import FabricWorker
 
 log = logging.getLogger("repro.fabric.broker")
@@ -68,10 +73,12 @@ class _LeaseState:
     """Broker-side view of one job's lease."""
 
     item: object                # engine _WorkItem: index/job/key/payload
+    #: The highest epoch the key's lease has reached.
     epoch: int = 0
     attempts: int = 0
     #: When (``time.monotonic()``) the broker first saw the current
-    #: epoch claimed; the job deadline runs from here.
+    #: epoch claimed; the job deadline runs from here, and no heartbeat
+    #: is judged until ``lease_ttl`` after it.
     claim_seen: float | None = None
 
 
@@ -161,8 +168,7 @@ class FabricBroker:
         while self._outstanding:
             if self.should_stop():
                 return BATCH_PAUSED
-            progressed = self._consume_done()
-            progressed |= self._consume_failed()
+            progressed = self._consume()
             self._reap_dead_workers()
             self._reap_claims()
             live = self._update_census()
@@ -201,32 +207,37 @@ class FabricBroker:
     def _publish(self, items: list) -> None:
         """Write payloads + open leases; harvest work a prior broker lost.
 
-        A completion that landed in ``done/`` after the previous broker
-        died (but before the journal recorded it) is consumed here
-        instead of being republished — the crash costs nothing.  A local
-        worker is forked as each of the first ``local_workers`` leases
-        appears, so simulating starts while the rest are written.  An
-        unpicklable payload gets no lease (:meth:`run` simulates it).
+        Whatever an earlier broker of this run left in the lease
+        directory is stale and deleted, except a verified result for a
+        key of this batch: it landed after that broker died but before
+        the journal recorded it, so it is consumed here instead of being
+        republished — the crash costs nothing.  A local worker is forked
+        as each of the first ``local_workers`` leases appears, so
+        simulating starts while the rest are written.  An unpicklable
+        payload gets no lease (:meth:`run` simulates it).
         """
-        leftovers = scan_leases(self.run_dir, "done")
-        stale = set(leftovers)
-        for state in ("open", "claimed", "failed"):
-            stale.update(scan_leases(self.run_dir, state))
+        wanted = {item.key for item in items}
+        harvest: dict[str, tuple[int, dict, dict]] = {}
+        for state in LEASE_STATES:
+            for key, epoch, path in lease_files(self.run_dir, state):
+                if state == "done" and key in wanted and key not in harvest:
+                    record = read_json(path)
+                    outcome = verified_outcome(record)
+                    if outcome is not None and outcome[0] == "result":
+                        harvest[key] = (epoch, record, outcome[1])
+                        continue
+                path.unlink(missing_ok=True)
         fresh = []
         for item in items:
             key = item.key
             self._state[key] = _LeaseState(item)
             self._outstanding.add(key)
-            if key in leftovers:
-                record = read_json(leftovers[key][1])
-                result = verified_result(record)
-                if result is not None:
-                    self._sweep_key(key, also_done=False)
-                    self._finish(key, record, result)
-                    continue
-            if key in stale:
-                self._sweep_key(key, also_done=True)
-            fresh.append(item)
+            if key in harvest:
+                epoch, record, result = harvest[key]
+                self._state[key].epoch = epoch
+                self._finish(key, record, result)
+            else:
+                fresh.append(item)
         write_batch(self.run_dir, BATCH_OPEN, len(items), self.run_id)
         for item in fresh:
             key = item.key
@@ -248,13 +259,18 @@ class FabricBroker:
             if self._forked < self.local_workers:
                 self._fork_worker()
 
-    def _sweep_key(self, key: str, also_done: bool) -> None:
-        """Delete stale lease files for a key being (re)published."""
-        states = ("open", "claimed", "failed") + (("done",) if also_done else ())
-        for state in states:
+    def _retire(self, key: str) -> None:
+        """Take a key out of the batch and delete every file it has in
+        the lease directory: its payload and each epoch's lease and
+        outcome record.  Called only once the engine has cached and
+        journaled the key's outcome, so no crash can lose it."""
+        self._outstanding.discard(key)
+        (jobs_dir(self.run_dir) / f"{key}.job").unlink(missing_ok=True)
+        for state in LEASE_STATES:
             directory = state_dir(self.run_dir, state)
-            for stale in directory.glob(f"{key}.e*.json"):
-                stale.unlink(missing_ok=True)
+            for epoch in range(self._state[key].epoch + 1):
+                (directory / lease_filename(key, epoch)).unlink(
+                    missing_ok=True)
 
     # ---------------------------------------------------------- local workers
 
@@ -310,77 +326,73 @@ class FabricBroker:
 
     # ------------------------------------------------------------ consumption
 
-    def _finish(self, key: str, record: dict | None, result: dict) -> None:
+    def _finish(self, key: str, record: dict, result: dict) -> None:
         state = self._state[key]
         self.on_result(state.item, SimResult.from_dict(result))
-        self._outstanding.discard(key)
-        worker = (record or {}).get("worker")
-        if worker and worker != INLINE_WORKER:
+        self._retire(key)
+        worker = record.get("worker")
+        if worker:
             self.counters.fabric_completed += 1
             entry = self._census.setdefault(
                 worker, {"worker_id": worker, "jobs_done": 0, "live": False})
             entry["jobs_done"] = entry.get("jobs_done", 0) + 1
 
-    def _consume_done(self) -> bool:
+    def _consume(self) -> bool:
+        """Read each outcome record in ``done/`` once: hand its result or
+        reported failure to the engine and retire the key.  A record
+        whose key is not outstanding (a fenced-off holder's late
+        outcome) is deleted on sight."""
         progressed = False
-        for key, (epoch, path) in scan_leases(self.run_dir, "done").items():
+        for key, (_epoch, path) in scan_leases(self.run_dir, "done").items():
             if key not in self._outstanding:
+                path.unlink(missing_ok=True)
                 continue
             record = read_json(path)
-            result = verified_result(record)
-            if result is None:
-                # Torn or corrupt completion: drop the record and treat
-                # it as one more transport fault against the lease.
+            outcome = verified_outcome(record)
+            if outcome is None:
+                # Torn or corrupt outcome: drop the record and treat it
+                # as one more transport fault against the lease.
                 path.unlink(missing_ok=True)
-                self._expire(key, reason="corrupt done record")
-                continue
-            # A lease never reaped leaves no other file: its claim was
-            # renamed from open and removed by the completion.
-            if self._state[key].epoch:
-                self._sweep_key(key, also_done=False)
-            self._finish(key, record, result)
-            progressed = True
-        return progressed
-
-    def _consume_failed(self) -> bool:
-        progressed = False
-        for key, (epoch, path) in scan_leases(self.run_dir, "failed").items():
-            if key not in self._outstanding:
-                continue
-            record = read_json(path)
-            if record is None or not isinstance(record.get("failure"), dict):
-                path.unlink(missing_ok=True)
-                self._expire(key, reason="corrupt failure record")
+                self._expire(key, reason="corrupt outcome record")
                 continue
             state = self._state[key]
-            reported = record["failure"]
-            failure = JobFailure(
-                index=state.item.index, key=key,
-                trace_name=state.item.job.trace.name,
-                prefetcher_name=state.item.job.prefetcher.name,
-                kind=KIND_RAISE,
-                error_type=str(reported.get("error_type", "Exception")),
-                message=str(reported.get("message", "")),
-                traceback=str(reported.get("traceback", "")),
-                attempts=state.attempts + 1)
-            self._outstanding.discard(key)
-            self._sweep_key(key, also_done=True)
-            self.on_failure(state.item, failure,
-                            lease_mod.decode_exception(reported.get("exception")))
+            kind, value = outcome
+            if kind == "result":
+                self._finish(key, record, value)
+            else:
+                failure = JobFailure(
+                    index=state.item.index, key=key,
+                    trace_name=state.item.job.trace.name,
+                    prefetcher_name=state.item.job.prefetcher.name,
+                    kind=KIND_RAISE,
+                    error_type=str(value.get("error_type", "Exception")),
+                    message=str(value.get("message", "")),
+                    traceback=str(value.get("traceback", "")),
+                    attempts=state.attempts + 1)
+                self.on_failure(state.item, failure, lease_mod.decode_exception(
+                    value.get("exception")))
+                self._retire(key)
             progressed = True
         return progressed
 
     # ----------------------------------------------------------------- reaping
 
     def _reap_claims(self) -> None:
-        """Reap claims held past the job deadline or gone silent."""
+        """Reap claims held past the job deadline or gone silent.
+
+        A claim carries its lease's publish-time mtime until the claimer
+        rewrites it, so a heartbeat is judged only once the broker has
+        watched the claim for ``lease_ttl``: a lease that waited longer
+        than that in ``open/`` is not reaped the moment it is claimed.
+        """
         now = time.monotonic()
         timeout = self.policy.job_timeout
+        ttl = self.config.lease_ttl
         self._next_deadline = None
         claimed = scan_leases(self.run_dir, "claimed")
         for key, (epoch, path) in claimed.items():
             if key not in self._outstanding:
-                path.unlink(missing_ok=True)  # finished elsewhere; stale
+                path.unlink(missing_ok=True)  # its key was retired; stale
                 continue
             state = self._state[key]
             if epoch < state.epoch:
@@ -397,8 +409,10 @@ class FabricBroker:
                     continue
                 if self._next_deadline is None or deadline < self._next_deadline:
                     self._next_deadline = deadline
+            if now - state.claim_seen < ttl:
+                continue
             age = heartbeat_age(path)
-            if age is not None and age > self.config.lease_ttl:
+            if age is not None and age > ttl:
                 self._expire(key, reason=f"heartbeat stale for {age:.1f}s")
 
     def _expire(self, key: str, reason: str, timed_out: bool = False) -> None:
@@ -422,14 +436,13 @@ class FabricBroker:
         killed = (timed_out and record is not None
                   and self._kill_worker(str(record.get("worker"))))
         if state.attempts >= self.policy.max_attempts:
-            claimed.unlink(missing_ok=True)
-            self._outstanding.discard(key)
             failure = lease_expiry_failure(
                 state.item.index, key, state.item.job.trace.name,
                 state.item.job.prefetcher.name, state.attempts, reason,
                 kind=KIND_TIMEOUT if timed_out else KIND_LEASE_EXPIRED)
             cause = (JobTimeout if timed_out else LeaseExpired)(failure.message)
             self.on_failure(state.item, failure, cause)
+            self._retire(key)
         else:
             record = record or {
                 "index": state.item.index, "attempts": state.attempts - 1,
@@ -462,43 +475,33 @@ class FabricBroker:
             state = self._state[key]
             state.attempts += 1
             self.counters.lease_expired += 1
-            self._sweep_key(key, also_done=True)
             failure = lease_expiry_failure(
                 state.item.index, key, state.item.job.trace.name,
                 state.item.job.prefetcher.name, state.attempts,
                 "no live workers and inline fallback disabled")
-            self._outstanding.discard(key)
             self.on_failure(state.item, failure, LeaseExpired(failure.message))
+            self._retire(key)
 
     def _drain_inline(self) -> None:
         """Fallback mode: claim whatever is open and simulate it here.
 
         Claimed-but-dead leases are left to age out through the normal
         reap path (they reopen with their attempt counters intact), so
-        the manifest still tells the full story.
+        the manifest still tells the full story.  The engine caches and
+        journals each inline outcome itself, so it leaves no record.
         """
         for key, (epoch, _path) in sorted(
                 scan_leases(self.run_dir, "open").items()):
-            if key not in self._outstanding:
-                continue
             if self.should_stop():
                 return
-            state = self._state[key]
-            record = lease_mod.claim(self.run_dir, key, epoch, INLINE_WORKER,
-                                     now=float("inf"))
-            if record is None:
+            if lease_mod.claim(self.run_dir, key, epoch, INLINE_WORKER,
+                               now=float("inf")) is None:
                 continue  # a worker came back and won the race — fine
+            state = self._state[key]
             state.epoch = max(state.epoch, epoch)
             self.counters.inline_fallbacks += 1
-            result = self.inline(state.item)
-            if result is not None:
-                lease_mod.complete(self.run_dir, record, result.to_dict())
-            else:
-                claimed = state_dir(self.run_dir, "claimed") / lease_filename(
-                    key, epoch)
-                claimed.unlink(missing_ok=True)
-            self._outstanding.discard(key)
-            self._sweep_key(key, also_done=False)
+            self.inline(state.item)
+            self._retire(key)
 
     # ---------------------------------------------------------------- census
 

@@ -1,17 +1,18 @@
 """``pmp-repro fabric`` — drive the lease fabric from the command line.
 
-Three subcommands::
+Two subcommands::
 
     pmp-repro fabric worker --cache-dir .repro-cache        # claim loop
     pmp-repro fabric status --cache-dir .repro-cache        # inspect a run
-    pmp-repro fabric broker fig8 --workers 0 --cache-dir …  # publish + reap
 
 ``worker`` attaches to the newest open batch under
 ``<cache-dir>/runs/`` (or a specific ``--run-id``) and simulates claimed
-jobs until the batch completes.  ``broker`` is sugar for the main CLI
-with ``--fabric`` appended — the broker *is* the ordinary experiment
-command, journaling and manifests included.  ``status`` prints the batch
-state, per-state lease counts and the worker census with heartbeat ages.
+jobs until the batch completes.  The broker is the ordinary experiment
+command run with ``--fabric`` (``pmp-repro fig8 --fabric …``),
+journaling and manifests included.  ``status`` prints the batch state,
+how many of its jobs are finished (the total minus the leases still in
+the lease directory, which holds only live work), per-state lease
+counts and the worker census with heartbeat ages.
 
 The chaos knobs ``REPRO_FABRIC_CLAIM_HOLD`` (seconds to sleep after each
 claim) and ``REPRO_FABRIC_FREEZE_HEARTBEAT`` (suppress all renewals)
@@ -32,9 +33,7 @@ from .worker import worker_from_env
 
 
 def _config(args: argparse.Namespace) -> FabricConfig:
-    return FabricConfig(lease_ttl=args.lease_ttl,
-                        heartbeat_interval=args.heartbeat,
-                        poll_interval=args.poll)
+    return FabricConfig(lease_ttl=args.lease_ttl, poll_interval=args.poll)
 
 
 def _worker(args: argparse.Namespace) -> int:
@@ -64,11 +63,14 @@ def _status(args: argparse.Namespace) -> int:
         print("no fabric run found", file=sys.stderr)
         return 2
     batch = read_batch(run_dir) or {}
-    print(f"run:    {run_dir.name}")
-    print(f"status: {batch.get('status', 'unknown')} "
-          f"({batch.get('total', '?')} job(s))")
     counts = {state: len(scan_leases(run_dir, state))
               for state in LEASE_STATES}
+    total = batch.get("total")
+    finished = (f"{total - sum(counts.values())} of {total}"
+                if isinstance(total, int) else "?")
+    print(f"run:    {run_dir.name}")
+    print(f"status: {batch.get('status', 'unknown')} "
+          f"({finished} job(s) finished)")
     print("leases: " + "  ".join(f"{state}={counts[state]}"
                                  for state in LEASE_STATES))
     workers = scan_workers(run_dir)
@@ -85,14 +87,6 @@ def _status(args: argparse.Namespace) -> int:
 
 def fabric_main(argv: list[str] | None = None) -> int:
     """Entry point for ``pmp-repro fabric …``."""
-    if argv is None:
-        argv = sys.argv[1:]
-    # `fabric broker <experiment> …` delegates to the main CLI with
-    # --fabric appended, so the broker gets the full experiment argument
-    # set (and the exit-code contract) without duplicating it here.
-    if argv and argv[0] == "broker":
-        from ..cli import main
-        return main(argv[1:] + ["--fabric"])
     parser = argparse.ArgumentParser(
         prog="pmp-repro fabric",
         description="Lease-based distributed experiment fabric.")
@@ -108,10 +102,8 @@ def fabric_main(argv: list[str] | None = None) -> int:
     worker = sub.choices["worker"]
     worker.add_argument("--lease-ttl", type=float, default=60.0,
                         help="seconds without a heartbeat before the "
-                             "broker may reassign a claim")
-    worker.add_argument("--heartbeat", type=float, default=None,
-                        metavar="SECONDS",
-                        help="heartbeat cadence (default: lease-ttl / 3)")
+                             "broker may reassign a claim (the worker "
+                             "heartbeats every lease-ttl / 3)")
     worker.add_argument("--poll", type=float, default=0.5,
                         help="idle scan cadence in seconds")
     worker.add_argument("--max-idle", type=float, default=60.0,

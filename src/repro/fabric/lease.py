@@ -1,4 +1,4 @@
-"""The lease state machine: publish → claim → heartbeat → done/failed/reaped.
+"""The lease state machine: publish → claim → heartbeat → done or reaped.
 
 State transitions are filesystem renames, so each is atomic and each
 race has exactly one winner:
@@ -15,12 +15,12 @@ race has exactly one winner:
   unlinks the stale claim.  The epoch bump is the fencing token: any
   file a dead-but-not-yet-gone worker leaves behind carries an older
   epoch and is swept, never trusted.
-* **done / failed** — the holder writes a checksummed result (or a
-  structured failure) into ``done/``/``failed/`` and drops its claim.
-  Completions are accepted *per key*, not per epoch: ``simulate()`` is
-  deterministic, so a stale epoch's result is byte-identical to the
-  current one and consuming whichever lands first is sound (the journal
-  is idempotent per key — the exactly-once argument lives there).
+* **done** — the holder lands its outcome, a result or a structured
+  failure, as one checksummed record in ``done/`` and drops its claim.
+  Outcomes are accepted *per key*, not per epoch: ``simulate()`` is
+  deterministic, so a stale epoch's outcome is the current one's and
+  consuming whichever lands first is sound (the journal is idempotent
+  per key — the exactly-once argument lives there).
 """
 
 from __future__ import annotations
@@ -41,18 +41,17 @@ from .protocol import (lease_filename, read_json, state_dir,
 class FabricConfig:
     """Knobs governing one fabric run (broker and workers share them).
 
-    The expiry math: a worker heartbeats every ``heartbeat_interval``
-    seconds (default ``lease_ttl / 3``); the broker declares a claim
-    dead when its last heartbeat is older than ``lease_ttl``.  A worker
-    killed right after a beat is therefore detected within
-    ``lease_ttl + poll_interval`` seconds, and three consecutive beats
-    must be lost before a live-but-slow worker can be reaped.
+    The expiry math: a worker heartbeats every ``lease_ttl / 3``
+    seconds; the broker declares a claim dead once it has watched the
+    claim for ``lease_ttl`` and its last heartbeat is older than
+    ``lease_ttl``.  A worker killed right after a beat is therefore
+    detected within ``lease_ttl + poll_interval`` seconds of the claim
+    (or of the beat, if later), and three consecutive beats must be
+    lost before a live-but-slow worker can be reaped.
     """
 
     #: Seconds without a heartbeat before a claimed lease is reaped.
     lease_ttl: float = 60.0
-    #: Heartbeat cadence; ``None`` derives ``lease_ttl / 3``.
-    heartbeat_interval: float | None = None
     #: Broker/worker scan cadence.
     poll_interval: float = 0.5
     #: Seconds with zero live workers (and no progress) before the
@@ -63,11 +62,6 @@ class FabricConfig:
     #: PR-4 pool-collapse semantics).  ``False`` turns worker loss into
     #: structured lease-expired failures instead.
     inline_fallback: bool = True
-
-    def beat_interval(self) -> float:
-        if self.heartbeat_interval is not None:
-            return max(0.01, self.heartbeat_interval)
-        return max(0.01, self.lease_ttl / 3.0)
 
 
 # ----------------------------------------------------------------- transitions
@@ -85,7 +79,10 @@ def claim(run_dir: str | Path, key: str, epoch: int,
 
     The rename *is* the claim; the enriched record written afterwards is
     bookkeeping (the broker only needs the claim file's mtime until it
-    reaps, and a reap re-reads whatever content is present).
+    reaps, and a reap re-reads whatever content is present).  Until that
+    write the claim still carries the lease's publish-time mtime, which
+    is why the broker judges no heartbeat it has watched for less than
+    ``lease_ttl``.
     """
     src = state_dir(run_dir, "open") / lease_filename(key, epoch)
     record = read_json(src)
@@ -111,16 +108,12 @@ def heartbeat(path: str | Path) -> bool:
     racing reap leaves the holder renewing an orphaned inode, which is
     harmless; it can never re-materialise the claim filename.
     """
-    path = os.fspath(path)
     try:
         fd = os.open(path, os.O_RDONLY)
     except OSError:
         return False
     try:
-        if os.utime in os.supports_fd:
-            os.utime(fd)
-        else:  # pragma: no cover - exotic platforms
-            os.utime(path)
+        os.utime(fd)
         os.fsync(fd)
     except OSError:
         return False
@@ -138,62 +131,47 @@ def reap(run_dir: str | Path, key: str, epoch: int, record: dict,
     record["attempts"] = int(record.get("attempts", 0)) + 1
     record["not_before"] = not_before
     path = publish(run_dir, key, epoch + 1, record)
-    stale = state_dir(run_dir, "claimed") / lease_filename(key, epoch)
-    stale.unlink(missing_ok=True)
+    drop(run_dir, key, epoch)
     return path
 
 
-def complete(run_dir: str | Path, record: dict, result_dict: dict) -> Path:
-    """Land a finished job's result (checksummed) and release the claim."""
+def complete(run_dir: str | Path, record: dict, result: dict | None = None,
+             *, failure: dict | None = None) -> Path:
+    """Land a claim's outcome — a finished job's result, or the structured
+    ``failure`` of one that raised — as one checksummed ``done/`` record,
+    and drop the claim."""
     key, epoch = record["key"], record["epoch"]
+    kind, value = ("result", result) if failure is None else ("failure",
+                                                              failure)
     path = state_dir(run_dir, "done") / lease_filename(key, epoch)
     write_json_atomic(path, {
         "key": key, "epoch": epoch, "worker": record.get("worker"),
-        "completed_unix": time.time(),
-        "checksum": result_checksum(result_dict), "result": result_dict})
-    claimed = state_dir(run_dir, "claimed") / lease_filename(key, epoch)
-    claimed.unlink(missing_ok=True)
+        "completed_unix": time.time(), "checksum": result_checksum(value),
+        kind: value})
+    drop(run_dir, key, epoch)
     return path
 
 
-def fail(run_dir: str | Path, record: dict, failure: dict) -> Path:
-    """Report a deterministic in-simulation failure and release the claim."""
-    key, epoch = record["key"], record["epoch"]
-    path = state_dir(run_dir, "failed") / lease_filename(key, epoch)
-    write_json_atomic(path, {
-        "key": key, "epoch": epoch, "worker": record.get("worker"),
-        "failed_unix": time.time(), "failure": failure})
-    claimed = state_dir(run_dir, "claimed") / lease_filename(key, epoch)
-    claimed.unlink(missing_ok=True)
-    return path
+def drop(run_dir: str | Path, key: str, epoch: int) -> None:
+    """Give up a claim without an outcome."""
+    (state_dir(run_dir, "claimed") / lease_filename(key, epoch)).unlink(
+        missing_ok=True)
 
 
-def release(run_dir: str | Path, record: dict) -> bool:
-    """Hand an unstartable claim straight back (payload missing, etc.)."""
-    key, epoch = record["key"], record["epoch"]
-    src = state_dir(run_dir, "claimed") / lease_filename(key, epoch)
-    dst = state_dir(run_dir, "open") / lease_filename(key, epoch)
-    try:
-        os.rename(src, dst)
-    except OSError:
-        return False
-    return True
-
-
-def verified_result(record: dict | None) -> dict | None:
-    """The result payload of a done record iff its checksum verifies."""
-    if not record or "result" not in record or "checksum" not in record:
-        return None
-    result = record["result"]
-    if not isinstance(result, dict):
-        return None
-    if result_checksum(result) != record["checksum"]:
-        return None
-    return result
+def verified_outcome(record: dict | None) -> tuple[str, dict] | None:
+    """``("result", dict)`` or ``("failure", dict)`` from a ``done/``
+    record whose checksum verifies; ``None`` for a torn or tampered one."""
+    for kind in ("result", "failure"):
+        value = (record or {}).get(kind)
+        if isinstance(value, dict):
+            if result_checksum(value) != record.get("checksum"):
+                return None
+            return kind, value
+    return None
 
 
 def encode_exception(exc: BaseException) -> str | None:
-    """A worker's exception as text for its ``failed/`` record (so a
+    """A worker's exception as text for its failure record (so a
     ``fail_fast`` broker raises the original), or ``None``."""
     try:
         return base64.b64encode(pickle.dumps(exc)).decode("ascii")

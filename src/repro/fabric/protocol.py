@@ -14,8 +14,7 @@ NFS provide::
         leases/
           open/<key>.e<epoch>.json      # published, claimable
           claimed/<key>.e<epoch>.json   # held by a worker (mtime = heartbeat)
-          done/<key>.e<epoch>.json      # result payload + checksum
-          failed/<key>.e<epoch>.json    # deterministic worker failure
+          done/<key>.e<epoch>.json      # outcome: checksummed result or failure
         workers/<worker-id>.json        # census entry (mtime = heartbeat)
 
 A lease's filename carries its **key** (the SimJob content hash — the
@@ -23,6 +22,10 @@ same key the cache and journal use) and its **epoch**, a monotonic
 fencing token: every broker reassignment bumps the epoch, so a stale
 worker's files are recognisable by their lower epoch and can never
 clobber the current claim.
+
+The lease directory holds only live work: the broker deletes a key's
+payload, lease and outcome record once the engine has journaled its
+outcome, so a completed batch leaves ``batch.json`` and the census.
 
 Writes are atomic (temp file in the same directory, fsync, rename) and
 reads are torn-tolerant: :func:`read_json` returns ``None`` for a
@@ -36,6 +39,7 @@ import os
 import socket
 import time
 from pathlib import Path
+from typing import Iterator
 
 #: batch.json status values.
 BATCH_OPEN = "open"          # workers may claim leases
@@ -43,7 +47,7 @@ BATCH_PAUSED = "paused"      # broker interrupted; resume will republish
 BATCH_COMPLETE = "complete"  # workers should exit
 
 #: Lease state directory names, in lifecycle order.
-LEASE_STATES = ("open", "claimed", "done", "failed")
+LEASE_STATES = ("open", "claimed", "done")
 
 
 # ------------------------------------------------------------------ layout
@@ -83,16 +87,14 @@ def ensure_layout(run_dir: str | Path) -> None:
 
 # ------------------------------------------------------------- atomic file IO
 
-def write_json_atomic(path: str | Path, record: dict,
-                      fsync: bool = True) -> None:
-    """Publish a record atomically: temp file, optional fsync, rename."""
+def write_json_atomic(path: str | Path, record: dict) -> None:
+    """Publish a record atomically: temp file, fsync, rename."""
     path = Path(path)
     tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
     with tmp.open("w") as fh:
         json.dump(record, fh, sort_keys=True)
-        if fsync:
-            fh.flush()
-            os.fsync(fh.fileno())
+        fh.flush()
+        os.fsync(fh.fileno())
     os.replace(tmp, path)
 
 
@@ -122,25 +124,30 @@ def parse_lease_filename(name: str) -> tuple[str, int] | None:
     return key, int(epoch)
 
 
+def lease_files(run_dir: str | Path,
+                state: str) -> Iterator[tuple[str, int, Path]]:
+    """``(key, epoch, path)`` for every lease file in one state directory."""
+    directory = state_dir(run_dir, state)
+    try:
+        names = os.listdir(directory)
+    except FileNotFoundError:
+        return
+    for name in names:
+        parsed = parse_lease_filename(name)
+        if parsed is not None:
+            yield *parsed, directory / name
+
+
 def scan_leases(run_dir: str | Path, state: str) -> dict[str, tuple[int, Path]]:
     """``key -> (highest epoch, path)`` for one lease state directory.
 
     Lower-epoch duplicates (stale fencing losers) are ignored; the
-    broker unlinks them during its zombie sweep.
+    broker unlinks them when it retires the key.
     """
-    directory = state_dir(run_dir, state)
     out: dict[str, tuple[int, Path]] = {}
-    try:
-        names = os.listdir(directory)
-    except FileNotFoundError:
-        return out
-    for name in names:
-        parsed = parse_lease_filename(name)
-        if parsed is None:
-            continue
-        key, epoch = parsed
+    for key, epoch, path in lease_files(run_dir, state):
         if key not in out or epoch > out[key][0]:
-            out[key] = (epoch, directory / name)
+            out[key] = (epoch, path)
     return out
 
 

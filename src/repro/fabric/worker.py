@@ -5,20 +5,20 @@ the broker forks for a ``--workers N`` batch, or, in tests, a plain
 thread — pointed at a runs root.  It discovers an open batch, registers
 a census entry, and loops: claim an open lease (atomic rename; losing
 the race just means trying the next one), load the pickled payload,
-simulate, and land the outcome:
+simulate, and land the outcome as one checksummed ``done/`` record:
 
-* success → a checksummed ``done/`` record (the broker verifies it
-  before journaling — a truncated write is a transport fault, not a
-  wrong number);
-* a deterministic ``simulate()`` exception → a ``failed/`` record
+* success → the result (the broker verifies it before journaling — a
+  truncated write is a transport fault, not a wrong number);
+* a deterministic ``simulate()`` exception → a structured failure
   carrying the traceback (the broker never retries those);
-* a missing payload → the claim is released untouched.
+* a missing payload → no outcome: the broker retired that key (its
+  outcome is already journaled), so the claim is dropped.
 
 A forked worker then wakes the broker through its pipe.  A daemon
 heartbeat thread renews the census entry and the held claim every
-``FabricConfig.beat_interval()`` seconds with fsynced mtime bumps.  The
-worker holds **no state the run depends on**: SIGKILL it at any point
-and the broker reaps its claim and reassigns the lease.
+``lease_ttl / 3`` seconds with fsynced mtime bumps.  The worker holds
+**no state the run depends on**: SIGKILL it at any point and the broker
+reaps its claim and reassigns the lease.
 
 Test hooks (used by the chaos suite and the CI ``chaos`` job):
 ``claim_hold`` sleeps after each claim (widening the mid-lease window a
@@ -160,22 +160,19 @@ class FabricWorker:
         try:
             if self.claim_hold > 0:
                 self.sleep(self.claim_hold)
-            payload_path = jobs_dir(run_dir) / f"{key}.job"
             try:
-                with payload_path.open("rb") as fh:
+                with (jobs_dir(run_dir) / f"{key}.job").open("rb") as fh:
                     payload = pickle.load(fh)
-            except (OSError, pickle.UnpicklingError, EOFError) as exc:
-                # Transport-shaped: the job never ran.  Hand it back.
-                log.warning("worker %s: unreadable payload for %s… (%s); "
-                            "releasing claim", self.worker_id, key[:12], exc)
-                lease_mod.release(run_dir, record)
-                self.sleep(self.config.poll_interval)
+            except FileNotFoundError:
+                log.info("worker %s: %s… was retired; dropping the claim",
+                         self.worker_id, key[:12])
+                lease_mod.drop(run_dir, key, epoch)
                 return
             from ..experiments.engine import _simulate_payload
             try:
                 result = _simulate_payload(*payload)
             except Exception as exc:
-                lease_mod.fail(run_dir, record, {
+                lease_mod.complete(run_dir, record, failure={
                     "error_type": type(exc).__name__,
                     "message": str(exc),
                     "traceback": "".join(traceback_module.format_exception(
@@ -212,7 +209,7 @@ class FabricWorker:
             pass
 
     def _heartbeat_loop(self, run_dir: Path) -> None:
-        interval = self.config.beat_interval()
+        interval = max(0.01, self.config.lease_ttl / 3.0)
         while not self._stop_beats.wait(interval):
             if self.freeze_heartbeat:
                 continue

@@ -37,26 +37,13 @@ class Core:
         while inflight and inflight[0][1] <= self.cycle:
             inflight.popleft()
 
-    def _stall_for_window(self) -> None:
-        """Block until ROB/LQ limits admit a new load."""
-        inflight = self._inflight
-        params = self.params
-        while inflight:
-            oldest_index, oldest_done = inflight[0]
-            lq_full = len(inflight) >= params.lq_entries
-            rob_full = self.instructions - oldest_index >= params.rob_entries
-            if not lq_full and not rob_full:
-                return
-            if oldest_done > self.cycle:
-                self.cycle = oldest_done
-            inflight.popleft()
-
     def begin_load(self) -> float:
         """Account for window stalls; returns the cycle the load issues at.
 
-        Inlines :meth:`_drain_completed` and :meth:`_stall_for_window`
-        (kept for tests and :meth:`drain`): this runs once per trace
-        access and the two extra calls were measurable.
+        Retires completed loads (as :meth:`_drain_completed` does), then
+        blocks until the ROB/LQ limits admit a new load.  Both loops are
+        inline: this runs once per trace access and the calls were
+        measurable.
         """
         inflight = self._inflight
         cycle = self.cycle

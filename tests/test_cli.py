@@ -103,3 +103,36 @@ class TestParallelEngineFlags:
         data = json.loads(manifest.read_text())
         counters = data["extra"]["event_counters"]
         assert counters["CacheAccess"]["L1D"] > 0
+
+
+class TestFig13Flags:
+    """Fig 13 takes only the trace, access and ``--workers`` options, so
+    it refuses the engine flags it would silently drop."""
+
+    @pytest.fixture
+    def ran(self, monkeypatch):
+        from repro import cli
+
+        ran = []
+        for name in cli.COMMANDS:
+            monkeypatch.setitem(cli.COMMANDS, name,
+                                lambda _args, name=name: ran.append(name))
+        return ran
+
+    @pytest.mark.parametrize("experiment", ["fig13", "all"])
+    def test_dropped_flags_exit_2_before_running(self, experiment, ran,
+                                                 tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([experiment, "--job-timeout", "5", "--trace-events",
+                  "--cache-dir", str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert ran == []
+        message = capsys.readouterr().err.strip().splitlines()[-1]
+        assert "--job-timeout" in message and "--trace-events" in message
+        assert "--fail-fast" not in message
+        assert "experiment engine" in message
+
+    def test_flags_fig13_already_honours_are_accepted(self, ran, tmp_path):
+        assert main(["fig13", "--no-cache", "--no-journal", "--no-fastpath",
+                     "--workers", "2", "--cache-dir", str(tmp_path)]) == 0
+        assert ran == ["fig13"]

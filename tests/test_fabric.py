@@ -20,19 +20,24 @@ from types import SimpleNamespace
 import pytest
 
 from tests.chaos import ChaosRaise, FaultyPrefetcher
+from repro.experiments import engine as engine_module
 from repro.experiments.engine import EngineCounters
-from repro.experiments.faults import (KIND_LEASE_EXPIRED, BatchFailed,
-                                      FaultPolicy)
+from repro.experiments.faults import (KIND_LEASE_EXPIRED, KIND_RAISE,
+                                      BatchFailed, FaultPolicy)
 from repro.experiments.journal import RunJournal
 from repro.experiments.runner import SuiteRunner
 from repro.fabric import FabricBroker, FabricConfig, FabricWorker
+from repro.fabric import broker as broker_module
 from repro.fabric import lease
+from repro.fabric import protocol
 from repro.fabric import worker as worker_module
-from repro.fabric.protocol import (BATCH_OPEN, ensure_layout, lease_filename,
+from repro.fabric.protocol import (BATCH_COMPLETE, BATCH_OPEN, LEASE_STATES,
+                                   ensure_layout, jobs_dir, lease_filename,
                                    parse_lease_filename, read_batch,
                                    read_json, scan_leases, state_dir)
 from repro.memtrace.workloads import quick_suite
 from repro.prefetchers.pmp import PMP
+from repro.sim.stats import SimResult
 
 SPECS = quick_suite()[:2]
 ACCESSES = 3_000
@@ -57,6 +62,37 @@ def fabric_runner(tmp_path, *, grace=10.0, inline=True, ttl=5.0,
                           worker_grace=grace, inline_fallback=inline)
     return SuiteRunner(specs=SPECS, accesses=ACCESSES, journal=journal,
                        fabric=config, **kwargs)
+
+
+def stub_item(key=KEY, index=0):
+    """A work item with a trivial payload, for driving a broker by hand."""
+    return SimpleNamespace(
+        key=key, index=index, payload=(), twins=[],
+        job=SimpleNamespace(trace=SimpleNamespace(name="t"),
+                            prefetcher=SimpleNamespace(name="p")))
+
+
+def stub_broker(run_dir, *, ttl=1.0, failures=None, **kwargs):
+    """A broker over stub items whose failures land in ``failures``."""
+    failures = [] if failures is None else failures
+    return FabricBroker(
+        run_dir=run_dir, run_id=None, config=FabricConfig(lease_ttl=ttl),
+        policy=FaultPolicy(max_attempts=3), counters=EngineCounters(),
+        inline=None,
+        on_failure=lambda _item, failure, _cause: failures.append(failure),
+        **kwargs)
+
+
+def watch_claim(broker, key, seconds):
+    """Pretend the broker first saw ``key``'s claim ``seconds`` ago."""
+    broker._state[key].claim_seen -= seconds
+
+
+def assert_no_live_work(run_dir):
+    """The lease directory holds only live work: none after a batch."""
+    assert not os.listdir(jobs_dir(run_dir))
+    for state in LEASE_STATES:
+        assert not os.listdir(state_dir(run_dir, state)), state
 
 
 def start_worker_threads(tmp_path, count=2, ttl=5.0):
@@ -126,22 +162,41 @@ class TestLeaseStateMachine:
         self._open_lease(tmp_path)
         record = lease.claim(tmp_path, KEY, 0, "w1")
         done_path = lease.complete(tmp_path, record, {"answer": 42})
-        assert lease.verified_result(read_json(done_path)) == {"answer": 42}
+        assert lease.verified_outcome(read_json(done_path)) == (
+            "result", {"answer": 42})
         assert not (state_dir(tmp_path, "claimed")
                     / lease_filename(KEY, 0)).exists()
         # Tampered payload fails verification instead of being consumed.
         tampered = read_json(done_path)
         tampered["result"]["answer"] = 43
         done_path.write_text(json.dumps(tampered))
-        assert lease.verified_result(read_json(done_path)) is None
+        assert lease.verified_outcome(read_json(done_path)) is None
+        # A failure is the same done/ record, checksummed the same way.
+        self._open_lease(tmp_path, epoch=1)
+        record = lease.claim(tmp_path, KEY, 1, "w1")
+        failure = {"error_type": "ValueError", "message": "boom"}
+        failed_path = lease.complete(tmp_path, record, failure=failure)
+        assert failed_path.parent == state_dir(tmp_path, "done")
+        assert lease.verified_outcome(read_json(failed_path)) == (
+            "failure", failure)
+        assert not (state_dir(tmp_path, "claimed")
+                    / lease_filename(KEY, 1)).exists()
+        tampered = read_json(failed_path)
+        tampered["failure"]["message"] = "bang"
+        failed_path.write_text(json.dumps(tampered))
+        assert lease.verified_outcome(read_json(failed_path)) is None
 
-    def test_release_hands_the_claim_back(self, tmp_path):
-        self._open_lease(tmp_path)
-        record = lease.claim(tmp_path, KEY, 0, "w1")
-        assert lease.release(tmp_path, record) is True
-        assert (state_dir(tmp_path, "open")
-                / lease_filename(KEY, 0)).exists()
-        assert lease.claim(tmp_path, KEY, 0, "w2") is not None
+    def test_claim_without_payload_is_dropped(self, tmp_path):
+        """A key retired while its lease was being claimed has no
+        payload: the worker drops the claim and lands no outcome."""
+        run_dir = tmp_path / "run"
+        self._open_lease(run_dir)
+        worker = FabricWorker(root=tmp_path, worker_id="w1")
+        record = worker._claim_next(run_dir)
+        assert record is not None
+        worker._execute(run_dir, record)
+        assert_no_live_work(run_dir)
+        assert worker.jobs_done == 0
 
     def test_parse_lease_filename(self):
         assert parse_lease_filename("abc.e0.json") == ("abc", 0)
@@ -280,6 +335,131 @@ class TestFabricEndToEnd:
         assert replay.engine.counters.journal_replayed == len(SPECS)
         assert replay.engine.counters.simulated == 0
 
+    def test_restarted_broker_harvests_a_landed_result(
+            self, tmp_path, clean_outcome, monkeypatch):
+        """Results a worker landed while no broker ran (it died before
+        journaling them) are consumed by the next broker without
+        simulating, and deleted once journaled."""
+        runner = fabric_runner(tmp_path, grace=0.2, run_id="run-harvest")
+        run_dir = runner.journal.directory
+        ensure_layout(run_dir)
+        jobs = runner._jobs(PMP, runner.config)
+        for index, (job, result) in enumerate(zip(jobs, clean_outcome)):
+            lease.publish(run_dir, job.key(), 0, {"index": index})
+            lease.complete(run_dir, lease.claim(run_dir, job.key(), 0,
+                                                "w-lost"), result)
+
+        def no_simulation(*_args, **_kwargs):
+            raise AssertionError("a harvested job was simulated again")
+
+        monkeypatch.setattr(engine_module, "simulate", no_simulation)
+        results = runner.run(PMP)
+        assert result_dicts(results) == clean_outcome
+        counters = runner.engine.counters
+        assert counters.fabric_completed == len(SPECS)
+        assert counters.inline_fallbacks == 0
+        assert runner.journal.completed == len(SPECS)
+        assert_no_live_work(run_dir)
+
+
+class TestCleanRunDirectory:
+    """Each key's payload, leases and outcome record are deleted once
+    its outcome is journaled, however the key leaves the batch."""
+
+    def local_runner(self, tmp_path, run_id):
+        return SuiteRunner(specs=SPECS, accesses=ACCESSES, workers=2,
+                           journal=RunJournal(tmp_path / "runs", run_id))
+
+    def test_completed_batch_leaves_no_live_work(self, tmp_path,
+                                                 clean_outcome):
+        runner = self.local_runner(tmp_path, "run-clean")
+        assert result_dicts(runner.run(PMP)) == clean_outcome
+        run_dir = runner.journal.directory
+        assert_no_live_work(run_dir)
+        assert read_batch(run_dir)["status"] == BATCH_COMPLETE
+        assert sorted(os.listdir(run_dir)) == ["fabric", "journal.jsonl",
+                                               "meta.json"]
+
+    def test_failed_batch_leaves_no_live_work(self, tmp_path,
+                                              clean_outcome):
+        runner = self.local_runner(tmp_path, "run-raise")
+        with pytest.raises(BatchFailed) as excinfo:
+            runner.run(lambda: FaultyPrefetcher(
+                mode="raise", latch_dir=tmp_path / "latch"))
+        (failure,) = excinfo.value.failures
+        assert failure.kind == KIND_RAISE
+        assert result_dicts([r for r in excinfo.value.results if r]) == [
+            outcome for index, outcome in enumerate(clean_outcome)
+            if index != failure.index]
+        assert_no_live_work(runner.journal.directory)
+
+    def test_exhausted_retries_leave_no_live_work(self, tmp_path):
+        runner = self.local_runner(tmp_path, "run-exhausted")
+        runner.engine.policy.max_attempts = 1
+        with pytest.raises(BatchFailed) as excinfo:
+            runner.run(lambda: FaultyPrefetcher(
+                mode="crash", latch_dir=tmp_path / "latch"))
+        assert [f.kind for f in excinfo.value.failures] == [
+            KIND_LEASE_EXPIRED]
+        assert runner.engine.counters.lease_expired == 1
+        assert_no_live_work(runner.journal.directory)
+
+
+class TestCampaignScale:
+    def test_broker_work_grows_linearly_with_jobs(self, tmp_path,
+                                                  monkeypatch):
+        """Outcomes land one per wake-up.  The broker reads each outcome
+        record once and lists only live work, so doubling a campaign at
+        most doubles its lease-filename parses and record reads; listing
+        every consumed record again on each wake-up made them grow with
+        the square of the batch."""
+        counts = {"parses": 0, "reads": 0}
+        parse, read = protocol.parse_lease_filename, broker_module.read_json
+
+        def counting_parse(name):
+            counts["parses"] += 1
+            return parse(name)
+
+        def counting_read(path):
+            counts["reads"] += 1
+            return read(path)
+
+        monkeypatch.setattr(protocol, "parse_lease_filename", counting_parse)
+        monkeypatch.setattr(broker_module, "read_json", counting_read)
+        result = SimResult(trace_name="t", prefetcher_name="p",
+                           instructions=1, cycles=1.0).to_dict()
+        per_batch = {}
+        for jobs in (1_000, 2_000):
+            run_dir = tmp_path / f"campaign-{jobs}"
+            keys = [f"{index:05d}" + "k" * 11 for index in range(jobs)]
+            landing = iter(keys)
+            placed = []
+
+            def land_one(run_dir=run_dir, landing=landing):
+                """The broker asks once per wake-up: land one outcome,
+                as a worker would."""
+                key = next(landing, None)
+                if key is not None:
+                    lease.complete(run_dir, lease.claim(run_dir, key, 0,
+                                                        "w1"), result)
+                return False
+
+            broker = stub_broker(
+                run_dir, ttl=60.0, should_stop=land_one,
+                on_result=lambda item, _result, placed=placed:
+                placed.append(item.index))
+            counts.update(parses=0, reads=0)
+            assert broker.run([stub_item(key, index)
+                               for index, key in enumerate(keys)]) == (
+                BATCH_COMPLETE)
+            assert sorted(placed) == list(range(jobs))
+            assert_no_live_work(run_dir)
+            per_batch[jobs] = dict(counts)
+        small, large = per_batch[1_000], per_batch[2_000]
+        assert small["reads"] <= 2 * 1_000
+        assert large["parses"] <= 2 * small["parses"]
+        assert large["reads"] <= 2 * small["reads"]
+
 
 # ----------------------------------------------------- counters & manifest
 
@@ -297,19 +477,10 @@ class TestLeaseCounters:
     def test_expiry_reassignment_arithmetic(self, tmp_path):
         """Every retry is an expiry, but not vice versa: the final
         expiry of a job classifies instead of republishing."""
-        counters = EngineCounters()
         failures = []
-        item = SimpleNamespace(
-            key=KEY, index=0, payload=(), twins=[],
-            job=SimpleNamespace(trace=SimpleNamespace(name="t"),
-                                prefetcher=SimpleNamespace(name="p")))
-        broker = FabricBroker(
-            run_dir=tmp_path, run_id=None, config=FabricConfig(lease_ttl=1.0),
-            policy=FaultPolicy(max_attempts=3), counters=counters,
-            on_result=None, inline=None,
-            on_failure=lambda _item, failure, _cause: failures.append(failure))
+        broker = stub_broker(tmp_path, failures=failures, on_result=None)
         ensure_layout(tmp_path)
-        broker._publish([item])
+        broker._publish([stub_item()])
         for epoch in range(3):
             assert lease.claim(tmp_path, KEY, epoch, "w1",
                                now=float("inf")) is not None
@@ -317,10 +488,38 @@ class TestLeaseCounters:
                                                                       epoch)
             stale = time.time() - 100.0
             os.utime(claimed, (stale, stale))
+            broker._reap_claims()           # first sight of the claim
+            watch_claim(broker, KEY, 1.0)   # ...lease_ttl ago
             broker._reap_claims()
+        counters = broker.counters
         assert counters.lease_expired == 3
         assert counters.retried == 2
         assert [f.kind for f in failures] == [KIND_LEASE_EXPIRED]
+        assert_no_live_work(tmp_path)
+
+    def test_fresh_claim_of_an_old_lease_is_not_reaped(self, tmp_path):
+        """A claim keeps its lease's publish-time mtime until the claimer
+        rewrites the record, so a lease that waited longer than
+        ``lease_ttl`` in ``open/`` must not be reaped the moment it is
+        claimed; a heartbeat that stays frozen is reaped once the broker
+        has watched the claim for ``lease_ttl``."""
+        broker = stub_broker(tmp_path, ttl=60.0, on_result=None)
+        ensure_layout(tmp_path)
+        broker._publish([stub_item()])
+        opened = state_dir(tmp_path, "open") / lease_filename(KEY, 0)
+        waited = time.time() - 120.0
+        os.utime(opened, (waited, waited))
+        # lease.claim's rename, caught before its record rewrite.
+        os.rename(opened, state_dir(tmp_path, "claimed")
+                  / lease_filename(KEY, 0))
+        broker._reap_claims()
+        counters = broker.counters
+        assert (counters.lease_expired, counters.retried) == (0, 0)
+        assert not scan_leases(tmp_path, "open")
+        watch_claim(broker, KEY, 60.0)
+        broker._reap_claims()
+        assert (counters.lease_expired, counters.retried) == (1, 1)
+        assert scan_leases(tmp_path, "open")[KEY][0] == 1
 
     def test_manifest_round_trips_fabric_section(self, tmp_path):
         runner = fabric_runner(tmp_path, grace=0.2, ttl=1.0)
