@@ -139,10 +139,12 @@ def _fabric(args: argparse.Namespace):
         return None
     from .fabric.lease import FabricConfig
 
-    return FabricConfig(lease_ttl=args.lease_ttl,
-                        poll_interval=args.fabric_poll,
-                        worker_grace=args.fabric_grace,
-                        inline_fallback=args.inline_fallback)
+    overrides = {}
+    if args.lease_ttl is not None:
+        overrides["lease_ttl"] = args.lease_ttl
+    if args.fabric_poll is not None:
+        overrides["poll_interval"] = args.fabric_poll
+    return FabricConfig(**overrides)
 
 
 def _runner(args: argparse.Namespace) -> SuiteRunner:
@@ -420,24 +422,16 @@ def main(argv: list[str] | None = None) -> int:
                              "`pmp-repro fabric worker` processes (same "
                              "host or NFS peers); survives any worker "
                              "dying.  Requires journaling.")
-    parser.add_argument("--lease-ttl", type=float, default=60.0,
+    parser.add_argument("--lease-ttl", type=float, default=None,
                         metavar="SECONDS",
-                        help="fabric: reassign a claimed job when its "
-                             "worker's heartbeat is older than this")
-    parser.add_argument("--fabric-grace", type=float, default=15.0,
+                        help="--fabric only: reassign a claimed job when "
+                             "its worker's heartbeat is older than this, "
+                             "and fail the batch's remaining jobs after "
+                             "this long with no live worker (default 60)")
+    parser.add_argument("--fabric-poll", type=float, default=None,
                         metavar="SECONDS",
-                        help="fabric: with zero live workers for this "
-                             "long, degrade to in-process execution (or "
-                             "fail the batch under --no-inline-fallback)")
-    parser.add_argument("--fabric-poll", type=float, default=0.5,
-                        metavar="SECONDS",
-                        help="fabric: broker lease-scan cadence")
-    parser.add_argument("--inline-fallback",
-                        action=argparse.BooleanOptionalAction, default=True,
-                        help="fabric: complete the batch in-process when "
-                             "every worker is gone (--no-inline-fallback "
-                             "turns worker loss into structured "
-                             "lease-expired job failures instead)")
+                        help="--fabric only: broker lease-scan cadence "
+                             "(default 0.5)")
     parser.add_argument("--journal", action=argparse.BooleanOptionalAction,
                         default=True,
                         help="journal finished jobs under "
@@ -457,6 +451,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.fabric and not args.journal:
         parser.error("--fabric requires journaling (the lease directories "
                      "live under the journal's run directory)")
+    fabric_only = [flag for flag, value in (("--lease-ttl", args.lease_ttl),
+                                            ("--fabric-poll", args.fabric_poll))
+                   if value is not None]
+    if fabric_only and not args.fabric:
+        parser.error(f"--fabric is not set, so {', '.join(fabric_only)} "
+                     f"would be ignored")
     if args.experiment in ("fig13", "all"):
         dropped = _fig13_dropped_flags(args)
         if dropped:

@@ -18,6 +18,9 @@ system configs) into a flat list of :class:`SimJob`s and executes them:
    journal the moment its job completes (not at batch end), so a crash
    or SIGINT loses at most the jobs in flight.
 
+Every simulation is one :meth:`SimJob.run` call: in this process on the
+serial path, or in the lease worker that unpickled the job.
+
 Fault tolerance (see :mod:`repro.experiments.faults` for the taxonomy
 and :mod:`repro.fabric.broker` for the mechanics) is per lease:
 
@@ -26,9 +29,11 @@ and :mod:`repro.fabric.broker` for the mechanics) is per lease:
 * a local worker that dies mid-job has its lease reaped at once and is
   replaced;
 * every retry waits ``FaultPolicy.backoff`` and a job gets
-  ``max_attempts`` before it becomes a structured :class:`JobFailure`;
-* a job that cannot be **pickled** runs in-process, as does the
-  remainder of a batch whose every worker is gone;
+  ``max_attempts`` before it becomes a structured :class:`JobFailure`,
+  as does every job of a batch left with no live worker and no landed
+  outcome for ``lease_ttl``;
+* a job that cannot be **pickled** stops the batch with a
+  ``TypeError`` naming it;
 * a **deterministic exception** inside ``simulate()`` never retries: it
   becomes a structured :class:`JobFailure` carrying the original worker
   traceback, and the batch finishes before raising :class:`BatchFailed`
@@ -49,7 +54,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from ..memtrace.trace import Trace, TraceArrays
+from ..memtrace.trace import Trace
 from ..prefetchers.base import Prefetcher
 from ..sampling.config import SamplingConfig
 from ..sim.engine import simulate
@@ -59,8 +64,7 @@ from ..sim.params import SystemConfig
 from ..sim.stats import SimResult
 from .cache import CACHE_VERSION, ResultCache, fingerprint, prefetcher_fingerprint
 from .faults import (KIND_RAISE, BatchFailed, FaultPolicy, JobFailure,
-                     RunInterrupted, RemoteJobError, chaos_enabled,
-                     failure_from_exception, maybe_inject_chaos)
+                     RunInterrupted, RemoteJobError, failure_from_exception)
 from .journal import RunJournal
 
 if TYPE_CHECKING:  # imported lazily at runtime (repro.fabric imports us)
@@ -123,22 +127,13 @@ class SimJob:
             parts.append(self.sampling.fingerprint())
         return fingerprint(parts)
 
-
-def _simulate_payload(name: str, family: str, seed: int, arrays: TraceArrays,
-                      prefetcher: Prefetcher, config: SystemConfig,
-                      warmup_fraction: float,
-                      trace_events: bool = False,
-                      check_invariants: bool = False,
-                      fastpath: bool = True,
-                      sampling: SamplingConfig | None = None,
-                      chaos_key: str | None = None) -> SimResult:
-    """Worker entry point: rebuild the trace and run one simulation."""
-    maybe_inject_chaos(chaos_key)
-    trace = Trace.from_arrays(name, arrays, family=family, seed=seed)
-    return simulate(trace, prefetcher, config, warmup_fraction,
-                    trace_events=trace_events,
-                    check_invariants=check_invariants or None,
-                    fastpath=fastpath, sampling=sampling)
+    def run(self) -> SimResult:
+        """Simulate this job: the engine's one call of ``simulate()``,
+        made by the serial loop and by lease workers alike."""
+        return simulate(self.trace, self.prefetcher, self.config,
+                        self.warmup_fraction, trace_events=self.trace_events,
+                        check_invariants=self.check_invariants or None,
+                        fastpath=self.fastpath, sampling=self.sampling)
 
 
 @dataclass
@@ -167,15 +162,11 @@ class EngineCounters:
     timed_out: int = 0
     #: Jobs replayed from a resumed run's journal.
     journal_replayed: int = 0
-    #: Jobs executed in-process by the broker: a payload that could not
-    #: be pickled, or the remainder of a batch whose every worker died
-    #: (graceful degradation claims it as "broker-inline").
-    inline_fallbacks: int = 0
     # ---- lease accounting ----
     #: Claimed leases reaped because their holder died or its heartbeat
     #: went stale (one per expiry, so a job can contribute several).
     lease_expired: int = 0
-    #: Jobs completed by fabric workers, local or external (not inline).
+    #: Jobs completed by fabric workers, local or external.
     fabric_completed: int = 0
     # Accumulated {event: {component: count}} from jobs that ran with
     # trace_events on (cache hits included — traced results round-trip
@@ -195,7 +186,6 @@ class EngineCounters:
             "retried": self.retried,
             "timed_out": self.timed_out,
             "journal_replayed": self.journal_replayed,
-            "inline_fallbacks": self.inline_fallbacks,
             "lease_expired": self.lease_expired,
             "fabric_completed": self.fabric_completed,
         }
@@ -206,13 +196,11 @@ class EngineCounters:
 
 @dataclass
 class _WorkItem:
-    """One pending job plus everything needed to (re)submit it."""
+    """One pending job: its batch index, the job and its key."""
 
     index: int
     job: SimJob
     key: str | None
-    payload: tuple
-    attempts: int = 0
     #: Indices of later jobs in the batch with the same key: one lease
     #: runs them all, and its result lands at each.
     twins: list[int] = field(default_factory=list)
@@ -256,8 +244,7 @@ class ExperimentEngine:
         pending: list[tuple[int, SimJob, str | None]] = []
         # Leases are keyed, so every parallel batch is.
         need_key = (self.fabric is not None or self.workers > 1
-                    or self.cache is not None or self.journal is not None
-                    or chaos_enabled())
+                    or self.cache is not None or self.journal is not None)
         for index, job in enumerate(jobs):
             key = job.key() if need_key else None
             if self.journal is not None and key is not None:
@@ -316,14 +303,6 @@ class ExperimentEngine:
         if self.journal is not None and item.key is not None:
             self.journal.record_done(item.key, result)
 
-    def _fail(self, item: _WorkItem, kind: str, exc: BaseException) -> None:
-        """One job is conclusively lost: record a structured failure."""
-        failure = failure_from_exception(
-            item.index, item.key, item.job.trace.name,
-            item.job.prefetcher.name, kind, exc,
-            attempts=max(1, item.attempts))
-        self._register_failure(item, failure, exc)
-
     def _register_failure(self, item: _WorkItem, failure: JobFailure,
                           cause: BaseException | None) -> None:
         """Count, log and journal a structured failure of the item and of
@@ -352,30 +331,21 @@ class ExperimentEngine:
             self.journal.run_id if self.journal is not None else None,
             completed=len(results) - remaining, remaining=remaining)
 
-    def _run_inline(self, results: list, item: _WorkItem) -> SimResult | None:
-        """Simulate one job in this process: place its result, or record
-        its failure and return None."""
-        item.attempts += 1
-        job = item.job
-        try:
-            result = simulate(job.trace, job.prefetcher, job.config,
-                              job.warmup_fraction,
-                              trace_events=job.trace_events,
-                              check_invariants=job.check_invariants or None,
-                              fastpath=job.fastpath, sampling=job.sampling)
-        except Exception as exc:
-            self._fail(item, KIND_RAISE, exc)
-            return None
-        self._complete(results, item, result)
-        return result
-
     def _run_serial(self, pending: list[tuple[int, SimJob, str | None]],
                     results: list[SimResult | None]) -> None:
         for index, job, key in pending:
             if self._stop:
                 self._flush_journal()
                 raise self._interrupted(results)
-            self._run_inline(results, _WorkItem(index, job, key, payload=()))
+            item = _WorkItem(index, job, key)
+            try:
+                result = job.run()
+            except Exception as exc:
+                self._register_failure(item, failure_from_exception(
+                    index, key, job.trace.name, job.prefetcher.name,
+                    KIND_RAISE, exc), exc)
+                continue
+            self._complete(results, item, result)
 
     # -------------------------------------------------------------- lease path
 
@@ -412,7 +382,6 @@ class ExperimentEngine:
             on_result=lambda item, result: self._complete(
                 results, item, result),
             on_failure=self._register_failure,
-            inline=lambda item: self._run_inline(results, item),
             should_stop=lambda: self._stop,
             local_workers=self.workers if self.workers > 1 else 0)
         try:
@@ -432,10 +401,6 @@ class ExperimentEngine:
         for index, job, key in pending:
             if key in items:
                 items[key].twins.append(index)
-                continue
-            payload = (job.trace.name, job.trace.family, job.trace.seed,
-                       job.trace.arrays(), job.prefetcher, job.config,
-                       job.warmup_fraction, job.trace_events,
-                       job.check_invariants, job.fastpath, job.sampling, key)
-            items[key] = _WorkItem(index, job, key, payload)
+            else:
+                items[key] = _WorkItem(index, job, key)
         return list(items.values())

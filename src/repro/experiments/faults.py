@@ -7,10 +7,10 @@ treatment:
 
 * **Transport failures** — the job never produced an answer because the
   machinery failed (a worker killed by a segfault or the OOM killer, a
-  lease held past its deadline or gone silent, a payload that cannot be
-  pickled).  Re-running the job can succeed, so the engine retries: the
-  lease broker republishes the lease with bounded exponential backoff,
-  and an unpicklable payload runs in-process.
+  lease held past its deadline or gone silent).  Re-running the job can
+  succeed, so the lease broker republishes the lease with bounded
+  exponential backoff.  A job that cannot be pickled is a bug, not a
+  fault: the broker raises ``TypeError`` naming it.
 * **Deterministic failures** — ``simulate()`` itself raised in the
   worker.  Re-running reproduces the same exception, so retrying is
   waste and (worse) hides the bug.  These become structured
@@ -289,14 +289,15 @@ def _in_worker_process() -> bool:
     return multiprocessing.parent_process() is not None
 
 
-def maybe_inject_chaos(key: str | None) -> None:
-    """Fire this job's planned fault once, if chaos is armed.
+def maybe_inject_chaos(key: str) -> None:
+    """Fire the planned fault of the job leased under ``key`` once, if
+    chaos is armed.
 
     Only ever fires inside a worker process (``os._exit`` in the parent
     would kill the whole run), and only on the first attempt: the latch
     file is created before the fault so every retry runs clean.
     """
-    if key is None or not chaos_enabled() or not _in_worker_process():
+    if not chaos_enabled() or not _in_worker_process():
         return
     mode = chaos_plan(key)
     if mode is None:

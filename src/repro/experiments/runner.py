@@ -312,16 +312,13 @@ class SuiteRunner:
         if self.fabric is not None:
             extra["fabric"] = {
                 "lease_ttl": self.fabric.lease_ttl,
-                "inline_fallback": self.fabric.inline_fallback,
                 "lease_expired": counters.lease_expired,
                 "completed_by_workers": counters.fabric_completed,
-                "inline_fallbacks": counters.inline_fallbacks,
                 "workers": self.engine.fabric_census,
             }
         fault = {key: value for key, value in (
             ("lease_expired", counters.lease_expired),
             ("journal_replayed", counters.journal_replayed),
-            ("inline_fallbacks", counters.inline_fallbacks),
         ) if value}
         if self.engine.failures:
             fault["failures"] = [f.to_dict() for f in self.engine.failures]

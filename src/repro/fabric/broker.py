@@ -1,12 +1,14 @@
 """The fabric broker: publishes leases, supervises workers, never hangs.
 
 The :class:`~repro.experiments.engine.ExperimentEngine` runs every
-parallel batch through a broker.  It publishes one durable lease plus a
-pickled payload per distinct job key, forks ``local_workers`` worker
-processes, and consumes completions into the engine's journal and cache
-the moment they land.  Local workers wake it through a pipe after each
-result, so it never sleeps out a poll interval between jobs.  The fault
-policy is **per lease**:
+parallel batch through a broker.  It publishes one durable lease plus
+the pickled :class:`~repro.experiments.engine.SimJob` per distinct job
+key, forks ``local_workers`` worker processes, and consumes completions
+into the engine's journal and cache the moment they land.  Local
+workers wake it through a pipe after each result, so it never sleeps
+out a poll interval between jobs.  The broker never simulates: a job
+that does not pickle stops the batch with a ``TypeError`` naming it.
+The fault policy is **per lease**:
 
 * a claim held past ``FaultPolicy.job_timeout`` (from when the broker
   first saw it), a dead local holder (its process sentinel fires) or a
@@ -19,13 +21,12 @@ policy is **per lease**:
   :class:`~repro.experiments.faults.JobFailure` — a batch can fail,
   never hang; a worker-reported exception is deterministic and becomes
   one at once, with the worker's traceback;
-* a payload that cannot be pickled, and the remainder of a batch with
-  zero live workers for ``worker_grace`` seconds, run in-process
-  (``inline_fallbacks``) — or, with ``inline_fallback`` off, the latter
-  fails as lease expiries.
+* a batch with no live worker and no landed outcome for ``lease_ttl``
+  seconds fails its remaining jobs as lease expiries; ``--resume``
+  with workers finishes it.
 
 Each key leaves the batch once — with a result, a reported failure,
-exhausted retries, worker collapse or an inline run — and once the
+exhausted retries or worker collapse — and once the
 engine has cached and journaled that outcome the broker deletes the
 key's payload, leases and outcome record, so each record is read once
 and a wake-up costs work in the number of workers, not of jobs.  Every
@@ -64,15 +65,12 @@ from .worker import FabricWorker
 
 log = logging.getLogger("repro.fabric.broker")
 
-#: The census identity the broker uses when claiming leases itself.
-INLINE_WORKER = "broker-inline"
-
 
 @dataclass
 class _LeaseState:
     """Broker-side view of one job's lease."""
 
-    item: object                # engine _WorkItem: index/job/key/payload
+    item: object                # engine _WorkItem: index/job/key/twins
     #: The highest epoch the key's lease has reached.
     epoch: int = 0
     attempts: int = 0
@@ -112,9 +110,6 @@ class FabricBroker:
     #: ``on_failure(item, failure, cause)`` — record a structured
     #: JobFailure.
     on_failure: Callable[[object, JobFailure, BaseException | None], None]
-    #: ``inline(item) -> SimResult | None`` — simulate in-process,
-    #: completing or failing through the engine (None on failure).
-    inline: Callable[[object], SimResult | None]
     should_stop: Callable[[], bool] = lambda: False
     #: Worker processes to fork for the batch (never more than it has
     #: leases); 0 leaves the simulating to external workers.
@@ -122,8 +117,6 @@ class FabricBroker:
 
     _state: dict[str, _LeaseState] = field(default_factory=dict, init=False)
     _outstanding: set[str] = field(default_factory=set, init=False)
-    _unpicklable: list = field(default_factory=list, init=False)
-    _fallback: bool = field(default=False, init=False)
     _census: dict[str, dict] = field(default_factory=dict, init=False)
     #: Live local workers: worker id -> process.
     _local: dict[str, multiprocessing.Process] = field(
@@ -151,11 +144,6 @@ class FabricBroker:
         os.set_blocking(self._wake[1], False)
         try:
             self._publish(items)
-            for item in self._unpicklable:
-                if self.should_stop():
-                    return status
-                self.counters.inline_fallbacks += 1
-                self.inline(item)
             status = self._supervise()
         finally:
             write_batch(self.run_dir, status, len(items), self.run_id)
@@ -175,12 +163,9 @@ class FabricBroker:
             now = time.time()
             if live or progressed:
                 last_alive = now
-            if (self._outstanding and not self._fallback
-                    and not live
-                    and now - last_alive > self.config.worker_grace):
-                self._handle_worker_collapse()
-            if self._fallback:
-                self._drain_inline()
+            elif (self._outstanding
+                  and now - last_alive > self.config.lease_ttl):
+                self._fail_collapsed(now - last_alive)
             if self._outstanding and not progressed:
                 self._wait()
         return BATCH_COMPLETE
@@ -213,8 +198,9 @@ class FabricBroker:
         the journal recorded it, so it is consumed here instead of being
         republished — the crash costs nothing.  A local worker is forked
         as each of the first ``local_workers`` leases appears, so
-        simulating starts while the rest are written.  An unpicklable
-        payload gets no lease (:meth:`run` simulates it).
+        simulating starts while the rest are written.  A job that does
+        not pickle raises ``TypeError`` naming it, and the batch stops
+        with nothing consumed.
         """
         wanted = {item.key for item in items}
         harvest: dict[str, tuple[int, dict, dict]] = {}
@@ -242,11 +228,12 @@ class FabricBroker:
         for item in fresh:
             key = item.key
             try:
-                payload = pickle.dumps(item.payload)
-            except (pickle.PicklingError, TypeError, AttributeError):
-                self._outstanding.discard(key)
-                self._unpicklable.append(item)
-                continue
+                payload = pickle.dumps(item.job)
+            except (pickle.PicklingError, TypeError, AttributeError) as exc:
+                raise TypeError(
+                    f"job {item.index} ({item.job.trace.name}/"
+                    f"{item.job.prefetcher.name}) cannot be pickled for a "
+                    f"lease worker: {exc}") from exc
             with (jobs_dir(self.run_dir) / f"{key}.job").open("wb") as fh:
                 fh.write(payload)
             lease_mod.publish(self.run_dir, key, 0, {
@@ -456,21 +443,13 @@ class FabricBroker:
         if killed and self._outstanding:
             self._fork_worker()
 
-    # ------------------------------------------------------------ degradation
+    # ------------------------------------------------------------ collapse
 
-    def _handle_worker_collapse(self) -> None:
-        remaining = len(self._outstanding)
-        if self.config.inline_fallback:
-            log.warning(
-                "fabric: no live workers for %.1fs — completing the "
-                "remaining %d job(s) in-process",
-                self.config.worker_grace, remaining)
-            self._fallback = True
-            return
-        log.warning(
-            "fabric: no live workers for %.1fs and inline fallback is "
-            "disabled — failing the remaining %d job(s)",
-            self.config.worker_grace, remaining)
+    def _fail_collapsed(self, idle: float) -> None:
+        """No live worker and no landed outcome for ``lease_ttl``: fail
+        every remaining job as a lease expiry, for a resume to finish."""
+        log.warning("fabric: no live workers for %.1fs — failing the "
+                    "remaining %d job(s)", idle, len(self._outstanding))
         for key in sorted(self._outstanding):
             state = self._state[key]
             state.attempts += 1
@@ -478,29 +457,8 @@ class FabricBroker:
             failure = lease_expiry_failure(
                 state.item.index, key, state.item.job.trace.name,
                 state.item.job.prefetcher.name, state.attempts,
-                "no live workers and inline fallback disabled")
+                f"no live workers for {idle:.1f}s")
             self.on_failure(state.item, failure, LeaseExpired(failure.message))
-            self._retire(key)
-
-    def _drain_inline(self) -> None:
-        """Fallback mode: claim whatever is open and simulate it here.
-
-        Claimed-but-dead leases are left to age out through the normal
-        reap path (they reopen with their attempt counters intact), so
-        the manifest still tells the full story.  The engine caches and
-        journals each inline outcome itself, so it leaves no record.
-        """
-        for key, (epoch, _path) in sorted(
-                scan_leases(self.run_dir, "open").items()):
-            if self.should_stop():
-                return
-            if lease_mod.claim(self.run_dir, key, epoch, INLINE_WORKER,
-                               now=float("inf")) is None:
-                continue  # a worker came back and won the race — fine
-            state = self._state[key]
-            state.epoch = max(state.epoch, epoch)
-            self.counters.inline_fallbacks += 1
-            self.inline(state.item)
             self._retire(key)
 
     # ---------------------------------------------------------------- census

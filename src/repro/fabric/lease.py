@@ -47,21 +47,15 @@ class FabricConfig:
     ``lease_ttl``.  A worker killed right after a beat is therefore
     detected within ``lease_ttl + poll_interval`` seconds of the claim
     (or of the beat, if later), and three consecutive beats must be
-    lost before a live-but-slow worker can be reaped.
+    lost before a live-but-slow worker can be reaped.  A batch with no
+    live worker and no landed outcome for ``lease_ttl`` fails its
+    remaining jobs.
     """
 
     #: Seconds without a heartbeat before a claimed lease is reaped.
     lease_ttl: float = 60.0
     #: Broker/worker scan cadence.
     poll_interval: float = 0.5
-    #: Seconds with zero live workers (and no progress) before the
-    #: broker degrades to in-process execution — or, with
-    #: ``inline_fallback`` off, fails the remaining jobs.
-    worker_grace: float = 15.0
-    #: Complete the batch in-process when every worker is gone (the
-    #: PR-4 pool-collapse semantics).  ``False`` turns worker loss into
-    #: structured lease-expired failures instead.
-    inline_fallback: bool = True
 
 
 # ----------------------------------------------------------------- transitions

@@ -10,7 +10,7 @@ NFS provide::
       journal.jsonl  meta.json          # the PR-4 ledger (broker-owned)
       fabric/
         batch.json                      # {"status": open|paused|complete, ...}
-        jobs/<key>.job                  # pickled simulate() payload per job
+        jobs/<key>.job                  # the pickled SimJob of each key
         leases/
           open/<key>.e<epoch>.json      # published, claimable
           claimed/<key>.e<epoch>.json   # held by a worker (mtime = heartbeat)

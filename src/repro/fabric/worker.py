@@ -4,8 +4,9 @@ A worker is an independent process — ``pmp-repro fabric worker``, one
 the broker forks for a ``--workers N`` batch, or, in tests, a plain
 thread — pointed at a runs root.  It discovers an open batch, registers
 a census entry, and loops: claim an open lease (atomic rename; losing
-the race just means trying the next one), load the pickled payload,
-simulate, and land the outcome as one checksummed ``done/`` record:
+the race just means trying the next one), load the pickled
+:class:`~repro.experiments.engine.SimJob`, call its ``run()``, and land
+the outcome as one checksummed ``done/`` record:
 
 * success → the result (the broker verifies it before journaling — a
   truncated write is a transport fault, not a wrong number);
@@ -39,6 +40,7 @@ import traceback as traceback_module
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..experiments.faults import maybe_inject_chaos
 from .lease import FabricConfig
 from . import lease as lease_mod
 from .protocol import (BATCH_OPEN, ensure_layout, jobs_dir, lease_filename,
@@ -162,15 +164,15 @@ class FabricWorker:
                 self.sleep(self.claim_hold)
             try:
                 with (jobs_dir(run_dir) / f"{key}.job").open("rb") as fh:
-                    payload = pickle.load(fh)
+                    job = pickle.load(fh)
             except FileNotFoundError:
                 log.info("worker %s: %s… was retired; dropping the claim",
                          self.worker_id, key[:12])
                 lease_mod.drop(run_dir, key, epoch)
                 return
-            from ..experiments.engine import _simulate_payload
             try:
-                result = _simulate_payload(*payload)
+                maybe_inject_chaos(key)
+                result = job.run()
             except Exception as exc:
                 lease_mod.complete(run_dir, record, failure={
                     "error_type": type(exc).__name__,

@@ -11,7 +11,7 @@ from .access import (
     region_of,
 )
 from .store import TraceStore
-from .trace import Trace, interleave, rebase
+from .trace import Trace, rebase
 from .workloads import (
     DEFAULT_TRACE_ACCESSES,
     WorkloadSpec,
@@ -34,7 +34,6 @@ __all__ = [
     "classify_suite",
     "full_suite",
     "hash_pc",
-    "interleave",
     "line_address",
     "lines_per_region",
     "offset_of",

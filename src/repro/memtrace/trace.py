@@ -1,9 +1,8 @@
 """Trace containers and on-disk formats.
 
 A :class:`Trace` is an ordered list of :class:`MemoryAccess` records plus
-metadata (name, benchmark family, seed).  Traces can be saved either as a
-compact binary format (numpy-backed, the default for the generated suite)
-or as JSONL for inspection.
+metadata (name, benchmark family, seed).  Traces are saved in a compact
+numpy-backed binary format, and pickle as their packed arrays.
 
 The container also computes the summary statistics the paper uses to
 classify workloads: accesses per kilo-instruction, unique cachelines/regions
@@ -17,7 +16,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -110,7 +109,7 @@ class Trace:
 
         The (pcs, addresses, writes, gaps) tuple is the trace's canonical
         wire format: the binary file format, the content hash, and the
-        parallel-runner task payloads all build on it.
+        pickled form (:meth:`__reduce__`) all build on it.
         """
         pcs = np.fromiter((a.pc for a in self.accesses), dtype=np.uint64, count=len(self))
         addrs = np.fromiter((a.address for a in self.accesses), dtype=np.uint64, count=len(self))
@@ -120,7 +119,7 @@ class Trace:
 
     def arrays(self) -> TraceArrays:
         """Memoised :meth:`to_arrays`: the one packing that the fast-path
-        scanner, :meth:`content_hash` and the parallel job payloads share.
+        scanner, :meth:`content_hash` and the pickled form share.
 
         Built once per trace and cached; like :meth:`content_hash`, a
         trace whose arrays have been materialised must not be mutated
@@ -149,6 +148,12 @@ class Trace:
                 pcs.tolist(), addrs.tolist(), writes.tolist(), gaps.tolist())
         ]
         return trace
+
+    def __reduce__(self):
+        """Pickle as the packed arrays, not one object per access, which
+        halves a leased PMP job's payload."""
+        return (Trace.from_arrays,
+                (self.name, self.arrays(), self.family, self.seed))
 
     def content_hash(self) -> str:
         """SHA-256 over the full access stream plus identifying metadata.
@@ -215,28 +220,6 @@ class Trace:
         return cls.from_arrays(meta["name"], (pcs, addrs, writes, gaps),
                                family=meta["family"], seed=meta["seed"])
 
-    def save_jsonl(self, path: str | Path) -> None:
-        """Write a human-inspectable JSONL format (one access per line)."""
-        path = Path(path)
-        with path.open("w") as fh:
-            fh.write(json.dumps({"name": self.name, "family": self.family,
-                                 "seed": self.seed}) + "\n")
-            for a in self.accesses:
-                fh.write(json.dumps([a.pc, a.address, int(a.is_write), a.gap]) + "\n")
-
-    @classmethod
-    def load_jsonl(cls, path: str | Path) -> "Trace":
-        """Read a trace written by :meth:`save_jsonl`."""
-        path = Path(path)
-        with path.open() as fh:
-            meta = json.loads(fh.readline())
-            trace = cls(name=meta["name"], family=meta["family"], seed=meta["seed"])
-            for line in fh:
-                pc, address, is_write, gap = json.loads(line)
-                trace.append(MemoryAccess(pc=pc, address=address,
-                                          is_write=bool(is_write), gap=gap))
-        return trace
-
 
 def rebase(trace: Trace, slot: int) -> Trace:
     """Shift a trace into a private address-space slot (multi-core runs).
@@ -252,20 +235,4 @@ def rebase(trace: Trace, slot: int) -> Trace:
         MemoryAccess(pc=a.pc, address=a.address + offset,
                      is_write=a.is_write, gap=a.gap)
         for a in trace.accesses]
-    return out
-
-
-def interleave(traces: Sequence[Trace], chunk: int = 64) -> Trace:
-    """Round-robin interleave several traces (used to build mixed workloads)."""
-    out = Trace(name="+".join(t.name for t in traces), family="mix")
-    cursors = [0] * len(traces)
-    remaining = sum(len(t) for t in traces)
-    while remaining:
-        for i, trace in enumerate(traces):
-            take = min(chunk, len(trace) - cursors[i])
-            if take <= 0:
-                continue
-            out.extend(trace.accesses[cursors[i]:cursors[i] + take])
-            cursors[i] += take
-            remaining -= take
     return out

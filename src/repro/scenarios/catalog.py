@@ -188,7 +188,9 @@ def scale_defaults(key: str, directory: str | Path | None = None) -> int:
 
     Reads only ``catalog.toml`` — this runs at import time of
     :mod:`repro.memtrace.workloads`, so it must not pay for parsing the
-    whole scenario catalog.
+    whole scenario catalog.  A missing file falls back; a file that
+    fails validation raises :class:`ScenarioError`, as
+    :func:`load_catalog` does.
     """
     directory = Path(directory) if directory is not None \
         else default_catalog_dir()
@@ -198,7 +200,7 @@ def scale_defaults(key: str, directory: str | Path | None = None) -> int:
     if defaults is None:
         try:
             defaults = _load_defaults(path)
-        except (OSError, ScenarioError):
+        except OSError:
             defaults = {}
         _DEFAULTS_CACHE[resolved] = defaults
     value = defaults.get("scale", {}).get(key)

@@ -6,11 +6,10 @@ under which simulation overrides, and — optionally — an ``expected:``
 block of post-run assertions (minimum coverage, NIPC ordering, accuracy
 bounds) that ``pmp-repro scenarios run`` enforces with a non-zero exit.
 
-Scenarios are authored as TOML (stdlib :mod:`tomllib`; YAML is accepted
-too when PyYAML happens to be installed, but nothing in this repo
-requires it).  One file holds either a single ``[scenario]`` table or a
-``[[scenario]]`` array — the committed catalog under ``scenarios/`` uses
-one file per workload family.
+Scenarios are authored as TOML (stdlib :mod:`tomllib`), the one
+format the loaders read.  One file holds either a single ``[scenario]``
+table or a ``[[scenario]]`` array — the committed catalog under
+``scenarios/`` uses one file per workload family.
 
 The format follows the TRADE synthetic-data pattern: specs are data, the
 loaders fail loudly on anything malformed (see :mod:`.schema`), and the
@@ -224,15 +223,6 @@ def dumps_scenarios(specs: Sequence[ScenarioSpec], *,
 # ---------------------------------------------------------------- parsing
 
 def _parse_text(text: str, source: str) -> dict:
-    suffix = Path(source).suffix.lower()
-    if suffix in (".yaml", ".yml"):
-        try:
-            import yaml  # optional; the repo only commits TOML
-        except ImportError as exc:
-            raise ScenarioError(source, [
-                "YAML scenario files need PyYAML, which is not installed; "
-                "author the spec as TOML instead"]) from exc
-        return yaml.safe_load(text)
     try:
         return tomllib.loads(text)
     except tomllib.TOMLDecodeError as exc:
@@ -259,6 +249,6 @@ def parse_scenario_text(text: str, *, source: str = "<string>",
 
 
 def parse_scenario_file(path: str | Path) -> list[ScenarioSpec]:
-    """Parse and validate one scenario file (TOML; YAML if available)."""
+    """Parse and validate one TOML scenario file."""
     path = Path(path)
     return parse_scenario_text(path.read_text(), source=str(path))

@@ -21,8 +21,8 @@ Modes:
 * ``"raise"`` — raise :class:`ChaosRaise` (deterministic failure).
 
 ``only_in_worker`` (default on) suppresses the fault outside worker
-processes so an inline fallback or serial reference run can never hang
-or kill the test process.
+processes so a serial reference run or an in-process worker thread can
+never hang or kill the test process.
 """
 
 from __future__ import annotations

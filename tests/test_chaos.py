@@ -60,7 +60,6 @@ class TestHungWorker:
         assert counters.retried >= 1
         assert counters.lease_expired == 0  # a deadline reap, not a death
         assert counters.fabric_completed == len(SPECS)
-        assert counters.inline_fallbacks == 0
         assert counters.failed == 0
 
     def test_watchdog_reports_in_manifest(self, tmp_path):

@@ -136,3 +136,38 @@ class TestFig13Flags:
         assert main(["fig13", "--no-cache", "--no-journal", "--no-fastpath",
                      "--workers", "2", "--cache-dir", str(tmp_path)]) == 0
         assert ran == ["fig13"]
+
+
+class TestFabricOnlyFlags:
+    """``--lease-ttl`` and ``--fabric-poll`` configure only the ``--fabric``
+    broker, so a run without it refuses them instead of ignoring them."""
+
+    @pytest.fixture
+    def configs(self, monkeypatch):
+        from repro import cli
+
+        configs = []
+        monkeypatch.setitem(cli.COMMANDS, "fig8",
+                            lambda args: configs.append(cli._fabric(args)))
+        return configs
+
+    def test_without_fabric_exit_2_naming_each_flag(self, configs, tmp_path,
+                                                    capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fig8", "--workers", "2", "--lease-ttl", "0.0001",
+                  "--fabric-poll", "0.01", "--cache-dir", str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert configs == []
+        message = capsys.readouterr().err.strip().splitlines()[-1]
+        assert "--lease-ttl" in message and "--fabric-poll" in message
+        assert "--fabric" in message
+
+    def test_with_fabric_the_flags_reach_the_broker(self, configs, tmp_path):
+        from repro.fabric import FabricConfig
+
+        assert main(["fig8", "--fabric", "--lease-ttl", "7",
+                     "--fabric-poll", "0.2", "--cache-dir",
+                     str(tmp_path)]) == 0
+        assert main(["fig8", "--fabric", "--cache-dir", str(tmp_path)]) == 0
+        assert configs == [FabricConfig(lease_ttl=7.0, poll_interval=0.2),
+                           FabricConfig()]

@@ -1,10 +1,11 @@
 """Lease fabric: state-machine units and in-process end-to-end runs.
 
 The contract under test mirrors the rest of the fault-tolerance suite:
-however the machinery is distributed (worker threads, zero workers,
+however the machinery is distributed (worker threads, local workers,
 resume after the fact), a fabric run's numbers must be **bit-identical**
-to a plain serial run's, and everything the fabric did must be visible
-in the counters and the manifest afterwards.  Process-shaped faults
+to a plain serial run's, a batch without workers fails loudly instead
+of hanging, and everything the fabric did must be visible in the
+counters and the manifest afterwards.  Process-shaped faults
 (SIGKILL, frozen heartbeats, claim races) live in
 ``tests/test_fabric_chaos.py``.
 """
@@ -55,11 +56,10 @@ def clean_outcome():
     return result_dicts(runner.run(PMP))
 
 
-def fabric_runner(tmp_path, *, grace=10.0, inline=True, ttl=5.0,
-                  run_id=None, **kwargs) -> SuiteRunner:
+def fabric_runner(tmp_path, *, ttl=5.0, run_id=None,
+                  **kwargs) -> SuiteRunner:
     journal = RunJournal(tmp_path / "runs", run_id)
-    config = FabricConfig(lease_ttl=ttl, poll_interval=0.05,
-                          worker_grace=grace, inline_fallback=inline)
+    config = FabricConfig(lease_ttl=ttl, poll_interval=0.05)
     return SuiteRunner(specs=SPECS, accesses=ACCESSES, journal=journal,
                        fabric=config, **kwargs)
 
@@ -67,7 +67,7 @@ def fabric_runner(tmp_path, *, grace=10.0, inline=True, ttl=5.0,
 def stub_item(key=KEY, index=0):
     """A work item with a trivial payload, for driving a broker by hand."""
     return SimpleNamespace(
-        key=key, index=index, payload=(), twins=[],
+        key=key, index=index, twins=[],
         job=SimpleNamespace(trace=SimpleNamespace(name="t"),
                             prefetcher=SimpleNamespace(name="p")))
 
@@ -78,7 +78,6 @@ def stub_broker(run_dir, *, ttl=1.0, failures=None, **kwargs):
     return FabricBroker(
         run_dir=run_dir, run_id=None, config=FabricConfig(lease_ttl=ttl),
         policy=FaultPolicy(max_attempts=3), counters=EngineCounters(),
-        inline=None,
         on_failure=lambda _item, failure, _cause: failures.append(failure),
         **kwargs)
 
@@ -252,39 +251,43 @@ class TestFabricEndToEnd:
         assert result_dicts(results) == clean_outcome
         counters = runner.engine.counters
         assert counters.fabric_completed == len(SPECS)
-        assert counters.inline_fallbacks == 0
         assert counters.failed == 0
         assert sum(w.jobs_done for w in workers) == len(SPECS)
         fab = runner.manifest("unit").extra["fabric"]
         assert fab["completed_by_workers"] == len(SPECS)
         assert sum(w.get("jobs_done", 0) for w in fab["workers"]) >= len(SPECS)
 
-    def test_zero_workers_degrades_inline(self, tmp_path, clean_outcome):
-        """No worker ever appears: the broker completes the batch itself."""
-        runner = fabric_runner(tmp_path, grace=0.2, ttl=1.0)
-        results = runner.run(PMP)
-        counters = runner.engine.counters
-        assert result_dicts(results) == clean_outcome
-        assert counters.inline_fallbacks == len(SPECS)
-        assert counters.fabric_completed == 0
-        assert counters.failed == 0
-        fab = runner.manifest("unit").extra["fabric"]
-        assert fab["inline_fallbacks"] == len(SPECS)
-        assert fab["completed_by_workers"] == 0
-
-    def test_zero_workers_without_fallback_fails_structured(self, tmp_path):
-        """--no-inline-fallback: worker loss becomes lease-expired
-        JobFailures and a BatchFailed — never a hang."""
-        runner = fabric_runner(tmp_path, grace=0.2, ttl=1.0, inline=False)
+    def test_zero_workers_without_fallback_fails_structured(
+            self, tmp_path, clean_outcome):
+        """No worker ever appears: after ``lease_ttl`` without a live
+        worker or a landed outcome, every job becomes a lease-expired
+        JobFailure and the batch a BatchFailed — never a hang, and the
+        broker simulates nothing itself.  Resuming the run with workers
+        finishes it."""
+        ttl = 0.5
+        runner = fabric_runner(tmp_path, ttl=ttl, run_id="run-collapse")
+        started = time.monotonic()
         with pytest.raises(BatchFailed) as excinfo:
             runner.run(PMP)
+        assert time.monotonic() - started < ttl + 5.0
         failures = excinfo.value.failures
         assert len(failures) == len(SPECS)
         assert all(f.kind == KIND_LEASE_EXPIRED for f in failures)
         assert all("transport fault" in f.message for f in failures)
-        journal = runner.journal
-        assert journal.failed == len(SPECS)
-        assert runner.engine.counters.lease_expired >= len(SPECS)
+        assert all("no live workers" in f.message for f in failures)
+        counters = runner.engine.counters
+        assert (counters.simulated, counters.fabric_completed) == (0, 0)
+        assert counters.lease_expired == len(SPECS)
+        assert runner.journal.failed == len(SPECS)
+        assert_no_live_work(runner.journal.directory)
+        runner.journal.close()
+
+        journal = RunJournal.resume(tmp_path / "runs", "run-collapse")
+        resumed = SuiteRunner(specs=SPECS, accesses=ACCESSES, workers=2,
+                              journal=journal)
+        assert result_dicts(resumed.run(PMP)) == clean_outcome
+        assert resumed.engine.counters.simulated == len(SPECS)
+        assert resumed.engine.counters.fabric_completed == len(SPECS)
 
     def test_identical_jobs_share_one_lease(self, tmp_path):
         """Two jobs with one key get one lease whose result fills both
@@ -293,10 +296,9 @@ class TestFabricEndToEnd:
         specs = quick_suite()[:2]
         serial = SuiteRunner(specs=specs, accesses=2_000).matrix(
             {"a": PMP, "b": PMP})
-        runner = SuiteRunner(specs=specs, accesses=2_000,
+        runner = SuiteRunner(specs=specs, accesses=2_000, workers=2,
                              journal=RunJournal(tmp_path / "runs"),
-                             fabric=FabricConfig(worker_grace=0.2,
-                                                 poll_interval=0.05))
+                             fabric=FabricConfig(poll_interval=0.05))
         matrix = runner.matrix({"a": PMP, "b": PMP})
         for name in ("a", "b"):
             assert result_dicts(matrix[name]) == result_dicts(serial[name])
@@ -324,7 +326,7 @@ class TestFabricEndToEnd:
     def test_resumed_fabric_run_matches_serial(self, tmp_path,
                                                clean_outcome):
         """A fabric run's journal resumes into a bit-identical replay."""
-        runner = fabric_runner(tmp_path, grace=0.2, ttl=1.0,
+        runner = fabric_runner(tmp_path, ttl=1.0, workers=2,
                                run_id="run-fabric-resume")
         runner.run(PMP)
         runner.journal.close()
@@ -340,7 +342,7 @@ class TestFabricEndToEnd:
         """Results a worker landed while no broker ran (it died before
         journaling them) are consumed by the next broker without
         simulating, and deleted once journaled."""
-        runner = fabric_runner(tmp_path, grace=0.2, run_id="run-harvest")
+        runner = fabric_runner(tmp_path, run_id="run-harvest")
         run_dir = runner.journal.directory
         ensure_layout(run_dir)
         jobs = runner._jobs(PMP, runner.config)
@@ -357,7 +359,6 @@ class TestFabricEndToEnd:
         assert result_dicts(results) == clean_outcome
         counters = runner.engine.counters
         assert counters.fabric_completed == len(SPECS)
-        assert counters.inline_fallbacks == 0
         assert runner.journal.completed == len(SPECS)
         assert_no_live_work(run_dir)
 
@@ -522,15 +523,15 @@ class TestLeaseCounters:
         assert scan_leases(tmp_path, "open")[KEY][0] == 1
 
     def test_manifest_round_trips_fabric_section(self, tmp_path):
-        runner = fabric_runner(tmp_path, grace=0.2, ttl=1.0)
+        runner = fabric_runner(tmp_path, ttl=1.0, workers=2)
         runner.run(PMP)
         path = runner.write_manifest("unit", tmp_path / "manifests")
         data = json.loads(path.read_text())
         fab = data["extra"]["fabric"]
-        assert fab["inline_fallbacks"] == len(SPECS)
+        assert fab["completed_by_workers"] == len(SPECS)
         assert fab["lease_expired"] == 0
-        assert fab["inline_fallback"] is True
-        assert isinstance(fab["workers"], list)
+        assert fab["lease_ttl"] == 1.0
+        assert len(fab["workers"]) == 2
 
 
 # ------------------------------------------------------------------ CLI
@@ -543,7 +544,7 @@ class TestFabricCli:
         assert excinfo.value.code == 2
 
     def test_status_reports_completed_run(self, tmp_path, capsys):
-        runner = fabric_runner(tmp_path, grace=0.2, ttl=1.0,
+        runner = fabric_runner(tmp_path, ttl=1.0, workers=2,
                                run_id="run-status")
         runner.run(PMP)
         from repro.fabric.cli import fabric_main

@@ -43,16 +43,27 @@ def result_dicts(results):
     return [r.to_dict() for r in results]
 
 
+def start_worker_thread(tmp_path, run_id, ttl=1.5) -> threading.Thread:
+    """An in-process worker: it serves at once, where a subprocess would
+    first spend its interpreter start-up."""
+    worker = FabricWorker(root=tmp_path / "runs", run_id=run_id,
+                          config=FabricConfig(lease_ttl=ttl,
+                                              poll_interval=0.05),
+                          max_idle=30.0)
+    thread = threading.Thread(target=worker.run, daemon=True)
+    thread.start()
+    return thread
+
+
 @pytest.fixture(scope="module")
 def clean_outcome():
     runner = SuiteRunner(specs=SPECS, accesses=ACCESSES)
     return result_dicts(runner.run(PMP))
 
 
-def fabric_runner(tmp_path, run_id, *, ttl=1.5, grace=10.0, **kwargs):
+def fabric_runner(tmp_path, run_id, *, ttl=1.5, **kwargs):
     journal = RunJournal(tmp_path / "runs", run_id)
-    config = FabricConfig(lease_ttl=ttl, poll_interval=0.05,
-                          worker_grace=grace)
+    config = FabricConfig(lease_ttl=ttl, poll_interval=0.05)
     return SuiteRunner(specs=SPECS, accesses=ACCESSES, journal=journal,
                        fabric=config, **kwargs)
 
@@ -62,19 +73,25 @@ class TestSigkilledWorker:
     def test_sigkill_mid_lease_recovers_bit_identical(self, tmp_path,
                                                       clean_outcome):
         """A worker dies holding a claim; the lease expires, the job is
-        reassigned, and the final numbers are untouched."""
+        reassigned to a replacement worker, and the final numbers are
+        untouched."""
         run_id = "run-sigkill"
-        runner = fabric_runner(tmp_path, run_id, ttl=1.5, grace=0.5)
+        # The broker gives up on a batch with no live worker after
+        # lease_ttl: 3 s covers the victim's interpreter start-up.
+        runner = fabric_runner(tmp_path, run_id, ttl=3.0)
         run_dir = tmp_path / "runs" / run_id
         # claim_hold parks the worker *after* claiming, so the SIGKILL
         # reliably lands mid-lease, before any result exists.
-        proc = spawn_fabric_worker(tmp_path, run_id=run_id, lease_ttl=1.5,
+        proc = spawn_fabric_worker(tmp_path, run_id=run_id, lease_ttl=3.0,
                                    claim_hold=30.0)
+        replacement = []
 
         def kill_once_claimed():
             record = wait_for_fabric_claim(run_dir)
             assert claim_holder_pid(record) == proc.pid
             proc.kill()
+            replacement.append(start_worker_thread(tmp_path, run_id,
+                                                   ttl=3.0))
 
         killer = threading.Thread(target=kill_once_claimed, daemon=True)
         killer.start()
@@ -82,12 +99,15 @@ class TestSigkilledWorker:
         killer.join(timeout=30.0)
         proc.wait(timeout=30.0)
         assert not killer.is_alive()
+        (thread,) = replacement
+        thread.join(timeout=30.0)
+        assert not thread.is_alive()
 
         assert result_dicts(results) == clean_outcome
         counters = runner.engine.counters
         assert counters.lease_expired >= 1      # the orphaned claim aged out
         assert counters.retried >= 1            # ...and was republished
-        assert counters.inline_fallbacks >= 1   # no workers left: broker ran it
+        assert counters.fabric_completed == len(SPECS)  # by the replacement
         assert counters.failed == 0
         fab = runner.manifest("unit").extra["fabric"]
         assert fab["lease_expired"] >= 1
@@ -101,16 +121,19 @@ class TestFrozenHeartbeat:
         """A live-but-silent worker's claim goes stale and a healthy
         worker takes the reassigned lease over."""
         run_id = "run-freeze"
-        runner = fabric_runner(tmp_path, run_id, ttl=1.5, grace=10.0)
+        # The frozen worker stops counting as live lease_ttl after it
+        # registers; 3 s covers the healthy worker's interpreter
+        # start-up before the broker gives up on the batch.
+        runner = fabric_runner(tmp_path, run_id, ttl=3.0)
         run_dir = tmp_path / "runs" / run_id
-        frozen = spawn_fabric_worker(tmp_path, run_id=run_id, lease_ttl=1.5,
+        frozen = spawn_fabric_worker(tmp_path, run_id=run_id, lease_ttl=3.0,
                                      claim_hold=60.0, freeze_heartbeat=True)
         healthy = {"proc": None}
 
         def start_healthy_after_freeze_claims():
             wait_for_fabric_claim(run_dir)
             healthy["proc"] = spawn_fabric_worker(tmp_path, run_id=run_id,
-                                                  lease_ttl=1.5)
+                                                  lease_ttl=3.0)
 
         orchestrator = threading.Thread(
             target=start_healthy_after_freeze_claims, daemon=True)
@@ -129,7 +152,6 @@ class TestFrozenHeartbeat:
         assert counters.lease_expired >= 1      # the frozen claim was reaped
         assert counters.retried >= 1
         assert counters.fabric_completed == len(SPECS)  # all done by workers
-        assert counters.inline_fallbacks == 0
         assert counters.failed == 0
 
 
@@ -157,14 +179,8 @@ class TestHungJob:
                                workers=2 if local else 0)
         threads = []
         if not local:   # in-process stand-ins for external workers
-            for _ in range(2):
-                worker = FabricWorker(
-                    root=tmp_path / "runs", run_id="run-hang",
-                    config=FabricConfig(lease_ttl=1.5, poll_interval=poll),
-                    max_idle=30.0)
-                threads.append(threading.Thread(target=worker.run,
-                                                daemon=True))
-                threads[-1].start()
+            threads = [start_worker_thread(tmp_path, "run-hang")
+                       for _ in range(2)]
         results = runner.run(lambda: FaultyPrefetcher(
             mode="hang", latch_dir=tmp_path / "latch", hang_seconds=4.0,
             only_in_worker=local))
@@ -277,7 +293,9 @@ class TestWorkerCliLifecycle:
     def test_worker_serves_batch_and_exits_zero(self, tmp_path,
                                                 clean_outcome):
         run_id = "run-clean-worker"
-        runner = fabric_runner(tmp_path, run_id)
+        # A generous lease_ttl: the broker must not give up on the batch
+        # while the worker's interpreter starts.
+        runner = fabric_runner(tmp_path, run_id, ttl=10.0)
         proc = spawn_fabric_worker(tmp_path, run_id=run_id, lease_ttl=2.0)
         results = runner.run(PMP)
         assert proc.wait(timeout=30.0) == 0

@@ -14,6 +14,7 @@ The contract under test:
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import replace
 
 import pytest
@@ -52,22 +53,20 @@ class TestParallelDeterminism:
         got = result_dicts(matrix["pmp"] + matrix["spp+ppf"] + baselines)
         assert got == serial_outcome
 
-    def test_parallel_unpicklable_factory_falls_back(self, serial_outcome):
-        """A closure-built prefetcher still runs (inline) under workers."""
-        captured = {"config": PMPConfig()}  # noqa: F841 — closure state
+    def test_parallel_unpicklable_factory_raises(self):
+        """A job that cannot cross to a lease worker fails loudly, naming
+        its trace and prefetcher, before anything is simulated: the
+        broker never runs a job itself."""
 
         class Unpicklable(PMP):
             def __reduce__(self):
                 raise TypeError("deliberately unpicklable")
 
         runner = SuiteRunner(specs=SPECS, accesses=ACCESSES, workers=2)
-        results = runner.run(lambda: Unpicklable())
-        reference = SuiteRunner(specs=SPECS, accesses=ACCESSES).run(PMP)
-        for got, want in zip(results, reference):
-            got = got.to_dict()
-            want = want.to_dict()
-            got["prefetcher_name"] = want["prefetcher_name"]
-            assert got == want
+        with pytest.raises(TypeError,
+                           match=f"job 0 \\({SPECS[0].name}/pmp\\)"):
+            runner.run(Unpicklable)
+        assert runner.engine.counters.simulated == 0
 
 
     def test_identical_jobs_in_one_batch_fill_every_slot(self):
@@ -79,6 +78,21 @@ class TestParallelDeterminism:
                                workers=2).matrix(factories)
         for name in factories:
             assert result_dicts(parallel[name]) == result_dicts(serial[name])
+
+
+class TestLeasePayload:
+    """A leased job crosses to its worker as the pickled SimJob."""
+
+    def test_pickled_job_survives_the_lease_boundary(self):
+        trace = quick_suite()[0].build(4_000)
+        job = SimJob(trace, PMP(), SystemConfig.default())
+        job.key()   # a leased job is keyed before it is pickled
+        blob = pickle.dumps(job)
+        packed = pickle.dumps((trace.arrays(), job.prefetcher, job.config))
+        # Trace.__reduce__ ships the packed arrays; pickling the
+        # per-access records instead doubles every payload.
+        assert len(blob) <= len(packed) + 4 * 1024
+        assert pickle.loads(blob).run().to_dict() == job.run().to_dict()
 
 
 class TestPersistentCache:

@@ -160,15 +160,12 @@ class TestSchemaRejections:
             parse_scenario_text(MINIMAL.replace('seed = 42\n', ''))
         assert any("seed" in p for p in excinfo.value.problems)
 
-    def test_yaml_without_pyyaml_has_a_clear_message(self, tmp_path):
-        try:
-            import yaml  # noqa: F401
-            pytest.skip("PyYAML installed; the gate cannot trip")
-        except ImportError:
-            pass
+    def test_yaml_spec_is_rejected(self, tmp_path):
+        """Scenarios are TOML only: a YAML spec is rejected, whether or
+        not PyYAML is installed."""
         path = tmp_path / "spec.yaml"
         path.write_text("schema_version: 1\n")
-        with pytest.raises(ScenarioError, match="PyYAML"):
+        with pytest.raises(ScenarioError, match="TOML parse error"):
             from repro.scenarios import parse_scenario_file
             parse_scenario_file(path)
 
@@ -212,6 +209,19 @@ class TestCatalog:
         assert DEFAULT_ACCESSES == scale_defaults("experiment_accesses")
         assert MACRO_ACCESSES == scale_defaults("bench_accesses")
         assert MACRO_SMOKE_ACCESSES == scale_defaults("smoke_accesses")
+
+    def test_invalid_scale_defaults_raise_as_load_catalog_does(self,
+                                                              tmp_path):
+        """A catalog.toml that fails validation is an error wherever it
+        is read; a missing one still falls back to the built-in scale."""
+        (tmp_path / "catalog.toml").write_text(
+            "[defaults.scale]\nexperiment_accesses = 0\n")
+        with pytest.raises(ScenarioError, match="experiment_accesses"):
+            load_catalog(tmp_path)
+        with pytest.raises(ScenarioError, match="experiment_accesses"):
+            scale_defaults("experiment_accesses", directory=tmp_path)
+        assert scale_defaults("experiment_accesses",
+                              directory=tmp_path / "nowhere") == 25_000
 
     def test_env_override_changes_default_dir(self, tmp_path, monkeypatch):
         (tmp_path / "only.toml").write_text(MINIMAL)

@@ -1,7 +1,7 @@
 """Trace container, statistics and on-disk formats."""
 
 from repro.memtrace.access import MemoryAccess
-from repro.memtrace.trace import Trace, interleave
+from repro.memtrace.trace import Trace
 
 
 def make_trace(n=100, name="t"):
@@ -70,12 +70,14 @@ class TestIO:
         assert loaded.name == trace.name
         assert loaded.accesses == trace.accesses
 
-    def test_jsonl_roundtrip(self, tmp_path):
-        trace = make_trace(32)
-        path = tmp_path / "trace.jsonl"
-        trace.save_jsonl(path)
-        loaded = Trace.load_jsonl(path)
+    def test_pickles_as_its_packed_arrays(self):
+        import pickle
+        trace = make_trace(64, name="p")
+        trace.family, trace.seed = "fam", 7
+        loaded = pickle.loads(pickle.dumps(trace))
+        assert (loaded.name, loaded.family, loaded.seed) == ("p", "fam", 7)
         assert loaded.accesses == trace.accesses
+        assert loaded.content_hash() == trace.content_hash()
 
     def test_binary_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.bin"
@@ -83,22 +85,6 @@ class TestIO:
         import pytest
         with pytest.raises(ValueError):
             Trace.load_binary(path)
-
-
-class TestInterleave:
-    def test_preserves_all_accesses(self):
-        a, b = make_trace(30, "a"), make_trace(50, "b")
-        mixed = interleave([a, b], chunk=8)
-        assert len(mixed) == 80
-
-    def test_round_robin_order(self):
-        a = Trace("a")
-        b = Trace("b")
-        a.extend(MemoryAccess(pc=1, address=i * 64) for i in range(4))
-        b.extend(MemoryAccess(pc=2, address=(100 + i) * 64) for i in range(4))
-        mixed = interleave([a, b], chunk=2)
-        pcs = [access.pc for access in mixed]
-        assert pcs == [1, 1, 2, 2, 1, 1, 2, 2]
 
 
 class TestRebase:
