@@ -26,8 +26,8 @@ def capture_patterns(trace: Trace, region_bytes: int = 4096, *,
                                         ft_ways=ft_ways, at_sets=at_sets,
                                         at_ways=at_ways)
     patterns: list[CapturedPattern] = []
-    for access in trace.accesses:
-        _, _, completed = framework.observe(access.pc, access.address)
+    for pc, address in zip(trace.pcs, trace.addresses):
+        _, _, completed = framework.observe(pc, address)
         patterns.extend(completed)
     patterns.extend(framework.drain())
     return patterns

@@ -5,11 +5,11 @@ event dispatch (the observer bus), cache lookup/fill (the per-level
 storage), fill-queue churn (deferred fills), PMP counter-vector training
 and pattern extraction/prediction (the prefetcher's hot loops), the zoo
 engines' per-miss train/predict paths plus the hybrid's set-dueling
-arbitration, and trace decode (the array → ``MemoryAccess`` path every
-worker pays per job).  Inputs are pinned — fixed seeds, fixed stream
-lengths — so two
-runs of the same code measure the same work and a ``--compare`` delta
-means the *code* changed speed, not the workload.
+arbitration, and trace decode (packed arrays → columns, the path every
+leased job's trace takes when a worker unpickles it).  Inputs are
+pinned — fixed seeds, fixed stream lengths — so two runs of the same
+code measure the same work and a ``--compare`` delta means the *code*
+changed speed, not the workload.
 
 Scales: ``smoke`` (CI-sized, seconds), ``default``, ``large``.
 """
@@ -21,7 +21,6 @@ from typing import Callable
 
 import numpy as np
 
-from ..memtrace.access import MemoryAccess
 from ..memtrace.trace import Trace
 from ..memtrace.workloads import full_suite
 from ..prefetchers.base import FillLevel, NoPrefetcher, NullSystemView
@@ -129,8 +128,8 @@ def _captured_patterns(accesses: int):
     trace = _pinned_trace(accesses)
     capture = PatternCaptureFramework()
     patterns = []
-    for access in trace.accesses:
-        _, _, completed = capture.observe(access.pc, access.address)
+    for pc, address in zip(trace.pcs, trace.addresses):
+        _, _, completed = capture.observe(pc, address)
         patterns.extend(completed)
     patterns.extend(capture.drain())
     return patterns
@@ -158,13 +157,12 @@ def _trained_pmp(accesses: int) -> tuple[PMP, list[tuple[int, int]]]:
     trace = _pinned_trace(accesses)
     pmp = PMP()
     triggers: list[tuple[int, int]] = []
-    for access in trace.accesses:
-        is_trigger, offset, completed = pmp.capture.observe(access.pc,
-                                                            access.address)
+    for pc, address in zip(trace.pcs, trace.addresses):
+        is_trigger, offset, completed = pmp.capture.observe(pc, address)
         for pattern in completed:
             pmp._merge(pattern)
         if is_trigger:
-            triggers.append((access.pc, offset))
+            triggers.append((pc, offset))
     return pmp, triggers
 
 
@@ -211,10 +209,8 @@ def _build_fastpath_scan(ops: int):
     base = (1 << 30) >> 6
     gaps = rng.integers(0, 5, size=ops).tolist()
     trace = Trace("bench-fastpath")
-    for i in range(ops):
-        trace.append(MemoryAccess(pc=0x400100 + 8 * (i % 16),
-                                  address=(base + i % hot_lines) * 64,
-                                  is_write=i % 7 == 0, gap=gaps[i]))
+    trace.extend((0x400100 + 8 * (i % 16), (base + i % hot_lines) * 64,
+                  i % 7 == 0, gaps[i]) for i in range(ops))
     trace.arrays()  # memoised: materialisation stays outside the timing
     config = SystemConfig.default()
     state: dict = {}
@@ -251,7 +247,7 @@ def _build_engine_drive(ops: int, make_engine):
     each engine's full train + predict path (the work the registry pays
     per L1D miss)."""
     trace = _pinned_trace(ops)
-    stream = [(access.pc, access.address) for access in trace.accesses]
+    stream = list(zip(trace.pcs, trace.addresses))
     view = NullSystemView()
     state: dict = {}
 
@@ -310,7 +306,8 @@ def _build_hybrid_duel(ops: int):
 
 
 def _build_trace_decode(ops: int):
-    """Rebuild MemoryAccess records from the packed array wire format."""
+    """Rebuild a trace's four columns from the packed array wire format
+    (what a lease worker does to every job's trace it unpickles)."""
     trace = _pinned_trace(ops)
     arrays = trace.to_arrays()
 

@@ -1,10 +1,12 @@
 """Memory access records and region/offset arithmetic.
 
-Every component of the reproduction works on streams of :class:`MemoryAccess`
-records.  An access carries the program counter of the load/store, the byte
-address it touches, and the number of non-memory instructions retired since
-the previous memory access (``gap``), which the timing model uses to charge
-pipeline cycles between memory operations.
+An access carries the program counter of the load/store, the byte address
+it touches, whether it is a store, and the number of non-memory
+instructions retired since the previous memory access (``gap``), which the
+timing model uses to charge pipeline cycles between memory operations.  A
+:class:`MemoryAccess` is that ``(pc, address, is_write, gap)`` row with
+named fields; a :class:`~repro.memtrace.trace.Trace` stores its rows as
+four columns and builds records only when asked for one.
 
 Addresses are decomposed the same way the paper does: a *region* is an
 aligned block of memory (4KB by default, matching pages), a *cacheline* is
@@ -15,7 +17,7 @@ region is the paper's *trigger offset*.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 CACHELINE_BYTES = 64
 CACHELINE_BITS = 6
@@ -23,9 +25,9 @@ DEFAULT_REGION_BYTES = 4096
 PAGE_BYTES = 4096
 
 
-@dataclass(frozen=True, slots=True)
-class MemoryAccess:
-    """One memory instruction in a trace.
+class MemoryAccess(NamedTuple):
+    """One memory instruction in a trace: a ``(pc, address, is_write, gap)``
+    row with named fields.
 
     Attributes:
         pc: program counter of the load/store instruction.

@@ -19,16 +19,17 @@ i.e. 8 + 2 + 2 + 4 + 16 + 32 = 64 bytes per record.  Traces ship
 xz-compressed; ``.xz`` paths are opened through :mod:`lzma`
 automatically (or pass any binary file object yourself).
 
-Conversion policy: each memory operand becomes one :class:`MemoryAccess`;
+Conversion policy: each memory operand becomes one access row;
 instructions without memory operands accumulate into the next access's
 ``gap`` (the non-memory instruction count the timing model charges).
 
 Decoding is streaming and bounded-memory: records are consumed one
 64-byte chunk at a time and windowed reads (``skip_instructions`` /
-``max_instructions``) stop pulling bytes at the window's end, so a 200M-
-instruction trace costs only its window.  Malformed inputs raise a
-structured :class:`ChampSimFormatError` (a :class:`ValueError`) carrying
-the source name, byte offset and record index of the defect.
+``max_instructions`` / ``max_accesses``) stop pulling bytes at the
+window's end, so a 200M-instruction trace costs only its window.
+Malformed inputs raise a structured :class:`ChampSimFormatError` (a
+:class:`ValueError`) carrying the source name, byte offset and record
+index of the defect.
 """
 
 from __future__ import annotations
@@ -39,8 +40,7 @@ import struct
 from pathlib import Path
 from typing import BinaryIO, Iterator
 
-from .access import MemoryAccess
-from .trace import Trace
+from .trace import Row, Trace
 
 RECORD_BYTES = 64
 _RECORD = struct.Struct("<Q2B2B4B2Q4Q")
@@ -164,12 +164,14 @@ def iter_records(stream: BinaryIO, *, source: str = "<stream>",
 
 def read_champsim(source: str | Path | BinaryIO, *, name: str = "champsim",
                   max_instructions: int | None = None,
-                  skip_instructions: int = 0) -> Trace:
+                  skip_instructions: int = 0,
+                  max_accesses: int | None = None) -> Trace:
     """Convert a ChampSim trace (raw records) into a :class:`Trace`.
 
     ``skip_instructions`` / ``max_instructions`` select a window the way
-    the paper does (50M warmup + 200M measured); decoding stops pulling
-    bytes once the window is satisfied.  ``.xz`` paths are decompressed
+    the paper does (50M warmup + 200M measured), and ``max_accesses``
+    keeps only the window's first accesses; decoding stops pulling bytes
+    once the window is satisfied.  ``.xz`` paths are decompressed
     automatically.
     """
     if isinstance(source, (str, Path)):
@@ -180,7 +182,7 @@ def read_champsim(source: str | Path | BinaryIO, *, name: str = "champsim",
         stream, close = source, False
         label = getattr(source, "name", "<stream>") or "<stream>"
     try:
-        trace = Trace(name=name, family="champsim")
+        rows: list[Row] = []
         gap = 0
         seen = 0
         for ip, loads, stores in iter_records(stream, source=str(label)):
@@ -197,13 +199,14 @@ def read_champsim(source: str | Path | BinaryIO, *, name: str = "champsim",
                 continue
             # The instruction itself plus accumulated non-memory work is
             # charged to its first operand; extra operands are free.
-            first = True
             for address, is_write in operands:
-                trace.append(MemoryAccess(pc=ip, address=address,
-                                          is_write=is_write,
-                                          gap=gap if first else 0))
-                first = False
-            gap = 0
+                rows.append((ip, address, is_write, gap))
+                gap = 0
+            if max_accesses is not None and len(rows) >= max_accesses:
+                del rows[max_accesses:]
+                break
+        trace = Trace(name=name, family="champsim")
+        trace.extend(rows)
         return trace
     finally:
         if close:
@@ -225,16 +228,15 @@ def write_champsim(trace: Trace, destination: str | Path | BinaryIO) -> int:
         stream, close = destination, False
     written = 0
     try:
-        for access in trace.accesses:
-            for _ in range(access.gap):
-                stream.write(pack_record(access.pc))
+        for pc, address, is_write, gap in zip(trace.pcs, trace.addresses,
+                                              trace.writes, trace.gaps):
+            for _ in range(gap):
+                stream.write(pack_record(pc))
                 written += 1
-            if access.is_write:
-                stream.write(pack_record(access.pc,
-                                         destination_memory=(access.address,)))
+            if is_write:
+                stream.write(pack_record(pc, destination_memory=(address,)))
             else:
-                stream.write(pack_record(access.pc,
-                                         source_memory=(access.address,)))
+                stream.write(pack_record(pc, source_memory=(address,)))
             written += 1
         return written
     finally:

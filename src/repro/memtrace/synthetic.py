@@ -14,7 +14,9 @@ generator emits the *spatial structure* the paper's observations rest on:
   address-bearing features index it redundantly (Observation 2).
 
 Generators take an explicit :class:`numpy.random.Generator` so every trace
-in the suite is reproducible from its seed.
+in the suite is reproducible from its seed, and return plain
+``(pc, address, is_write, gap)`` rows, which :meth:`Trace.extend` stores
+as columns.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .access import CACHELINE_BITS, CACHELINE_BYTES, MemoryAccess
-from .trace import Trace
+from .access import CACHELINE_BITS, CACHELINE_BYTES
+from .trace import Row, Trace
 
 LINES_PER_REGION = 64
 REGION_BYTES = LINES_PER_REGION * CACHELINE_BYTES
@@ -37,23 +39,22 @@ def _segment_base(segment: int) -> int:
     return (segment + 1) * _SEGMENT_BYTES
 
 
-def _emit(out: list[MemoryAccess], pc: int, region: int, offset: int,
+def _emit(out: list[Row], pc: int, region: int, offset: int,
           gap: int, is_write: bool = False) -> None:
-    # Positional fields and an inline line address: this runs once per
+    # A plain row with an inline line address: this runs once per
     # generated access.
-    out.append(MemoryAccess(
-        pc, region + ((offset % LINES_PER_REGION) << CACHELINE_BITS),
-        is_write, gap))
+    out.append((pc, region + ((offset % LINES_PER_REGION) << CACHELINE_BITS),
+                is_write, gap))
 
 
 def stream(rng: np.random.Generator, count: int, *, segment: int = 0,
-           pc: int = 0x400100, gap: int = 48) -> list[MemoryAccess]:
+           pc: int = 0x400100, gap: int = 48) -> list[Row]:
     """Forward unit-stride stream sweeping sequential regions.
 
     Produces the all-ones region pattern with trigger offset 0 — the
     canonical stream pattern the ARE scheme fails on (Section V-E2).
     """
-    out: list[MemoryAccess] = []
+    out: list[Row] = []
     base = _segment_base(segment)
     line = int(rng.integers(0, 1 << 20)) * LINES_PER_REGION
     for _ in range(count):
@@ -65,14 +66,14 @@ def stream(rng: np.random.Generator, count: int, *, segment: int = 0,
 
 def strided(rng: np.random.Generator, count: int, stride: int, *,
             segment: int = 1, pc: int = 0x400200, gap: int = 44,
-            start_offset: int | None = None) -> list[MemoryAccess]:
+            start_offset: int | None = None) -> list[Row]:
     """Constant-stride walk (Astar-style slashes in the Fig 5 heat map).
 
     The anchored pattern depends only on the stride, not on which offset
     the walk enters a region at, so different trigger offsets see shifted
     copies of one structure.
     """
-    out: list[MemoryAccess] = []
+    out: list[Row] = []
     base = _segment_base(segment)
     line = int(rng.integers(0, 1 << 20)) * LINES_PER_REGION
     if start_offset is not None:
@@ -85,13 +86,13 @@ def strided(rng: np.random.Generator, count: int, stride: int, *,
 
 
 def backward_scan(rng: np.random.Generator, count: int, *, segment: int = 2,
-                  pc: int = 0x400300, gap: int = 40, stride: int = 1) -> list[MemoryAccess]:
+                  pc: int = 0x400300, gap: int = 40, stride: int = 1) -> list[Row]:
     """MCF-style backward walk over a big array (pred-pointer loops).
 
     Enters each region near its end (big trigger offsets) and walks down,
     producing the horizontal lines at the bottom of Fig 5a.
     """
-    out: list[MemoryAccess] = []
+    out: list[Row] = []
     base = _segment_base(segment)
     line = int(rng.integers(1 << 18, 1 << 20)) * LINES_PER_REGION + LINES_PER_REGION - 1
     for _ in range(count):
@@ -106,14 +107,14 @@ def backward_scan(rng: np.random.Generator, count: int, *, segment: int = 2,
 def neighborhood_walk(rng: np.random.Generator, count: int, *, segment: int = 3,
                       pc_pool: Sequence[int] = (0x400400, 0x400410, 0x400420),
                       gap: int = 56, spread: int = 3,
-                      revisit: float = 0.6) -> list[MemoryAccess]:
+                      revisit: float = 0.6) -> list[Row]:
     """Random walk touching a small neighbourhood around the current line.
 
     Models the "blue dotted slash" of Fig 5a: most accesses land within a
     few lines of the current position, so anchored patterns concentrate
     close to the trigger offset regardless of its value.
     """
-    out: list[MemoryAccess] = []
+    out: list[Row] = []
     base = _segment_base(segment)
     line = int(rng.integers(0, 1 << 18)) * LINES_PER_REGION
     pcs = list(pc_pool)
@@ -135,7 +136,7 @@ def pattern_replay(rng: np.random.Generator, count: int,
                    library: Sequence[tuple[int, Sequence[int]]] | None = None, *,
                    segment: int = 4, n_regions: int = 4096, gap: int = 72,
                    zipf_a: float = 1.4, noise: float = 0.05,
-                   pc_base: int = 0x400500) -> list[MemoryAccess]:
+                   pc_base: int = 0x400500) -> list[Row]:
     """Replay a small library of anchored region patterns with Zipf frequency.
 
     Each library entry is ``(trigger_offset, deltas)``: on visiting a region
@@ -147,7 +148,7 @@ def pattern_replay(rng: np.random.Generator, count: int,
     """
     if library is None:
         library = default_pattern_library()
-    out: list[MemoryAccess] = []
+    out: list[Row] = []
     base = _segment_base(segment)
     ranks = np.arange(1, len(library) + 1, dtype=float)
     weights = ranks ** (-zipf_a)
@@ -210,13 +211,13 @@ def default_pattern_library() -> list[tuple[int, list[int]]]:
 
 def pointer_chase(rng: np.random.Generator, count: int, *, segment: int = 5,
                   pc: int = 0x400600, gap: int = 56,
-                  working_lines: int = 1 << 16) -> list[MemoryAccess]:
+                  working_lines: int = 1 << 16) -> list[Row]:
     """Uniform pointer chasing over a working set — near-unprefetchable.
 
     Supplies the irregular tail of the workload mix: distinct, rarely
     repeating region patterns (the 75.6% seen-once mass of Observation 1).
     """
-    out: list[MemoryAccess] = []
+    out: list[Row] = []
     base = _segment_base(segment)
     for _ in range(count):
         line = int(rng.integers(0, working_lines))
@@ -227,7 +228,7 @@ def pointer_chase(rng: np.random.Generator, count: int, *, segment: int = 5,
 
 def graph_traversal(rng: np.random.Generator, count: int, *, segment: int = 6,
                     n_vertices: int = 1 << 14, avg_degree: int = 8,
-                    gap: int = 36) -> list[MemoryAccess]:
+                    gap: int = 36) -> list[Row]:
     """Ligra-style frontier traversal: CSR offsets (stream) + edge targets (random).
 
     Interleaves a sequential sweep of the vertex/offset arrays with bursts
@@ -235,7 +236,7 @@ def graph_traversal(rng: np.random.Generator, count: int, *, segment: int = 6,
     with irregularity, which is what makes graph workloads expensive for
     heavyweight pattern tables.
     """
-    out: list[MemoryAccess] = []
+    out: list[Row] = []
     base = _segment_base(segment)
     vertex_base = base
     edge_base = base + (1 << 28)
@@ -268,7 +269,7 @@ def graph_traversal(rng: np.random.Generator, count: int, *, segment: int = 6,
 
 def hot_loop(rng: np.random.Generator, count: int, *, segment: int = 7,
              lines: int = 512, pc_pool_size: int = 16, write_every: int = 7,
-             max_gap: int = 4) -> list[MemoryAccess]:
+             max_gap: int = 4) -> list[Row]:
     """Repeated sweep of a small L1-resident working set — hit-heavy.
 
     After one cold lap every access is an L1 hit with no structural
@@ -279,7 +280,7 @@ def hot_loop(rng: np.random.Generator, count: int, *, segment: int = 7,
     :func:`~repro.memtrace.workloads.full_suite` so the golden evaluation
     fixtures are untouched by its existence.
     """
-    out: list[MemoryAccess] = []
+    out: list[Row] = []
     base = _segment_base(segment)
     start = int(rng.integers(0, 1 << 16)) * LINES_PER_REGION
     gaps = rng.integers(0, max_gap + 1, size=count)
@@ -293,12 +294,12 @@ def hot_loop(rng: np.random.Generator, count: int, *, segment: int = 7,
     return out
 
 
-Generator = Callable[..., list[MemoryAccess]]
+Generator = Callable[..., list[Row]]
 
 
 def compose(rng: np.random.Generator, parts: Sequence[tuple[Generator, dict, float]],
             total: int, *, chunk: int = 2048,
-            epochs: int = 1) -> list[MemoryAccess]:
+            epochs: int = 1) -> list[Row]:
     """Interleave several generators with given weights into one access stream.
 
     Each part is ``(generator, kwargs, weight)``.  Generators are run for
@@ -314,7 +315,7 @@ def compose(rng: np.random.Generator, parts: Sequence[tuple[Generator, dict, flo
     weights /= weights.sum()
     if epochs <= 1:
         return _compose_epoch(rng, parts, weights, total, chunk)
-    out: list[MemoryAccess] = []
+    out: list[Row] = []
     per_epoch = total // epochs
     for epoch in range(epochs):
         rotated = np.roll(weights, epoch)
@@ -326,14 +327,14 @@ def compose(rng: np.random.Generator, parts: Sequence[tuple[Generator, dict, flo
 def _compose_epoch(rng: np.random.Generator,
                    parts: Sequence[tuple[Generator, dict, float]],
                    weights: np.ndarray, total: int,
-                   chunk: int) -> list[MemoryAccess]:
+                   chunk: int) -> list[Row]:
     streams = []
     for (gen, kwargs, _), share in zip(parts, weights):
         # Overshoot per-stream shares so rounding can never leave the
         # composed epoch short of its requested length.
         n = max(1, int(total * share) + 2)
         streams.append(gen(rng, n, **kwargs))
-    out: list[MemoryAccess] = []
+    out: list[Row] = []
     cursors = [0] * len(streams)
     while any(cursors[i] < len(s) for i, s in enumerate(streams)):
         for i, s in enumerate(streams):

@@ -1,8 +1,12 @@
 """Trace containers and on-disk formats.
 
-A :class:`Trace` is an ordered list of :class:`MemoryAccess` records plus
-metadata (name, benchmark family, seed).  Traces are saved in a compact
-numpy-backed binary format, and pickle as their packed arrays.
+A :class:`Trace` is an ordered access stream plus metadata (name,
+benchmark family, seed).  It stores the stream as four parallel columns,
+``pcs``, ``addresses``, ``writes`` and ``gaps``: the simulator's access
+loop, the content hash and the packed wire format all read columns, so a
+:class:`MemoryAccess` record is built only when one is asked for.  Traces
+are saved in a compact numpy-backed binary format, and pickle as their
+packed arrays.
 
 The container also computes the summary statistics the paper uses to
 classify workloads: accesses per kilo-instruction, unique cachelines/regions
@@ -20,51 +24,84 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .access import DEFAULT_REGION_BYTES, MemoryAccess, region_of
+from .access import CACHELINE_BITS, DEFAULT_REGION_BYTES, MemoryAccess
 
 _BINARY_MAGIC = b"PMPTRC01"
 
 TraceArrays = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
+#: One access as a ``(pc, address, is_write, gap)`` row; a
+#: :class:`MemoryAccess` is one.
+Row = tuple[int, int, bool, int]
+
 
 @dataclass
 class Trace:
-    """An ordered memory-access trace with metadata."""
+    """An ordered memory-access trace with metadata, stored as columns.
+
+    ``pcs``, ``addresses`` and ``gaps`` hold ints and ``writes`` holds
+    bools, one entry per access.  Change them only through
+    :meth:`append` and :meth:`extend`, which also drop the memoised
+    :meth:`arrays` and :meth:`content_hash`.
+    """
 
     name: str
-    accesses: list[MemoryAccess] = field(default_factory=list)
     family: str = "synthetic"
     seed: int = 0
+    pcs: list[int] = field(default_factory=list, repr=False)
+    addresses: list[int] = field(default_factory=list, repr=False)
+    writes: list[bool] = field(default_factory=list, repr=False)
+    gaps: list[int] = field(default_factory=list, repr=False)
+    _arrays: TraceArrays | None = field(default=None, init=False,
+                                        repr=False, compare=False)
+    _content_hash: str | None = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     def __len__(self) -> int:
-        return len(self.accesses)
+        return len(self.addresses)
 
     def __iter__(self) -> Iterator[MemoryAccess]:
-        return iter(self.accesses)
+        return map(MemoryAccess, self.pcs, self.addresses, self.writes,
+                   self.gaps)
 
     def __getitem__(self, index: int) -> MemoryAccess:
-        return self.accesses[index]
+        return MemoryAccess(self.pcs[index], self.addresses[index],
+                            self.writes[index], self.gaps[index])
 
-    def append(self, access: MemoryAccess) -> None:
-        """Append one access."""
-        self.accesses.append(access)
+    @property
+    def accesses(self) -> list[MemoryAccess]:
+        """The stream as records, built afresh on every call."""
+        return list(self)
 
-    def extend(self, accesses: Iterable[MemoryAccess]) -> None:
-        """Append many accesses."""
-        self.accesses.extend(accesses)
+    def append(self, access: Row) -> None:
+        """Append one ``(pc, address, is_write, gap)`` row."""
+        self.extend((access,))
+
+    def extend(self, rows: Iterable[Row]) -> None:
+        """Append many ``(pc, address, is_write, gap)`` rows."""
+        columns = tuple(zip(*rows))
+        if not columns:
+            return
+        pcs, addresses, writes, gaps = columns
+        self.pcs.extend(pcs)
+        self.addresses.extend(addresses)
+        self.writes.extend(map(bool, writes))
+        self.gaps.extend(gaps)
+        self._arrays = self._content_hash = None
 
     @property
     def instruction_count(self) -> int:
         """Total instructions represented (memory ops + gaps)."""
-        return sum(a.gap + 1 for a in self.accesses)
+        return len(self) + sum(self.gaps)
 
     def unique_cachelines(self) -> int:
         """Number of distinct cachelines touched."""
-        return len({a.cacheline for a in self.accesses})
+        return len({address >> CACHELINE_BITS for address in self.addresses})
 
     def unique_regions(self, region_bytes: int = DEFAULT_REGION_BYTES) -> int:
         """Number of distinct regions touched."""
-        return len({region_of(a.address, region_bytes) for a in self.accesses})
+        mask = ~(region_bytes - 1)
+        return len({address & mask for address in self.addresses})
 
     def footprint_bytes(self) -> int:
         """Approximate data footprint (unique cachelines × 64B)."""
@@ -76,10 +113,10 @@ class Trace:
         A 32K-line direct-mapped filter approximates a 2MB LLC; the paper
         buckets traces into Low (5–10], Medium (10–20], High (>20) MPKI.
         """
-        table = np.full(filter_lines, -1, dtype=np.int64)
+        table = [-1] * filter_lines
         misses = 0
-        for access in self.accesses:
-            line = access.cacheline
+        for address in self.addresses:
+            line = address >> CACHELINE_BITS
             slot = line % filter_lines
             if table[slot] != line:
                 misses += 1
@@ -96,62 +133,42 @@ class Trace:
             return "medium"
         return "high"
 
-    def slice(self, start: int, stop: int) -> "Trace":
-        """A sub-trace covering accesses[start:stop] (shares records)."""
-        out = Trace(name=f"{self.name}[{start}:{stop}]", family=self.family, seed=self.seed)
-        out.accesses = self.accesses[start:stop]
-        return out
-
     # -------------------------------------------------------- array codecs
 
     def to_arrays(self) -> TraceArrays:
-        """Pack the access stream into four compact numpy arrays.
+        """Pack the four columns into compact numpy arrays.
 
         The (pcs, addresses, writes, gaps) tuple is the trace's canonical
         wire format: the binary file format, the content hash, and the
         pickled form (:meth:`__reduce__`) all build on it.
         """
-        pcs = np.fromiter((a.pc for a in self.accesses), dtype=np.uint64, count=len(self))
-        addrs = np.fromiter((a.address for a in self.accesses), dtype=np.uint64, count=len(self))
-        writes = np.fromiter((a.is_write for a in self.accesses), dtype=np.uint8, count=len(self))
-        gaps = np.fromiter((a.gap for a in self.accesses), dtype=np.uint32, count=len(self))
-        return pcs, addrs, writes, gaps
+        return (np.array(self.pcs, dtype=np.uint64),
+                np.array(self.addresses, dtype=np.uint64),
+                np.array(self.writes, dtype=np.uint8),
+                np.array(self.gaps, dtype=np.uint32))
 
     def arrays(self) -> TraceArrays:
         """Memoised :meth:`to_arrays`: the one packing that the fast-path
-        scanner, :meth:`content_hash` and the pickled form share.
-
-        Built once per trace and cached; like :meth:`content_hash`, a
-        trace whose arrays have been materialised must not be mutated
-        afterwards (``simulate()`` reads the stream through this, so the
-        cached arrays going stale would desynchronise the fast path from
-        ``accesses``).
-        """
-        cached = getattr(self, "_arrays", None)
-        if cached is None or len(cached[0]) != len(self.accesses):
-            cached = self.to_arrays()
-            self._arrays = cached
-        return cached
+        scanner, :meth:`content_hash`, :meth:`save_binary` and the pickled
+        form share.  :meth:`append` and :meth:`extend` drop the memo."""
+        if self._arrays is None:
+            self._arrays = self.to_arrays()
+        return self._arrays
 
     @classmethod
     def from_arrays(cls, name: str, arrays: TraceArrays,
                     family: str = "synthetic", seed: int = 0) -> "Trace":
         """Rebuild a trace from :meth:`to_arrays` output."""
-        pcs, addrs, writes, gaps = arrays
-        trace = cls(name=name, family=family, seed=seed)
-        # .tolist() converts to native ints in one C pass — much cheaper
-        # than a Python-level int()/bool() per element.
-        trace.accesses = [
-            MemoryAccess(pc=pc, address=address,
-                         is_write=bool(write), gap=gap)
-            for pc, address, write, gap in zip(
-                pcs.tolist(), addrs.tolist(), writes.tolist(), gaps.tolist())
-        ]
-        return trace
+        pcs, addresses, writes, gaps = arrays
+        # .tolist() converts each column to native ints (and bools) in one
+        # C pass.
+        return cls(name=name, family=family, seed=seed, pcs=pcs.tolist(),
+                   addresses=addresses.tolist(),
+                   writes=writes.astype(bool).tolist(), gaps=gaps.tolist())
 
     def __reduce__(self):
-        """Pickle as the packed arrays, not one object per access, which
-        halves a leased PMP job's payload."""
+        """Pickle as the packed arrays that :meth:`content_hash` already
+        built, which a worker unpacks with one ``.tolist()`` per column."""
         return (Trace.from_arrays,
                 (self.name, self.arrays(), self.family, self.seed))
 
@@ -160,12 +177,10 @@ class Trace:
 
         This is the trace's identity for the persistent result cache: two
         traces with the same hash produce bit-identical simulations.  The
-        hash is memoised — traces handed to the experiment engine must not
-        be mutated afterwards.
+        hash is memoised; :meth:`append` and :meth:`extend` drop the memo.
         """
-        cached = getattr(self, "_content_hash", None)
-        if cached is not None:
-            return cached
+        if self._content_hash is not None:
+            return self._content_hash
         digest = hashlib.sha256()
         digest.update(json.dumps({"name": self.name, "family": self.family,
                                   "seed": self.seed,
@@ -180,7 +195,7 @@ class Trace:
     def save_binary(self, path: str | Path) -> None:
         """Write the compact numpy-backed binary format."""
         path = Path(path)
-        pcs, addrs, writes, gaps = self.to_arrays()
+        pcs, addrs, writes, gaps = self.arrays()
         header = json.dumps({"name": self.name, "family": self.family, "seed": self.seed})
         with path.open("wb") as fh:
             fh.write(_BINARY_MAGIC)
@@ -229,10 +244,7 @@ def rebase(trace: Trace, slot: int) -> Trace:
     LLC.  Slots are 2^44 bytes apart, far above any generator segment.
     """
     offset = (slot + 1) << 44
-    out = Trace(name=f"{trace.name}@{slot}", family=trace.family,
-                seed=trace.seed)
-    out.accesses = [
-        MemoryAccess(pc=a.pc, address=a.address + offset,
-                     is_write=a.is_write, gap=a.gap)
-        for a in trace.accesses]
-    return out
+    return Trace(name=f"{trace.name}@{slot}", family=trace.family,
+                 seed=trace.seed, pcs=list(trace.pcs),
+                 addresses=[address + offset for address in trace.addresses],
+                 writes=list(trace.writes), gaps=list(trace.gaps))

@@ -31,14 +31,14 @@ import json
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from ..scenarios.catalog import Catalog, cached_catalog, scale_defaults
 from ..scenarios.spec import GENERATORS, ScenarioSpec
 from . import synthetic as syn
-from .trace import Trace
+from .trace import Row, Trace
 
 # The one source of truth for trace lengths is the catalog's
 # [defaults.scale] table (scenarios/catalog.toml); this module-level
@@ -61,7 +61,7 @@ class WorkloadSpec:
     name: str
     family: str
     seed: int
-    recipe: Callable[[np.random.Generator, int], list]
+    recipe: Callable[[np.random.Generator, int], Iterable[Row]]
     digest: str
 
     def build(self, accesses: int = DEFAULT_TRACE_ACCESSES) -> Trace:
@@ -97,10 +97,10 @@ def _build_digest(**inputs) -> str:
 
 
 def _synthetic_recipe(spec: ScenarioSpec,
-                      ) -> Callable[[np.random.Generator, int], list]:
+                      ) -> Callable[[np.random.Generator, int], list[Row]]:
     """Compile a synthetic scenario's parts into a compose() recipe."""
 
-    def recipe(rng: np.random.Generator, total: int) -> list:
+    def recipe(rng: np.random.Generator, total: int) -> list[Row]:
         parts = [(GENERATORS[part.generator], dict(part.params), part.weight)
                  for part in spec.parts]
         return syn.compose(rng, parts, total, epochs=spec.epochs)
@@ -109,17 +109,18 @@ def _synthetic_recipe(spec: ScenarioSpec,
 
 
 def _champsim_recipe(spec: ScenarioSpec, path: Path,
-                     ) -> Callable[[np.random.Generator, int], list]:
+                     ) -> Callable[[np.random.Generator, int], Iterable[Row]]:
     """Compile a champsim scenario into a bounded trace-file loader."""
 
-    def recipe(rng: np.random.Generator, total: int) -> list:
+    def recipe(rng: np.random.Generator, total: int) -> Iterable[Row]:
         from .champsim import read_champsim
 
         trace = read_champsim(
             path, name=spec.name,
             skip_instructions=int(spec.source.get("skip_instructions", 0)),
-            max_instructions=spec.source.get("max_instructions"))
-        return trace.accesses[:total]
+            max_instructions=spec.source.get("max_instructions"),
+            max_accesses=total)
+        return zip(trace.pcs, trace.addresses, trace.writes, trace.gaps)
 
     return recipe
 

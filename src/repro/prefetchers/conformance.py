@@ -117,9 +117,9 @@ def check_address_legality(factory: PrefetcherFactory, trace) -> None:
     prefetcher = factory()
     view = NullSystemView()
     limit = 1 << ADDRESS_BITS
-    for access in trace.accesses[:_TRACE_ACCESSES]:
-        requests = prefetcher.on_access(access.pc, access.address,
-                                        0.0, False, view)
+    for pc, address in zip(trace.pcs[:_TRACE_ACCESSES],
+                           trace.addresses[:_TRACE_ACCESSES]):
+        requests = prefetcher.on_access(pc, address, 0.0, False, view)
         if len(requests) > _MAX_REQUESTS_PER_ACCESS:
             raise ConformanceError(
                 f"{prefetcher.name}: {len(requests)} requests from one "
@@ -145,7 +145,7 @@ def check_address_legality(factory: PrefetcherFactory, trace) -> None:
             prefetcher.on_prefetch_fill(request.address, request.level)
             prefetcher.on_prefetch_useful(request.address, request.level)
             prefetcher.on_prefetch_useless(request.address, request.level)
-        prefetcher.on_evict(access.address & ~0x3F)
+        prefetcher.on_evict(address & ~0x3F)
 
 
 def check_feedback_conservation(factory: PrefetcherFactory, trace) -> None:

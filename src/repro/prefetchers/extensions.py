@@ -68,7 +68,7 @@ class OraclePrefetcher(Prefetcher):
 
     def __init__(self, trace: Trace, *, depth: int = 8, lead: int = 4,
                  fill_level: FillLevel = FillLevel.L1D) -> None:
-        self.addresses = [access.address for access in trace.accesses]
+        self.addresses = trace.addresses
         self.depth = depth
         self.lead = lead
         self.fill_level = fill_level

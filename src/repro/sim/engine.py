@@ -68,7 +68,8 @@ class Run:
         # Everything the access loop calls, bound once: multicore lanes
         # call advance() once per access, so its set-up is one unpack.
         self._loop = (
-            trace.accesses, core.advance, core.begin_load, core.finish_load,
+            trace.pcs, trace.addresses, trace.writes, trace.gaps,
+            core.advance, core.begin_load, core.finish_load,
             hierarchy.set_view_cycle, hierarchy.demand_access,
             hierarchy.issue_prefetch, prefetcher.on_access,
             self.scanner.try_run if self.scanner is not None else None,
@@ -80,8 +81,8 @@ class Run:
         A fast-path block never runs past ``stop``, so counters reset at
         ``stop`` see every access of a block land on one side of it.
         """
-        (accesses, retire, begin_load, finish_load, set_view_cycle,
-         demand_access, issue_prefetch, on_access, try_run,
+        (pcs, addresses, writes, gaps, retire, begin_load, finish_load,
+         set_view_cycle, demand_access, issue_prefetch, on_access, try_run,
          checkpoint) = self._loop
         hierarchy = self.hierarchy
         index = start
@@ -92,18 +93,19 @@ class Run:
                     index += retired
                     continue
 
-            access = accesses[index]
-            index += 1
-            if access.gap:
-                retire(access.gap)
+            gap = gaps[index]
+            if gap:
+                retire(gap)
+            address = addresses[index]
             issue_cycle = begin_load()
             set_view_cycle(issue_cycle)
-            latency, l1_hit = demand_access(access.address, issue_cycle,
-                                            access.is_write)
+            latency, l1_hit = demand_access(address, issue_cycle,
+                                            writes[index])
             finish_load(latency)
 
-            requests = on_access(access.pc, access.address,
+            requests = on_access(pcs[index], address,
                                  issue_cycle, l1_hit, hierarchy)
+            index += 1
             for request in requests:
                 issue_prefetch(request, issue_cycle)
             if checkpoint is not None:

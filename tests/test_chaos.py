@@ -15,6 +15,7 @@ import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -170,7 +171,8 @@ class TestInterruptAndResume:
     @pytest.mark.slow
     def test_cli_sigint_then_resume_reproduces_clean_run(self, tmp_path):
         """Kill a real `pmp-repro` mid-suite; --resume matches a clean run."""
-        env = {**os.environ, "PYTHONPATH": "src"}
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
 
         def report_lines(stdout: str) -> list[str]:
             # Drop the bracketed status lines (run ids, timings, paths).
@@ -182,7 +184,7 @@ class TestInterruptAndResume:
         clean = subprocess.run(
             [sys.executable, "-m", "repro", *base,
              "--cache-dir", str(tmp_path / "clean")],
-            capture_output=True, text=True, env=env, cwd="/root/repo",
+            capture_output=True, text=True, env=env, cwd=root,
             timeout=600)
         assert clean.returncode == 0, clean.stderr
 
@@ -191,7 +193,7 @@ class TestInterruptAndResume:
             [sys.executable, "-m", "repro", *base, "--run-id", "sigint-test",
              "--cache-dir", str(cache_dir)],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-            env=env, cwd="/root/repo")
+            env=env, cwd=root)
         journal_path = cache_dir / "runs" / "sigint-test" / "journal.jsonl"
         deadline = time.monotonic() + 120
         # Interrupt as soon as at least one job is journaled.
@@ -210,7 +212,7 @@ class TestInterruptAndResume:
         resumed = subprocess.run(
             [sys.executable, "-m", "repro", *base,
              "--resume", "sigint-test", "--cache-dir", str(cache_dir)],
-            capture_output=True, text=True, env=env, cwd="/root/repo",
+            capture_output=True, text=True, env=env, cwd=root,
             timeout=600)
         assert resumed.returncode == 0, resumed.stderr
         assert "[resuming run sigint-test:" in resumed.stdout

@@ -16,7 +16,6 @@ import inspect
 import itertools
 import pkgutil
 import typing
-from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -83,10 +82,11 @@ def trace():
 def byte_trace(trace):
     """The conformance trace at byte, not line, granularity, as ChampSim
     ingestion keeps raw addresses."""
-    return Trace(name=f"{trace.name}-bytes", family=trace.family,
-                 seed=trace.seed,
-                 accesses=[replace(access, address=access.address + 8 * (i % 8))
-                           for i, access in enumerate(trace.accesses)])
+    byte_trace = Trace(name=f"{trace.name}-bytes", family=trace.family,
+                       seed=trace.seed)
+    byte_trace.extend(access._replace(address=access.address + 8 * (i % 8))
+                      for i, access in enumerate(trace))
+    return byte_trace
 
 
 # --------------------------------------------------- the conformance grid

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.memtrace import champsim
 from repro.memtrace.champsim import pack_record
 from repro.memtrace.workloads import (
     DEFAULT_TRACE_ACCESSES,
@@ -267,7 +268,8 @@ class TestChampsimScenarios:
             pack_record(0x400, source_memory=(i * 64,))
             for i in range(start, start + n)))
 
-    def test_champsim_scenario_compiles_and_builds(self, tmp_path):
+    def test_champsim_scenario_compiles_and_builds(self, tmp_path,
+                                                   monkeypatch):
         self._write_trace(tmp_path / "t.trace", 50)
         spec = parse_scenario_text("""\
 schema_version = 1
@@ -280,10 +282,20 @@ kind = "champsim"
 [scenario.source]
 path = "t.trace"
 """)[0]
+        decoded = []
+        iter_records = champsim.iter_records
+
+        def counting(stream, **kwargs):
+            for record in iter_records(stream, **kwargs):
+                decoded.append(record)
+                yield record
+
+        monkeypatch.setattr(champsim, "iter_records", counting)
         workload = compile_scenario(spec, base_dir=tmp_path)
         trace = workload.build(20)
         assert len(trace) == 20
         assert [a.address for a in trace.accesses[:3]] == [64, 128, 192]
+        assert len(decoded) <= 20   # decoding stops at the 20th access
 
     def test_directory_source_expands_per_file(self, tmp_path):
         self._write_trace(tmp_path / "a.trace", 10)

@@ -3,9 +3,14 @@
 import numpy as np
 
 from repro.memtrace import synthetic as syn
-from repro.memtrace.access import offset_of, region_of
+from repro.memtrace.access import MemoryAccess, offset_of, region_of
 from repro.memtrace.trace import Trace
 from repro.prefetchers.sms import PatternCaptureFramework
+
+
+def records(rows):
+    """Generator rows as named records."""
+    return [MemoryAccess(*row) for row in rows]
 
 
 def capture_all(accesses):
@@ -38,12 +43,12 @@ class TestDeterminism:
 
 class TestStream:
     def test_sequential_lines(self):
-        accesses = syn.stream(np.random.default_rng(0), 100)
+        accesses = records(syn.stream(np.random.default_rng(0), 100))
         lines = [a.cacheline for a in accesses]
         assert lines == list(range(lines[0], lines[0] + 100))
 
     def test_region_patterns_are_all_ones(self):
-        accesses = syn.stream(np.random.default_rng(0), 1000)
+        accesses = records(syn.stream(np.random.default_rng(0), 1000))
         full = [p for p in capture_all(accesses)
                 if p.bit_vector.bit_count() == 64]
         assert full  # interior regions are fully covered
@@ -52,12 +57,12 @@ class TestStream:
 
 class TestBackwardScan:
     def test_walks_downward(self):
-        accesses = syn.backward_scan(np.random.default_rng(0), 100)
+        accesses = records(syn.backward_scan(np.random.default_rng(0), 100))
         lines = [a.cacheline for a in accesses]
         assert all(b - a in (-1,) or b > a + 32 for a, b in zip(lines, lines[1:]))
 
     def test_big_trigger_offsets(self):
-        accesses = syn.backward_scan(np.random.default_rng(0), 2000)
+        accesses = records(syn.backward_scan(np.random.default_rng(0), 2000))
         patterns = capture_all(accesses)
         # Entering from above means triggers concentrate at region tops.
         high = [p for p in patterns if p.trigger_offset >= 48]
@@ -66,14 +71,14 @@ class TestBackwardScan:
 
 class TestStrided:
     def test_constant_stride(self):
-        accesses = syn.strided(np.random.default_rng(0), 100, stride=3)
+        accesses = records(syn.strided(np.random.default_rng(0), 100, stride=3))
         lines = [a.cacheline for a in accesses]
         assert all(b - a == 3 for a, b in zip(lines, lines[1:]))
 
 
 class TestPatternReplay:
     def test_anchored_patterns_recur_across_regions(self):
-        accesses = syn.pattern_replay(np.random.default_rng(3), 4000, noise=0.0)
+        accesses = records(syn.pattern_replay(np.random.default_rng(3), 4000, noise=0.0))
         patterns = capture_all(accesses)
         from collections import Counter
         census = Counter(p.anchored() for p in patterns)
@@ -83,7 +88,7 @@ class TestPatternReplay:
     def test_offset_set_stable_but_order_varies(self):
         rng = np.random.default_rng(4)
         library = [(0, [1, 2, 3, 4, 5, 6])]
-        accesses = syn.pattern_replay(rng, 400, library=library, noise=0.0)
+        accesses = records(syn.pattern_replay(rng, 400, library=library, noise=0.0))
         by_region: dict[int, list[int]] = {}
         for access in accesses:
             by_region.setdefault(region_of(access.address), []).append(
@@ -96,7 +101,7 @@ class TestPatternReplay:
     def test_noise_perturbs_patterns(self):
         rng = np.random.default_rng(5)
         library = [(0, list(range(1, 10)))]
-        accesses = syn.pattern_replay(rng, 2000, library=library, noise=0.3)
+        accesses = records(syn.pattern_replay(rng, 2000, library=library, noise=0.3))
         patterns = capture_all(accesses)
         distinct = {p.anchored() for p in patterns}
         assert len(distinct) > 3  # variants, not exact clones
@@ -104,7 +109,7 @@ class TestPatternReplay:
 
 class TestIrregular:
     def test_pointer_chase_patterns_rarely_repeat(self):
-        accesses = syn.pointer_chase(np.random.default_rng(6), 3000)
+        accesses = records(syn.pointer_chase(np.random.default_rng(6), 3000))
         patterns = capture_all(accesses)
         from collections import Counter
         census = Counter(p.anchored() for p in patterns)
@@ -112,7 +117,7 @@ class TestIrregular:
         assert singles / max(1, len(census)) > 0.5
 
     def test_graph_traversal_mixes_segments(self):
-        accesses = syn.graph_traversal(np.random.default_rng(7), 2000)
+        accesses = records(syn.graph_traversal(np.random.default_rng(7), 2000))
         pcs = {a.pc for a in accesses}
         assert len(pcs) == 3  # vertex, edge and data access sites
 
@@ -128,7 +133,7 @@ class TestCompose:
         rng = np.random.default_rng(9)
         parts = [(syn.stream, {"segment": 0}, 0.9),
                  (syn.pointer_chase, {"segment": 5}, 0.1)]
-        out = syn.compose(rng, parts, 2000, epochs=2)
+        out = records(syn.compose(rng, parts, 2000, epochs=2))
         first = [a for a in out[:1000] if a.pc == 0x400100]
         second = [a for a in out[1000:] if a.pc == 0x400100]
         # The rotated weights flip the dominant phase between epochs.

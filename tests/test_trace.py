@@ -1,7 +1,13 @@
 """Trace container, statistics and on-disk formats."""
 
+import pickle
+
+from repro.experiments.engine import SimJob
 from repro.memtrace.access import MemoryAccess
-from repro.memtrace.trace import Trace
+from repro.memtrace.trace import Trace, rebase
+from repro.memtrace.workloads import quick_suite
+from repro.prefetchers.pmp import PMP
+from repro.sim.params import SystemConfig
 
 
 def make_trace(n=100, name="t"):
@@ -34,11 +40,15 @@ class TestContainer:
         assert trace.unique_regions() == 2
         assert trace.footprint_bytes() == 128
 
-    def test_slice(self):
-        trace = make_trace(10)
-        sub = trace.slice(2, 5)
-        assert len(sub) == 3
-        assert sub[0] == trace[2]
+    def test_append_after_hash_rehashes(self):
+        trace = Trace("t")
+        trace.append(MemoryAccess(pc=1, address=64))
+        first = trace.content_hash()
+        trace.append(MemoryAccess(pc=1, address=128))
+        fresh = Trace("t")
+        fresh.extend([MemoryAccess(pc=1, address=64),
+                      MemoryAccess(pc=1, address=128)])
+        assert trace.content_hash() == fresh.content_hash() != first
 
 
 class TestMPKI:
@@ -71,7 +81,6 @@ class TestIO:
         assert loaded.accesses == trace.accesses
 
     def test_pickles_as_its_packed_arrays(self):
-        import pickle
         trace = make_trace(64, name="p")
         trace.family, trace.seed = "fam", 7
         loaded = pickle.loads(pickle.dumps(trace))
@@ -89,7 +98,6 @@ class TestIO:
 
 class TestRebase:
     def test_rebase_shifts_into_private_slot(self):
-        from repro.memtrace.trace import rebase
         trace = make_trace(10)
         shifted = rebase(trace, slot=2)
         assert shifted.name.endswith("@2")
@@ -100,8 +108,30 @@ class TestRebase:
             assert moved.gap == original.gap
 
     def test_rebased_slots_never_alias(self):
-        from repro.memtrace.trace import rebase
         trace = make_trace(50)
         a = {x.cacheline for x in rebase(trace, 0).accesses}
         b = {x.cacheline for x in rebase(trace, 1).accesses}
         assert not a & b
+
+
+class TestColumns:
+    def test_job_path_builds_no_records(self, monkeypatch):
+        """Build, lease, rebase and simulate a trace without one
+        MemoryAccess: every step reads and writes the four columns."""
+        built = []
+        new = MemoryAccess.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(MemoryAccess, "__new__", counting_new)
+        trace = quick_suite()[0].build(2_000)
+        job = SimJob(trace, PMP(), SystemConfig.default())
+        job.key()   # a leased job is keyed before it is pickled
+        leased = pickle.loads(pickle.dumps(job))
+        rebase(leased.trace, 1)
+        leased.run()
+        assert built == []
+        trace[0]   # the counter sees a record built on demand
+        assert len(built) == 1
