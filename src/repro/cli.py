@@ -26,13 +26,13 @@ config, system config), so a rerun replays instantly; every run also
 writes a JSON manifest (git SHA, timings, cache hit/miss, fault counts)
 under ``<cache-dir>/manifests/``.
 
-Fault tolerance: each simulating run appends finished jobs to a journal
-under ``<cache-dir>/runs/<run-id>/``.  SIGINT/SIGTERM stop gracefully at
-the next job boundary, flush the journal and print the ``--resume``
-hint; ``--resume <run-id>`` replays journaled jobs and simulates only
-the rest.  ``--job-timeout`` bounds every parallel job, ``--fail-fast``
-aborts on the first deterministic job failure instead of finishing the
-batch and reporting all failures at the end.
+Fault tolerance: each simulating run journals every finished job under
+``<cache-dir>/runs/<run-id>/``.  SIGINT/SIGTERM stop gracefully at the
+next job boundary and print the ``--resume`` hint; ``--resume <run-id>``
+replays journaled jobs and simulates only the rest.  ``--job-timeout``
+bounds every parallel job, ``--fail-fast`` aborts on the first
+deterministic job failure instead of finishing the batch and reporting
+all failures at the end.
 """
 
 from __future__ import annotations
@@ -239,13 +239,14 @@ def cmd_table9(args: argparse.Namespace) -> None:
 
 def cmd_table10(args: argparse.Namespace) -> None:
     """Table X: trigger offset width and counter size."""
+    runner = _runner(args)
     rows = [(w, nipc, f"{kib:.1f}KB")
-            for w, nipc, kib in trigger_offset_width_sweep(_runner(args))]
+            for w, nipc, kib in trigger_offset_width_sweep(runner)]
     print(format_table(["offset width (b)", "NIPC", "overhead"], rows,
                        title="Table X (left) — trigger offset width"))
     print()
     print(sweep_report("Table X (right) — counter size", "bits",
-                       counter_size_sweep(_runner(args))))
+                       counter_size_sweep(runner)))
 
 
 def cmd_table11(args: argparse.Namespace) -> None:
@@ -437,7 +438,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="journal finished jobs under "
                              "<cache-dir>/runs/<run-id>/ for --resume")
     parser.add_argument("--run-id", default=None,
-                        help="explicit id for this run's journal directory")
+                        help="explicit id for a new run's journal "
+                             "directory (an existing run continues with "
+                             "--resume)")
     parser.add_argument("--resume", default=None, metavar="RUN_ID",
                         help="replay the journaled jobs of an interrupted "
                              "run and simulate only the remainder")
@@ -457,6 +460,13 @@ def main(argv: list[str] | None = None) -> int:
     if fabric_only and not args.fabric:
         parser.error(f"--fabric is not set, so {', '.join(fabric_only)} "
                      f"would be ignored")
+    if args.run_id and args.resume:
+        parser.error(f"--run-id names a new run; continue run "
+                     f"{args.resume!r} with --resume {args.resume} alone")
+    if args.run_id and (Path(args.cache_dir) / "runs" / args.run_id).exists():
+        parser.error(f"run {args.run_id!r} already exists under "
+                     f"{args.cache_dir}; continue it with "
+                     f"--resume {args.run_id}")
     if args.experiment in ("fig13", "all"):
         dropped = _fig13_dropped_flags(args)
         if dropped:
@@ -472,9 +482,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
 
-    # SIGINT/SIGTERM: stop every engine at its next job boundary (the
-    # journal is flushed per job, so nothing finished is lost); a second
-    # signal forces the default KeyboardInterrupt behaviour.
+    # SIGINT/SIGTERM: stop every engine at its next job boundary (each
+    # finished job is already journaled, so nothing finished is lost); a
+    # second signal forces the default KeyboardInterrupt behaviour.
     signals_seen = {"count": 0}
 
     def _graceful_stop(signum, frame):

@@ -15,14 +15,17 @@ Q-table or counter table in one C-level pass rather than value by value.
 Results are stored one JSON file per key under ``<dir>/results/``, in the
 :meth:`SimResult.to_dict` form, so a warm-cache rerun of any experiment
 matrix replays the exact numbers without a single new simulation.  The
-hit/miss counters feed the per-experiment run manifests.
+hit/miss counters feed the per-experiment run manifests.  The run
+journal (:mod:`repro.experiments.journal`) keeps its completions in the
+same format: both stores write through :func:`write_entry` and read
+through :func:`read_entry`.
 
 **Integrity**: every entry carries a SHA-256 checksum over its result
 payload, verified on read.  An entry that fails to parse or to verify is
-*quarantined* — moved to ``<dir>/quarantine/`` and counted (the run
-manifest reports the count) — rather than silently treated as a miss and
-deleted, so corruption is visible and the bytes stay available for
-post-mortem.
+*quarantined* (:func:`quarantine_entry`) — moved to ``<dir>/quarantine/``
+and counted (the run manifest reports the count) — rather than silently
+treated as a miss and deleted, so corruption is visible and the bytes
+stay available for post-mortem.
 
 **Versions**: :data:`CACHE_VERSION` salts every key, so entries written
 under an older version are never read again; they stay behind as dead
@@ -236,7 +239,85 @@ def result_checksum(result_dict: dict) -> str:
 
 
 class CorruptCacheEntry(ValueError):
-    """A cache file existed but failed parsing or checksum verification."""
+    """A cache or journal entry whose payload fails its checksum."""
+
+
+#: What :func:`read_entry` raises for an entry that exists but cannot be
+#: used (``FileNotFoundError``, an ``OSError``, means there is none).
+UNREADABLE = (ValueError, KeyError, TypeError, OSError)
+
+
+def write_entry(directory: Path, key: str, result: SimResult,
+                dir_fd: int | None = None) -> None:
+    """Store ``result`` as the checksummed entry ``<directory>/<key>.json``.
+
+    The entry is staged under a hidden per-process name (the scheme of
+    :func:`repro.fabric.protocol.write_json_atomic`) and renamed into
+    place, so processes sharing the directory never rename each other's
+    staging file away.  ``dir_fd``, an open handle on ``directory``, makes
+    the entry durable: the staged file is fsynced before its rename and
+    the directory after it, so the entry survives a crash from the
+    moment this returns.  Without it (the result cache, where an entry
+    a crash tears is quarantined and re-simulated) nothing is fsynced.
+    """
+    path = directory / f"{key}.json"
+    tmp = directory / f".{path.name}.{os.getpid()}.tmp"
+    result_dict = result.to_dict()
+    with tmp.open("w") as fh:
+        json.dump({"version": CACHE_VERSION, "key": key,
+                   "checksum": result_checksum(result_dict),
+                   "result": result_dict}, fh)
+        if dir_fd is not None:
+            fh.flush()
+            os.fsync(fh.fileno())
+    tmp.replace(path)
+    if dir_fd is not None:
+        os.fsync(dir_fd)
+
+
+def read_entry(path: Path) -> SimResult:
+    """Parse one entry, verifying its integrity checksum.
+
+    Raises one of :data:`UNREADABLE`: ``FileNotFoundError`` when there is
+    no entry, :class:`CorruptCacheEntry` when the payload does not match
+    its checksum.
+    """
+    with path.open() as fh:
+        data = json.load(fh)
+    stored = data["checksum"]
+    actual = result_checksum(data["result"])
+    if stored != actual:
+        raise CorruptCacheEntry(
+            f"checksum mismatch: stored {stored[:12]}…, "
+            f"payload hashes to {actual[:12]}…")
+    return SimResult.from_dict(data["result"])
+
+
+def quarantine_entry(path: Path, quarantine_dir: Path, reason: str) -> dict:
+    """Move a corrupt entry aside (logged, kept for autopsy) and return
+    its ``{key, path, reason}`` event.
+
+    Destinations are suffixed (``<key>.1.json``, ``<key>.2.json``…) when
+    the name is taken: a key that is re-corrupted after being
+    re-simulated must not overwrite the earlier evidence — recurring
+    corruption of one key is exactly the post-mortem case the quarantine
+    exists for.
+    """
+    destination = quarantine_dir / path.name
+    suffix = 0
+    while destination.exists():
+        suffix += 1
+        destination = quarantine_dir / f"{path.stem}.{suffix}{path.suffix}"
+    try:
+        quarantine_dir.mkdir(parents=True, exist_ok=True)
+        path.replace(destination)
+    except OSError:
+        path.unlink(missing_ok=True)
+        destination = None
+    log.warning("quarantined corrupt entry %s: %s (moved to %s)", path,
+                reason, destination or "nowhere; deleted")
+    return {"key": path.stem, "path": str(destination or path),
+            "reason": reason}
 
 
 class ResultCache:
@@ -257,45 +338,6 @@ class ResultCache:
     def _path_for(self, key: str) -> Path:
         return self.results_dir / f"{key}.json"
 
-    def _load_verified(self, path: Path) -> SimResult:
-        """Parse one entry, verifying its integrity checksum."""
-        with path.open() as fh:
-            data = json.load(fh)
-        stored = data["checksum"]
-        actual = result_checksum(data["result"])
-        if stored != actual:
-            raise CorruptCacheEntry(
-                f"checksum mismatch: stored {stored[:12]}…, "
-                f"payload hashes to {actual[:12]}…")
-        return SimResult.from_dict(data["result"])
-
-    def _quarantine(self, key: str, path: Path, reason: str) -> None:
-        """Move a corrupt entry aside (counted, logged, kept for autopsy).
-
-        Destinations are suffixed (``<key>.1.json``, ``<key>.2.json``…)
-        when the name is taken: a key that is re-corrupted after being
-        re-simulated must not overwrite the earlier evidence —
-        recurring corruption of one key is exactly the post-mortem case
-        the quarantine exists for.
-        """
-        self.corrupt += 1
-        destination = self.quarantine_dir / path.name
-        suffix = 0
-        while destination.exists():
-            suffix += 1
-            destination = self.quarantine_dir / f"{path.stem}.{suffix}{path.suffix}"
-        try:
-            self.quarantine_dir.mkdir(parents=True, exist_ok=True)
-            path.replace(destination)
-        except OSError:
-            path.unlink(missing_ok=True)
-            destination = None
-        event = {"key": key, "path": str(destination or path),
-                 "reason": reason}
-        self.corrupt_events.append(event)
-        log.warning("quarantined corrupt cache entry %s…: %s (moved to %s)",
-                    key[:12], reason, destination or "nowhere; deleted")
-
     def get(self, key: str) -> SimResult | None:
         """The stored, integrity-checked result for a key, or None.
 
@@ -305,33 +347,22 @@ class ResultCache:
         """
         path = self._path_for(key)
         try:
-            result = self._load_verified(path)
+            result = read_entry(path)
         except FileNotFoundError:
             self.misses += 1
             return None
-        except (ValueError, KeyError, TypeError, OSError) as exc:
-            self._quarantine(key, path, f"{type(exc).__name__}: {exc}")
+        except UNREADABLE as exc:
+            self.corrupt += 1
+            self.corrupt_events.append(quarantine_entry(
+                path, self.quarantine_dir, f"{type(exc).__name__}: {exc}"))
             self.misses += 1
             return None
         self.hits += 1
         return result
 
     def put(self, key: str, result: SimResult) -> None:
-        """Persist one checksummed result (atomic via rename).
-
-        The entry is staged under a hidden per-process name (the scheme of
-        :func:`repro.fabric.protocol.write_json_atomic`): processes sharing
-        the directory never rename each other's staging file away, and
-        ``len()`` and ``clear()`` never count one.
-        """
-        path = self._path_for(key)
-        tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
-        result_dict = result.to_dict()
-        with tmp.open("w") as fh:
-            json.dump({"version": CACHE_VERSION, "key": key,
-                       "checksum": result_checksum(result_dict),
-                       "result": result_dict}, fh)
-        tmp.replace(path)
+        """Persist one checksummed result (atomic via rename)."""
+        write_entry(self.results_dir, key, result)
 
     def __len__(self) -> int:
         return sum(1 for _ in self.results_dir.glob("*.json"))

@@ -40,8 +40,8 @@ and :mod:`repro.fabric.broker` for the mechanics) is per lease:
   (or raises immediately under ``fail_fast``).
 
 ``request_stop()`` (wired to SIGINT/SIGTERM by the CLI) stops the batch
-at the next completion boundary, flushes the journal and raises
-:class:`RunInterrupted` with the run id to ``--resume``.
+at the next completion boundary and raises :class:`RunInterrupted` with
+the run id to ``--resume``; every completion is already journaled.
 """
 
 from __future__ import annotations
@@ -270,8 +270,7 @@ class ExperimentEngine:
                 self._run_serial(pending, results)
         except KeyboardInterrupt:
             # Bare Ctrl+C without the CLI's signal handler installed:
-            # flush what completed and surface the resume hint.
-            self._flush_journal()
+            # surface the resume hint.
             raise self._interrupted(results) from None
         finally:
             for result in results:
@@ -305,8 +304,8 @@ class ExperimentEngine:
 
     def _register_failure(self, item: _WorkItem, failure: JobFailure,
                           cause: BaseException | None) -> None:
-        """Count, log and journal a structured failure of the item and of
-        each twin (the broker reports failures in this form directly;
+        """Count and log a structured failure of the item and of each
+        twin (the broker reports failures in this form directly;
         ``cause`` is None when a worker's exception could not cross)."""
         for index in (item.index, *item.twins):
             record = replace(failure, index=index)
@@ -315,15 +314,9 @@ class ExperimentEngine:
                         record.kind, record.attempts, record.message)
             self.counters.failed += 1
             self.failures.append(record)
-        if self.journal is not None:
-            self.journal.record_failure(failure.key, failure)
         if self.policy.fail_fast:
             raise cause if cause is not None else RemoteJobError(
                 f"{failure.error_type}: {failure.message}")
-
-    def _flush_journal(self) -> None:
-        if self.journal is not None:
-            self.journal.flush()
 
     def _interrupted(self, results: list) -> RunInterrupted:
         remaining = sum(1 for r in results if r is None)
@@ -335,7 +328,6 @@ class ExperimentEngine:
                     results: list[SimResult | None]) -> None:
         for index, job, key in pending:
             if self._stop:
-                self._flush_journal()
                 raise self._interrupted(results)
             item = _WorkItem(index, job, key)
             try:
@@ -391,7 +383,6 @@ class ExperimentEngine:
             if private is not None:
                 shutil.rmtree(private, ignore_errors=True)
         if status == BATCH_PAUSED:
-            self._flush_journal()
             raise self._interrupted(results)
 
     @staticmethod

@@ -97,8 +97,8 @@ class BatchFailed(RuntimeError):
 class RunInterrupted(RuntimeError):
     """A batch was stopped early (SIGINT/SIGTERM or ``request_stop``).
 
-    Every job that completed before the stop is already flushed to the
-    journal (and the result cache), so ``--resume <run_id>`` skips it.
+    Every job that completed before the stop is already in the journal
+    (and the result cache), so ``--resume <run_id>`` skips it.
     """
 
     def __init__(self, run_id: str | None, completed: int,
@@ -137,11 +137,6 @@ class JobFailure:
             "traceback": self.traceback,
             "attempts": self.attempts,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "JobFailure":
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in data.items() if k in known})
 
 
 def failure_from_exception(index: int, key: str | None, trace_name: str,

@@ -55,7 +55,7 @@ class RunManifest:
     retried: int = 0
     #: Leases reaped past the job deadline.
     timed_out: int = 0
-    #: Corrupt cache entries moved to quarantine during this run.
+    #: Corrupt cache and journal entries moved to quarantine in this run.
     quarantined: int = 0
     extra: dict = field(default_factory=dict)
 
@@ -63,14 +63,24 @@ class RunManifest:
         return asdict(self)
 
     def write(self, directory: str | Path) -> Path:
-        """Write ``<experiment>-<timestamp-ms>.json`` under ``directory``."""
+        """Write ``<experiment>-<timestamp-ms>.json`` under ``directory``.
+
+        Never overwrites: a manifest written in the same millisecond as
+        another of its experiment takes the first free suffixed name
+        (``<experiment>-<timestamp-ms>.1.json``, ``.2.json``…).
+        """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        stamp = int(self.created_unix * 1000)
-        path = directory / f"{self.experiment}-{stamp}.json"
-        with path.open("w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-        return path
+        stem = f"{self.experiment}-{int(self.created_unix * 1000)}"
+        path, suffix = directory / f"{stem}.json", 0
+        while True:
+            try:
+                with path.open("x") as fh:
+                    json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
+                return path
+            except FileExistsError:
+                suffix += 1
+                path = directory / f"{stem}.{suffix}.json"
 
     @classmethod
     def load(cls, path: str | Path) -> "RunManifest":

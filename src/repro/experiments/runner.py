@@ -272,8 +272,6 @@ class SuiteRunner:
         counters = self.engine.counters
         cache_dir = (str(self.cache.directory)
                      if isinstance(self.cache, ResultCache) else None)
-        quarantined = (self.cache.corrupt
-                       if isinstance(self.cache, ResultCache) else 0)
         journal = self.journal if isinstance(self.journal, RunJournal) else None
         return RunManifest(
             experiment=experiment,
@@ -294,7 +292,7 @@ class SuiteRunner:
             failed=counters.failed,
             retried=counters.retried,
             timed_out=counters.timed_out,
-            quarantined=quarantined,
+            quarantined=len(self._quarantine_events()),
             extra=self._manifest_extra(counters),
         )
 
@@ -322,8 +320,8 @@ class SuiteRunner:
         ) if value}
         if self.engine.failures:
             fault["failures"] = [f.to_dict() for f in self.engine.failures]
-        if isinstance(self.cache, ResultCache) and self.cache.corrupt_events:
-            fault["quarantine_events"] = list(self.cache.corrupt_events)
+        if self._quarantine_events():
+            fault["quarantine_events"] = self._quarantine_events()
         if fault:
             extra["fault_tolerance"] = fault
         if counters.event_totals:
@@ -332,6 +330,11 @@ class SuiteRunner:
                 for kind, per_component in sorted(
                     counters.event_totals.items())}
         return extra
+
+    def _quarantine_events(self) -> list[dict]:
+        """The corrupt entries the cache and the journal quarantined."""
+        return [event for store in (self.cache, self.journal)
+                if store is not None for event in store.corrupt_events]
 
     def write_manifest(self, experiment: str,
                        directory: str | Path = ".repro-cache/manifests") -> Path:

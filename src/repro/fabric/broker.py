@@ -12,11 +12,12 @@ The fault policy is **per lease**:
 
 * a claim held past ``FaultPolicy.job_timeout`` (from when the broker
   first saw it), a dead local holder (its process sentinel fires) or a
-  heartbeat older than ``lease_ttl`` gets the lease **reaped**:
-  attempts+1, epoch+1, republished with a ``FaultPolicy.backoff``
-  ``not_before`` stamp — the machinery failed, the job is innocent.  A
-  local holder that timed out is killed; a remote one is fenced off by
-  the epoch bump.  A local worker lost with a lease is replaced.
+  heartbeat older than ``lease_ttl`` gets the lease **reaped**: one
+  more attempt counted, epoch+1, republished with a
+  ``FaultPolicy.backoff`` ``not_before`` stamp — the machinery failed,
+  the job is innocent.  A local holder that timed out is killed; a
+  remote one is fenced off by the epoch bump.  A local worker lost with
+  a lease is replaced.
 * a lease reaped ``FaultPolicy.max_attempts`` times becomes a structured
   :class:`~repro.experiments.faults.JobFailure` — a batch can fail,
   never hang; a worker-reported exception is deterministic and becomes
@@ -26,10 +27,11 @@ The fault policy is **per lease**:
   with workers finishes it.
 
 Each key leaves the batch once — with a result, a reported failure,
-exhausted retries or worker collapse — and once the
-engine has cached and journaled that outcome the broker deletes the
-key's payload, leases and outcome record, so each record is read once
-and a wake-up costs work in the number of workers, not of jobs.  Every
+exhausted retries or worker collapse — and once the engine has taken
+that outcome (a result cached and journaled, a failure counted) the
+broker deletes the key's payload, leases and outcome record, so each
+record is read once and a wake-up costs work in the number of workers,
+not of jobs.  Every
 exit that is not a completion leaves the batch paused, so attached
 workers stop serving it.  A broker that dies and resumes harvests any
 verified result a worker landed while it was gone, so no finished
@@ -236,21 +238,16 @@ class FabricBroker:
                     f"lease worker: {exc}") from exc
             with (jobs_dir(self.run_dir) / f"{key}.job").open("wb") as fh:
                 fh.write(payload)
-            lease_mod.publish(self.run_dir, key, 0, {
-                "index": item.index,
-                "attempts": 0,
-                "trace": item.job.trace.name,
-                "prefetcher": item.job.prefetcher.name,
-                "payload": f"jobs/{key}.job",
-            })
+            lease_mod.publish(self.run_dir, key, 0)
             if self._forked < self.local_workers:
                 self._fork_worker()
 
     def _retire(self, key: str) -> None:
         """Take a key out of the batch and delete every file it has in
         the lease directory: its payload and each epoch's lease and
-        outcome record.  Called only once the engine has cached and
-        journaled the key's outcome, so no crash can lose it."""
+        outcome record.  Called only once the engine has taken the
+        key's outcome (a result is journaled by then), so no crash can
+        lose a finished simulation."""
         self._outstanding.discard(key)
         (jobs_dir(self.run_dir) / f"{key}.job").unlink(missing_ok=True)
         for state in LEASE_STATES:
@@ -431,13 +428,8 @@ class FabricBroker:
             self.on_failure(state.item, failure, cause)
             self._retire(key)
         else:
-            record = record or {
-                "index": state.item.index, "attempts": state.attempts - 1,
-                "trace": state.item.job.trace.name,
-                "prefetcher": state.item.job.prefetcher.name,
-                "payload": f"jobs/{key}.job"}
             not_before = time.time() + self.policy.backoff(state.attempts)
-            lease_mod.reap(self.run_dir, key, state.epoch, record, not_before)
+            lease_mod.reap(self.run_dir, key, state.epoch, not_before)
             state.epoch += 1
             self.counters.retried += 1
         if killed and self._outstanding:

@@ -11,8 +11,8 @@ race has exactly one winner:
   *recreate* a reaped lease file (``utime`` on a path would), so a stale
   holder cannot resurrect its claim — the rename fence holds.
 * **reap** — the broker republishes an expired claim as
-  ``open/<k>.e<N+1>`` (attempts+1, a ``not_before`` backoff stamp) and
-  unlinks the stale claim.  The epoch bump is the fencing token: any
+  ``open/<k>.e<N+1>`` (with a ``not_before`` backoff stamp) and unlinks
+  the stale claim.  The epoch bump is the fencing token: any
   file a dead-but-not-yet-gone worker leaves behind carries an older
   epoch and is swept, never trusted.
 * **done** — the holder lands its outcome, a result or a structured
@@ -60,10 +60,13 @@ class FabricConfig:
 
 # ----------------------------------------------------------------- transitions
 
-def publish(run_dir: str | Path, key: str, epoch: int, record: dict) -> Path:
-    """Create (or republish) an open lease; returns its path."""
+def publish(run_dir: str | Path, key: str, epoch: int,
+            not_before: float = 0.0) -> Path:
+    """Create (or republish) an open lease, claimable from the
+    ``time.time()`` stamp ``not_before`` on; returns its path."""
     path = state_dir(run_dir, "open") / lease_filename(key, epoch)
-    write_json_atomic(path, {**record, "key": key, "epoch": epoch})
+    write_json_atomic(path, {"key": key, "epoch": epoch,
+                             "not_before": not_before})
     return path
 
 
@@ -116,15 +119,10 @@ def heartbeat(path: str | Path) -> bool:
     return True
 
 
-def reap(run_dir: str | Path, key: str, epoch: int, record: dict,
+def reap(run_dir: str | Path, key: str, epoch: int,
          not_before: float) -> Path:
     """Republish an expired claim as epoch+1 and drop the stale file."""
-    record = dict(record)
-    record.pop("worker", None)
-    record.pop("claimed_unix", None)
-    record["attempts"] = int(record.get("attempts", 0)) + 1
-    record["not_before"] = not_before
-    path = publish(run_dir, key, epoch + 1, record)
+    path = publish(run_dir, key, epoch + 1, not_before)
     drop(run_dir, key, epoch)
     return path
 
@@ -140,8 +138,7 @@ def complete(run_dir: str | Path, record: dict, result: dict | None = None,
     path = state_dir(run_dir, "done") / lease_filename(key, epoch)
     write_json_atomic(path, {
         "key": key, "epoch": epoch, "worker": record.get("worker"),
-        "completed_unix": time.time(), "checksum": result_checksum(value),
-        kind: value})
+        "checksum": result_checksum(value), kind: value})
     drop(run_dir, key, epoch)
     return path
 

@@ -7,7 +7,9 @@ filesystem is POSIX atomic rename — which both local filesystems and
 NFS provide::
 
     runs/<run-id>/
-      journal.jsonl  meta.json          # the PR-4 ledger (broker-owned)
+      meta.json                         # run id, creation time, git SHA
+      results/<key>.json                # the journal: one entry per
+                                        # finished job (broker-owned)
       fabric/
         batch.json                      # {"status": open|paused|complete, ...}
         jobs/<key>.job                  # the pickled SimJob of each key
@@ -24,8 +26,9 @@ worker's files are recognisable by their lower epoch and can never
 clobber the current claim.
 
 The lease directory holds only live work: the broker deletes a key's
-payload, lease and outcome record once the engine has journaled its
-outcome, so a completed batch leaves ``batch.json`` and the census.
+payload, lease and outcome record once the engine has taken its outcome
+(a result is journaled, as an fsynced entry, by then), so a completed
+batch leaves ``batch.json`` and the census.
 
 Writes are atomic (temp file in the same directory, fsync, rename) and
 reads are torn-tolerant: :func:`read_json` returns ``None`` for a

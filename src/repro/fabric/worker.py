@@ -12,8 +12,8 @@ the outcome as one checksummed ``done/`` record:
   truncated write is a transport fault, not a wrong number);
 * a deterministic ``simulate()`` exception → a structured failure
   carrying the traceback (the broker never retries those);
-* a missing payload → no outcome: the broker retired that key (its
-  outcome is already journaled), so the claim is dropped.
+* a missing payload → no outcome: the broker retired that key (the
+  engine already took its outcome), so the claim is dropped.
 
 A forked worker then wakes the broker through its pipe.  A daemon
 heartbeat thread renews the census entry and the held claim every
@@ -200,9 +200,9 @@ class FabricWorker:
     # ------------------------------------------------------------ heartbeats
 
     def _register(self, run_dir: Path, final: bool = False) -> None:
-        record = {"worker_id": self.worker_id, "pid": os.getpid(),
+        record = {"pid": os.getpid(),
                   "host": os.uname().nodename if hasattr(os, "uname") else "",
-                  "started_unix": time.time(), "jobs_done": self.jobs_done}
+                  "jobs_done": self.jobs_done}
         if final:
             record["exited_unix"] = time.time()
         try:

@@ -194,11 +194,11 @@ class TestInterruptAndResume:
              "--cache-dir", str(cache_dir)],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
             env=env, cwd=root)
-        journal_path = cache_dir / "runs" / "sigint-test" / "journal.jsonl"
+        entries = cache_dir / "runs" / "sigint-test" / "results"
         deadline = time.monotonic() + 120
         # Interrupt as soon as at least one job is journaled.
         while time.monotonic() < deadline:
-            if journal_path.exists() and journal_path.stat().st_size > 0:
+            if entries.is_dir() and any(entries.glob("*.json")):
                 break
             if proc.poll() is not None:
                 pytest.fail(f"run finished before it could be interrupted:\n"

@@ -48,6 +48,18 @@ class TestParser:
         out = capsys.readouterr().out
         assert "dual" in out
 
+    def test_table10_runs_both_sweeps_on_one_runner(self, tmp_path, capsys):
+        """One manifest covers both Table X sweeps and their one baseline
+        suite: 5 offset widths, 6 counter sizes and 1 baseline per
+        trace.  Two runners built the baselines twice and wrote two
+        manifests that could share a millisecond, and so a file name."""
+        import json
+
+        assert main(["table10", "--accesses", "2000", "--traces", "1",
+                     "--cache-dir", str(tmp_path)]) == 0
+        (manifest,) = (tmp_path / "manifests").glob("table10-*.json")
+        assert json.loads(manifest.read_text())["jobs"] == 12
+
     def test_trace_cache_option(self, tmp_path, capsys):
         cache_dir = str(tmp_path / "cache")
         assert main(["table9", "--accesses", "2000", "--traces", "1",
@@ -171,3 +183,43 @@ class TestFabricOnlyFlags:
         assert main(["fig8", "--fabric", "--cache-dir", str(tmp_path)]) == 0
         assert configs == [FabricConfig(lease_ttl=7.0, poll_interval=0.2),
                            FabricConfig()]
+
+
+class TestRunIdentity:
+    """``--resume`` is the one way to continue a run: ``--run-id`` names
+    a new one, and the CLI refuses to reopen an existing run with it."""
+
+    @pytest.fixture
+    def journals(self, monkeypatch):
+        from repro import cli
+
+        journals = []
+        monkeypatch.setitem(cli.COMMANDS, "fig8",
+                            lambda args: journals.append(cli._journal(args)))
+        return journals
+
+    def test_existing_run_id_exits_2_naming_resume(self, journals, tmp_path,
+                                                   capsys):
+        assert main(["fig8", "--run-id", "run-x", "--cache-dir",
+                     str(tmp_path)]) == 0
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fig8", "--run-id", "run-x", "--cache-dir", str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert len(journals) == 1
+        message = capsys.readouterr().err.strip().splitlines()[-1]
+        assert "--resume run-x" in message
+        assert main(["fig8", "--resume", "run-x", "--cache-dir",
+                     str(tmp_path)]) == 0
+        assert [j.run_id for j in journals] == ["run-x", "run-x"]
+
+    def test_run_id_with_resume_exits_2(self, journals, tmp_path, capsys):
+        assert main(["fig8", "--run-id", "run-x", "--cache-dir",
+                     str(tmp_path)]) == 0
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fig8", "--resume", "run-x", "--run-id", "run-y",
+                  "--cache-dir", str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert len(journals) == 1
+        message = capsys.readouterr().err.strip().splitlines()[-1]
+        assert "--resume run-x" in message
+        assert not (tmp_path / "runs" / "run-y").exists()

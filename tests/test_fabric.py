@@ -110,10 +110,9 @@ def start_worker_threads(tmp_path, count=2, ttl=5.0):
 # ------------------------------------------------------------------- units
 
 class TestLeaseStateMachine:
-    def _open_lease(self, run_dir, key=KEY, epoch=0, **extra):
+    def _open_lease(self, run_dir, key=KEY, epoch=0, not_before=0.0):
         ensure_layout(run_dir)
-        return lease.publish(run_dir, key, epoch,
-                             {"index": 0, "attempts": 0, **extra})
+        return lease.publish(run_dir, key, epoch, not_before)
 
     def test_claim_is_exclusive(self, tmp_path):
         self._open_lease(tmp_path)
@@ -134,19 +133,57 @@ class TestLeaseStateMachine:
                            now=time.time() + 120.0) is not None
 
     def test_reap_bumps_epoch_and_attempts(self, tmp_path):
-        self._open_lease(tmp_path)
-        record = lease.claim(tmp_path, KEY, 0, "w1")
-        lease.reap(tmp_path, KEY, 0, record, not_before=0.0)
+        """The republished lease carries the bumped epoch; the attempt
+        count lives in the broker's state, not in the record."""
+        broker = stub_broker(tmp_path, on_result=None)
+        ensure_layout(tmp_path)
+        broker._publish([stub_item()])
+        lease.claim(tmp_path, KEY, 0, "w1")
+        broker._expire(KEY, reason="unit")
         republished = read_json(state_dir(tmp_path, "open")
                                 / lease_filename(KEY, 1))
         assert republished["epoch"] == 1
-        assert republished["attempts"] == 1
+        assert broker._state[KEY].attempts == 1
         assert "worker" not in republished
         stale = state_dir(tmp_path, "claimed") / lease_filename(KEY, 0)
         assert not stale.exists()
         # A reaped holder's heartbeat must fail, never resurrect the file.
         assert lease.heartbeat(stale) is False
         assert not stale.exists()
+
+    def test_records_carry_only_the_fields_something_reads(self, tmp_path):
+        """One lease through publish → claim → reap → claim → complete:
+        the broker reads a lease's key, epoch, ``not_before`` and
+        worker, a hold time is measured from ``claimed_unix``, and the
+        census is read for pid, host, jobs done and exit."""
+        broker = stub_broker(tmp_path, on_result=None)
+        ensure_layout(tmp_path)
+        broker._publish([stub_item()])
+
+        def keys(state, epoch):
+            return set(read_json(state_dir(tmp_path, state)
+                                 / lease_filename(KEY, epoch)))
+
+        published = {"key", "epoch", "not_before"}
+        claimed = published | {"worker", "claimed_unix"}
+        assert keys("open", 0) == published
+        lease.claim(tmp_path, KEY, 0, "w1")
+        assert keys("claimed", 0) == claimed
+        broker._expire(KEY, reason="unit")
+        assert keys("open", 1) == published
+        record = lease.claim(tmp_path, KEY, 1, "w2", now=float("inf"))
+        assert keys("claimed", 1) == claimed
+        lease.complete(tmp_path, record, {"answer": 42})
+        assert keys("done", 1) == {"key", "epoch", "worker", "checksum",
+                                   "result"}
+
+        worker = FabricWorker(root=tmp_path, worker_id="w1")
+        census = protocol.worker_path(tmp_path, "w1")
+        worker._register(tmp_path)
+        assert set(read_json(census)) == {"pid", "host", "jobs_done"}
+        worker._register(tmp_path, final=True)
+        assert set(read_json(census)) == {"pid", "host", "jobs_done",
+                                          "exited_unix"}
 
     def test_heartbeat_renews_mtime(self, tmp_path):
         self._open_lease(tmp_path)
@@ -278,7 +315,9 @@ class TestFabricEndToEnd:
         counters = runner.engine.counters
         assert (counters.simulated, counters.fabric_completed) == (0, 0)
         assert counters.lease_expired == len(SPECS)
-        assert runner.journal.failed == len(SPECS)
+        assert runner.journal.completed == 0
+        assert len(runner.manifest("unit").extra["fault_tolerance"][
+            "failures"]) == len(SPECS)
         assert_no_live_work(runner.journal.directory)
         runner.journal.close()
 
@@ -346,8 +385,8 @@ class TestFabricEndToEnd:
         run_dir = runner.journal.directory
         ensure_layout(run_dir)
         jobs = runner._jobs(PMP, runner.config)
-        for index, (job, result) in enumerate(zip(jobs, clean_outcome)):
-            lease.publish(run_dir, job.key(), 0, {"index": index})
+        for job, result in zip(jobs, clean_outcome):
+            lease.publish(run_dir, job.key(), 0)
             lease.complete(run_dir, lease.claim(run_dir, job.key(), 0,
                                                 "w-lost"), result)
 
@@ -378,8 +417,9 @@ class TestCleanRunDirectory:
         run_dir = runner.journal.directory
         assert_no_live_work(run_dir)
         assert read_batch(run_dir)["status"] == BATCH_COMPLETE
-        assert sorted(os.listdir(run_dir)) == ["fabric", "journal.jsonl",
-                                               "meta.json"]
+        assert sorted(os.listdir(run_dir)) == ["fabric", "meta.json",
+                                               "results"]
+        assert len(os.listdir(run_dir / "results")) == len(SPECS)
 
     def test_failed_batch_leaves_no_live_work(self, tmp_path,
                                               clean_outcome):

@@ -31,7 +31,8 @@ from repro.experiments.journal import RunJournal
 from repro.experiments.runner import SuiteRunner
 from repro.fabric import FabricConfig, FabricWorker
 from repro.fabric import lease
-from repro.fabric.protocol import ensure_layout, scan_workers
+from repro.fabric.protocol import (ensure_layout, lease_filename,
+                                   read_json, scan_workers, state_dir)
 from repro.memtrace.workloads import quick_suite
 from repro.prefetchers.pmp import PMP
 
@@ -168,9 +169,11 @@ class TestHungJob:
         held = []
         reap = lease.reap
 
-        def timed_reap(run_dir, key, epoch, record, not_before):
-            held.append(time.time() - record["claimed_unix"])
-            return reap(run_dir, key, epoch, record, not_before)
+        def timed_reap(run_dir, key, epoch, not_before):
+            claim = read_json(state_dir(run_dir, "claimed")
+                              / lease_filename(key, epoch))
+            held.append(time.time() - claim["claimed_unix"])
+            return reap(run_dir, key, epoch, not_before)
 
         monkeypatch.setattr(lease, "reap", timed_reap)
         local = workers == "local"
@@ -239,7 +242,7 @@ class TestDuplicateClaimRace:
         """N threads race one open lease through the rename gate."""
         ensure_layout(tmp_path)
         key = "b" * 16
-        lease.publish(tmp_path, key, 0, {"index": 0, "attempts": 0})
+        lease.publish(tmp_path, key, 0)
         barrier = threading.Barrier(8)
         wins: list[dict] = []
         lock = threading.Lock()
@@ -267,7 +270,7 @@ class TestDuplicateClaimRace:
         ensure_layout(tmp_path)
         for round_index in range(10):
             key = f"{round_index:02d}" + "c" * 14
-            lease.publish(tmp_path, key, 0, {"index": 0, "attempts": 0})
+            lease.publish(tmp_path, key, 0)
             results = []
             barrier = threading.Barrier(4)
 

@@ -1,7 +1,7 @@
 """Units for the fault-tolerance plumbing: journal, checksums, taxonomy.
 
 The chaos tests (``test_chaos.py``) prove the end-to-end recovery
-stories; this file pins the individual mechanisms — journal line
+stories; this file pins the individual mechanisms — journal entry
 integrity, cache entry checksums, failure classification, backoff
 schedule, and the manifest fields they all feed.
 """
@@ -19,7 +19,7 @@ import pytest
 
 from repro.experiments.cache import (CACHE_VERSION, ResultCache,
                                      result_checksum)
-from repro.experiments.faults import (FaultPolicy, JobFailure,
+from repro.experiments.faults import (FaultPolicy,
                                       failure_from_exception,
                                       has_remote_traceback,
                                       is_transport_failure)
@@ -38,92 +38,151 @@ def result():
     return SuiteRunner(specs=SPECS, accesses=1_000).run(NoPrefetcher)[0]
 
 
-def failure(key="k1", kind="raise"):
-    return JobFailure(index=0, key=key, trace_name="t", prefetcher_name="p",
-                      kind=kind, error_type="ValueError", message="boom",
-                      traceback="Traceback ...")
-
-
 class TestRunJournal:
-    def test_round_trips_done_and_failed_records(self, tmp_path, result):
+    def test_round_trips_done_records(self, tmp_path, result):
         journal = RunJournal(tmp_path, "run-a")
         journal.record_done("done-key", result)
-        journal.record_failure("failed-key", failure("failed-key"))
         journal.close()
 
         reopened = RunJournal(tmp_path, "run-a")
         assert reopened.completed == 1
-        assert reopened.failed == 1
-        assert reopened.skipped_lines == 0
         assert reopened.lookup("done-key").to_dict() == result.to_dict()
         assert reopened.lookup("missing") is None
-        assert reopened.prior_failure("failed-key").message == "boom"
         reopened.close()
 
-    def test_record_done_is_idempotent_and_clears_failure(self, tmp_path,
-                                                          result):
+    def test_entries_are_result_cache_entries(self, tmp_path, result):
+        """A journal entry is byte for byte the entry the result cache
+        writes for the same key, so both stores share one format."""
+        journal = RunJournal(tmp_path / "runs", "run-cache-format")
+        journal.record_done("k1", result)
+        journal.close()
+        cache = ResultCache(tmp_path / "cache")
+        cache.put("k1", result)
+        entry = journal.results_dir / "k1.json"
+        assert entry.read_bytes() == cache._path_for("k1").read_bytes()
+        assert ResultCache(journal.directory).get("k1").to_dict() == (
+            result.to_dict())
+
+    def test_record_done_is_idempotent_per_key(self, tmp_path, result):
         journal = RunJournal(tmp_path, "run-b")
-        journal.record_failure("k", failure("k"))
         journal.record_done("k", result)
         journal.record_done("k", result)
         journal.close()
         reopened = RunJournal(tmp_path, "run-b")
         assert reopened.completed == 1
-        assert reopened.failed == 0
+        assert os.listdir(reopened.results_dir) == ["k.json"]
         reopened.close()
 
-    def test_record_failure_is_idempotent_per_key(self, tmp_path, result):
-        # Regression: every retry of a failing job used to append another
-        # journal line for the same key, bloating the ledger one line per
-        # attempt.  Failure records are now keyed like completions.
-        journal = RunJournal(tmp_path, "run-f")
-        for _ in range(4):
-            journal.record_failure("k", failure("k"))
-        journal.record_failure(None, failure(None))  # keyless: not stored
+    def test_record_done_is_durable_when_it_returns(self, tmp_path, result,
+                                                    monkeypatch):
+        """The entry is fsynced before its rename and the directory
+        after it, so the completion survives a crash once recorded."""
+        journal = RunJournal(tmp_path, "run-sync")
+        entry = journal.results_dir / "k1.json"
+        synced = []
+        fsync = os.fsync
+
+        def recording_fsync(fd):
+            synced.append((fd, entry.exists()))
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        journal.record_done("k1", result)
+        (_, staged_in_place), directory = synced
+        assert not staged_in_place           # the staging file, pre-rename
+        assert directory == (journal._dir_fd, True)
         journal.close()
-        lines = [ln for ln in
-                 journal.journal_path.read_text().splitlines() if ln]
-        assert len(lines) == 1
+        with pytest.raises(ValueError, match="closed"):
+            journal.record_done("k2", result)
 
-        reopened = RunJournal(tmp_path, "run-f")
-        assert reopened.failed == 1
-        assert reopened.completed == 0
-        # A later completion still supersedes the journaled failure.
-        reopened.record_done("k", result)
-        assert reopened.failed == 0
-        assert reopened.completed == 1
+    def test_completion_after_a_crash_mid_write_replays(self, tmp_path,
+                                                        result):
+        """A crash mid-write costs only the job being written: a
+        completion recorded after it, by a journal reopened by run id,
+        replays on the next open and after ``--resume``.  (In the
+        append-only log this entry layout replaced, the next record
+        joined the torn line and failed its checksum on every load.)"""
+        journal = RunJournal(tmp_path, "run-x")
+        journal.record_done("k1", result)
+        journal.close()
+        # The crash: half an entry in a staging file, and half an entry
+        # renamed into place (a rename the filesystem kept without data).
+        torn = '{"checksum": "abc", "key": "k-torn", "sta'
+        (journal.results_dir / ".k-torn.json.99999.tmp").write_text(torn)
+        (journal.results_dir / "k-torn.json").write_text(torn)
+
+        reopened = RunJournal(tmp_path, "run-x")
+        reopened.record_done("k2", result)
         reopened.close()
+
+        again = RunJournal(tmp_path, "run-x")
+        assert again.lookup("k2").to_dict() == result.to_dict()
+        assert again.lookup("k-torn") is None
+        assert again.completed == 2
+        again.close()
+        resumed = RunJournal.resume(tmp_path, "run-x")
+        assert resumed.completed == 2
+        for key in ("k1", "k2"):
+            assert resumed.lookup(key).to_dict() == result.to_dict()
+        resumed.close()
 
     def test_truncated_tail_is_skipped_not_fatal(self, tmp_path, result):
         journal = RunJournal(tmp_path, "run-c")
         journal.record_done("k1", result)
         journal.record_done("k2", result)
         journal.close()
-        path = journal.journal_path
-        # Chop the last record in half: a crash mid-write.
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-1] + [lines[-1][:20]]) + "\n")
+        path = journal.results_dir / "k2.json"
+        # Chop the entry in half: a write the crash cut short.
+        path.write_text(path.read_text()[:20])
 
         reopened = RunJournal(tmp_path, "run-c")
-        assert reopened.completed == 1
-        assert reopened.skipped_lines == 1
         assert reopened.lookup("k1") is not None
         assert reopened.lookup("k2") is None  # re-runs on resume
+        assert reopened.completed == 1
+        (event,) = reopened.corrupt_events
+        assert event["key"] == "k2"
+        assert event["reason"].startswith("JSONDecodeError")
+        assert (reopened.quarantine_dir / "k2.json").exists()
+        assert not path.exists()
         reopened.close()
 
-    def test_tampered_line_fails_its_checksum(self, tmp_path, result):
+    def test_tampered_entry_is_quarantined(self, tmp_path, result):
         journal = RunJournal(tmp_path, "run-d")
         journal.record_done("k1", result)
         journal.close()
-        path = journal.journal_path
+        path = journal.results_dir / "k1.json"
         record = json.loads(path.read_text())
         record["result"]["cycles"] = 12345  # flip a number, keep checksum
-        path.write_text(json.dumps(record) + "\n")
+        path.write_text(json.dumps(record))
 
         reopened = RunJournal(tmp_path, "run-d")
+        assert reopened.lookup("k1") is None
         assert reopened.completed == 0
-        assert reopened.skipped_lines == 1
+        assert "checksum mismatch" in reopened.corrupt_events[0]["reason"]
+        # Recorded again, the job's fresh entry replays.
+        reopened.record_done("k1", result)
+        assert reopened.lookup("k1").to_dict() == result.to_dict()
         reopened.close()
+
+    def test_corrupt_entry_resimulates_on_resume(self, tmp_path):
+        runner = SuiteRunner(specs=quick_suite()[:2], accesses=1_000,
+                             journal=RunJournal(tmp_path, "run-corrupt"))
+        clean = [r.to_dict() for r in runner.run(NoPrefetcher)]
+        runner.journal.close()
+        entry = sorted(runner.journal.results_dir.glob("*.json"))[0]
+        entry.write_text(entry.read_text()[:-40])
+
+        resumed = SuiteRunner(specs=quick_suite()[:2], accesses=1_000,
+                              journal=RunJournal.resume(tmp_path,
+                                                        "run-corrupt"))
+        assert [r.to_dict() for r in resumed.run(NoPrefetcher)] == clean
+        counters = resumed.engine.counters
+        assert (counters.simulated, counters.journal_replayed) == (1, 1)
+        manifest = resumed.manifest("unit")
+        assert manifest.quarantined == 1
+        (event,) = manifest.extra["fault_tolerance"]["quarantine_events"]
+        assert event["key"] == entry.stem
+        resumed.journal.close()
 
     def test_meta_records_run_identity(self, tmp_path):
         journal = RunJournal(tmp_path, "run-e")
@@ -139,72 +198,6 @@ class TestRunJournal:
             RunJournal.resume(tmp_path, "never-ran")
         assert new_run_id() != new_run_id()
         assert new_run_id().startswith("run-")
-
-
-class TestJournalCompaction:
-    def _lines(self, journal):
-        return [ln for ln in
-                journal.journal_path.read_text().splitlines() if ln]
-
-    def test_compact_drops_dead_lines_losslessly(self, tmp_path, result):
-        journal = RunJournal(tmp_path, "run-g")
-        journal.record_failure("k1", failure("k1"))
-        journal.record_done("k1", result)   # supersedes the failure line
-        journal.record_done("k2", result)
-        journal.record_failure("k3", failure("k3"))
-        # A corrupt tail, as a crash mid-write would leave it.
-        journal._fh.write('{"torn"\n')
-        journal.flush()
-
-        dropped = journal.compact()
-        assert dropped == 2  # the superseded failure + the torn tail
-        assert len(self._lines(journal)) == 3
-        assert journal.skipped_lines == 0
-        # The live state is untouched, on disk and in memory.
-        assert journal.completed == 2
-        assert journal.failed == 1
-        assert journal.lookup("k1").to_dict() == result.to_dict()
-        journal.close()
-        reopened = RunJournal(tmp_path, "run-g")
-        assert reopened.completed == 2
-        assert reopened.failed == 1
-        assert reopened.skipped_lines == 0
-        assert reopened.lookup("k2").to_dict() == result.to_dict()
-        assert reopened.prior_failure("k3").message == "boom"
-        reopened.close()
-
-    def test_compact_keeps_appending_afterwards(self, tmp_path, result):
-        journal = RunJournal(tmp_path, "run-h")
-        journal.record_failure("k1", failure("k1"))
-        journal.record_done("k1", result)
-        journal.compact()
-        journal.record_done("k2", result)  # the reopened handle appends
-        journal.close()
-        reopened = RunJournal(tmp_path, "run-h")
-        assert reopened.completed == 2
-        assert reopened.skipped_lines == 0
-        reopened.close()
-
-    def test_compact_of_clean_journal_is_a_no_op(self, tmp_path, result):
-        journal = RunJournal(tmp_path, "run-i")
-        journal.record_done("k1", result)
-        before = self._lines(journal)
-        assert journal.compact() == 0
-        assert self._lines(journal) == before
-        journal.close()
-
-    def test_resume_compacts(self, tmp_path, result):
-        journal = RunJournal(tmp_path, "run-j")
-        journal.record_failure("k1", failure("k1"))
-        journal.record_done("k1", result)
-        journal._fh.write('{"torn"\n')
-        journal.close()
-
-        resumed = RunJournal.resume(tmp_path, "run-j")
-        assert len(self._lines(resumed)) == 1
-        assert resumed.completed == 1
-        assert resumed.failed == 0
-        resumed.close()
 
 
 class TestCacheIntegrity:

@@ -188,6 +188,17 @@ class TestManifest:
         assert loaded.git_sha  # "unknown" outside git, a SHA inside
 
 
+    def test_manifests_of_one_millisecond_are_both_kept(self, tmp_path):
+        """Two runners of one experiment can write their manifests in the
+        same millisecond; the second must not replace the first."""
+        stamp = 1_700_000_000.0
+        paths = [RunManifest(experiment="table10", created_unix=stamp,
+                             jobs=jobs).write(tmp_path)
+                 for jobs in (1, 2)]
+        assert paths[0] != paths[1]
+        assert [RunManifest.load(path).jobs for path in paths] == [1, 2]
+
+
 class TestEngineDirect:
     def test_engine_preserves_job_order(self):
         traces = [spec.build(1_000) for spec in SPECS]
