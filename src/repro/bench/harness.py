@@ -16,13 +16,13 @@ import json
 import os
 import platform
 import pstats
-import subprocess
 import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
+from ..experiments.manifest import current_git_sha
 from .schema import BENCH_SCHEMA_VERSION, validate_bench
 
 
@@ -55,19 +55,6 @@ class BenchRecord:
         }
 
 
-def git_sha() -> str:
-    """Current commit SHA, or ``"unknown"`` outside a repo/without git."""
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=Path(__file__).resolve().parent,
-            capture_output=True, text=True, timeout=10)
-    except (OSError, subprocess.TimeoutExpired):
-        return "unknown"
-    sha = out.stdout.strip()
-    return sha if out.returncode == 0 and sha else "unknown"
-
-
 def environment_fingerprint() -> dict:
     """The environment block every bench document carries.
 
@@ -80,7 +67,7 @@ def environment_fingerprint() -> dict:
         "platform": platform.platform(),
         "machine": platform.machine(),
         "cpu_count": os.cpu_count() or 1,
-        "git_sha": git_sha(),
+        "git_sha": current_git_sha(),
     }
 
 

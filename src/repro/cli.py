@@ -70,6 +70,7 @@ from .experiments import (
     table_i_report,
     trigger_offset_width_sweep,
 )
+from .experiments.faults import FaultPolicy
 from .experiments.runner import DEFAULT_ACCESSES
 from .experiments.sensitivity import sweep_report as sensitivity_report
 from .memtrace.workloads import compile_catalog, full_suite, quick_suite
@@ -268,12 +269,11 @@ def cmd_fig12b(args: argparse.Namespace) -> None:
 
 
 def _fig13_dropped_flags(args: argparse.Namespace) -> list[str]:
-    """The set flags that Fig 13, which takes only the trace, access and
-    ``--workers`` options, cannot honour."""
+    """The set flags that Fig 13, which takes only the trace, access,
+    ``--workers``, ``--job-timeout`` and ``--fail-fast`` options, cannot
+    honour."""
     return [flag for flag, value in (
-        ("--job-timeout", args.job_timeout is not None),
-        ("--fail-fast", args.fail_fast), ("--fabric", args.fabric),
-        ("--resume", args.resume is not None),
+        ("--fabric", args.fabric), ("--resume", args.resume is not None),
         ("--run-id", args.run_id is not None),
         ("--trace-cache", bool(args.trace_cache)),
         ("--trace-events", args.trace_events), ("--sample", args.sample))
@@ -282,8 +282,10 @@ def _fig13_dropped_flags(args: argparse.Namespace) -> list[str]:
 
 def cmd_fig13(args: argparse.Namespace) -> None:
     """Fig 13: 4-core homogeneous and heterogeneous mixes."""
+    policy = FaultPolicy(job_timeout=args.job_timeout,
+                         fail_fast=args.fail_fast)
     print(fig13_report(fig13(_specs(args), accesses=args.accesses // 2,
-                             workers=args.workers)))
+                             workers=args.workers, policy=policy)))
 
 
 def cmd_storage(args: argparse.Namespace) -> None:
@@ -470,8 +472,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.experiment in ("fig13", "all"):
         dropped = _fig13_dropped_flags(args)
         if dropped:
-            parser.error(f"fig13 does not run on the experiment engine yet "
-                         f"and would ignore {', '.join(dropped)}")
+            parser.error(f"fig13 would ignore {', '.join(dropped)}")
     args.all_runners = []
     args.journal_obj = None
     if args.resume:
@@ -517,8 +518,7 @@ def main(argv: list[str] | None = None) -> int:
                 exit_code = 1
                 print(f"\n[{name}: {exc}]", file=sys.stderr)
                 for failure in exc.failures:
-                    print(f"--- job {failure.index} "
-                          f"({failure.trace_name}/{failure.prefetcher_name}) "
+                    print(f"--- job {failure.index} ({failure.label}) "
                           f"[{failure.kind}, {failure.attempts} attempt(s)] "
                           f"---\n{failure.traceback}", file=sys.stderr)
             except RunInterrupted as exc:

@@ -1,7 +1,7 @@
-"""Parallel, cached, fault-tolerant execution engine for ``simulate()`` batches.
+"""Parallel, cached, fault-tolerant execution engine for simulation batches.
 
 The engine turns an experiment matrix (traces × prefetcher configs ×
-system configs) into a flat list of :class:`SimJob`s and executes them:
+system configs) into a flat list of jobs and executes them:
 
 1. **Replay** — each job is content-hashed (see
    :mod:`repro.experiments.cache`); a journaled result from a resumed
@@ -18,8 +18,17 @@ system configs) into a flat list of :class:`SimJob`s and executes them:
    journal the moment its job completes (not at batch end), so a crash
    or SIGINT loses at most the jobs in flight.
 
-Every simulation is one :meth:`SimJob.run` call: in this process on the
-serial path, or in the lease worker that unpickled the job.
+A job is a :class:`SimJob` (one trace, one prefetcher) or a Fig 13
+:class:`~repro.experiments.multi_core.MulticoreJob` (four lanes).  The
+engine, the broker and the worker read only this of it: ``key()``, its
+content hash; ``run()``, the simulation, made in this process on the
+serial path or in the lease worker that unpickled the job; ``label``,
+the name failure records and errors give it; ``encode(result)`` and
+``decode(data)``, which turn its result into the JSON-safe dict a lease
+outcome record carries and back (a twin gets a decoded copy); and
+``check_invariants``, whether its run is audited.  Fig 13 runs its
+jobs with no result cache or run journal, which store single-core
+results only.
 
 Fault tolerance (see :mod:`repro.experiments.faults` for the taxonomy
 and :mod:`repro.fabric.broker` for the mechanics) is per lease:
@@ -28,13 +37,14 @@ and :mod:`repro.fabric.broker` for the mechanics) is per lease:
   and its local holder is killed;
 * a local worker that dies mid-job has its lease reaped at once and is
   replaced;
-* every retry waits ``FaultPolicy.backoff`` and a job gets
-  ``max_attempts`` before it becomes a structured :class:`JobFailure`,
+* every retry waits :func:`~repro.experiments.faults.backoff` and a
+  job gets ``faults.MAX_ATTEMPTS`` before it becomes a structured
+  :class:`JobFailure`,
   as does every job of a batch left with no live worker and no landed
   outcome for ``lease_ttl``;
 * a job that cannot be **pickled** stops the batch with a
   ``TypeError`` naming it;
-* a **deterministic exception** inside ``simulate()`` never retries: it
+* a **deterministic exception** inside ``run()`` never retries: it
   becomes a structured :class:`JobFailure` carrying the original worker
   traceback, and the batch finishes before raising :class:`BatchFailed`
   (or raises immediately under ``fail_fast``).
@@ -92,7 +102,7 @@ class SimJob:
     # runs share cache entries.
     fastpath: bool = True
     # Sampled execution (repro.sampling).  Unlike fastpath this IS part
-    # of key() when enabled: sampled results are estimates, so they must
+    # of key() when set: sampled results are estimates, so they must
     # never alias exact results — or results sampled with other knobs.
     sampling: SamplingConfig | None = None
     # The (prefetcher, config) fingerprints of this job's configuration.
@@ -110,7 +120,7 @@ class SimJob:
         cached before the observer existed stays valid for untraced runs
         (traced results carry extra payload and must not alias them).
         ``sampling`` salts the key with its full knob fingerprint, again
-        only when enabled, for the same backwards-compatibility reason.
+        only when set, for the same backwards-compatibility reason.
         """
         if not self.config_parts:
             self.config_parts.extend((prefetcher_fingerprint(self.prefetcher),
@@ -123,7 +133,7 @@ class SimJob:
         ]
         if self.trace_events:
             parts.append("trace-events")
-        if self.sampling is not None and self.sampling.enabled:
+        if self.sampling is not None:
             parts.append(self.sampling.fingerprint())
         return fingerprint(parts)
 
@@ -134,6 +144,18 @@ class SimJob:
                         self.warmup_fraction, trace_events=self.trace_events,
                         check_invariants=self.check_invariants or None,
                         fastpath=self.fastpath, sampling=self.sampling)
+
+    @property
+    def label(self) -> str:
+        return f"{self.trace.name}/{self.prefetcher.name}"
+
+    @staticmethod
+    def encode(result: SimResult) -> dict:
+        return result.to_dict()
+
+    @staticmethod
+    def decode(data: dict) -> SimResult:
+        return SimResult.from_dict(data)
 
 
 @dataclass
@@ -199,7 +221,7 @@ class _WorkItem:
     """One pending job: its batch index, the job and its key."""
 
     index: int
-    job: SimJob
+    job: object
     key: str | None
     #: Indices of later jobs in the batch with the same key: one lease
     #: runs them all, and its result lands at each.
@@ -208,7 +230,7 @@ class _WorkItem:
 
 @dataclass
 class ExperimentEngine:
-    """Runs :class:`SimJob` batches with workers, caching and fault recovery."""
+    """Runs job batches with workers, caching and fault recovery."""
 
     workers: int = 0
     cache: ResultCache | None = None
@@ -230,7 +252,7 @@ class ExperimentEngine:
         """Stop at the next completion boundary (signal-handler safe)."""
         self._stop = True
 
-    def run_jobs(self, jobs: list[SimJob]) -> list[SimResult]:
+    def run_jobs(self, jobs: list) -> list:
         """Execute a batch; results align with ``jobs`` by index.
 
         Raises :class:`BatchFailed` after the batch completes if any job
@@ -240,8 +262,8 @@ class ExperimentEngine:
         """
         start = time.perf_counter()
         failures_before = len(self.failures)
-        results: list[SimResult | None] = [None] * len(jobs)
-        pending: list[tuple[int, SimJob, str | None]] = []
+        results: list = [None] * len(jobs)
+        pending: list[tuple[int, object, str | None]] = []
         # Leases are keyed, so every parallel batch is.
         need_key = (self.fabric is not None or self.workers > 1
                     or self.cache is not None or self.journal is not None)
@@ -274,7 +296,7 @@ class ExperimentEngine:
             raise self._interrupted(results) from None
         finally:
             for result in results:
-                if result is not None and result.event_counters:
+                if isinstance(result, SimResult) and result.event_counters:
                     merge_counter_snapshots(self.counters.event_totals,
                                             result.event_counters)
             self.counters.jobs += len(jobs)
@@ -288,14 +310,14 @@ class ExperimentEngine:
 
     # ------------------------------------------------------------ job plumbing
 
-    def _complete(self, results: list, item: _WorkItem,
-                  result: SimResult) -> None:
+    def _complete(self, results: list, item: _WorkItem, result) -> None:
         """One job finished: place, count, cache and journal its result."""
+        job = item.job
         results[item.index] = result
         for index in item.twins:
-            results[index] = SimResult.from_dict(result.to_dict())
+            results[index] = job.decode(job.encode(result))
         self.counters.simulated += 1
-        if audit_requested(item.job.check_invariants or None):
+        if audit_requested(job.check_invariants or None):
             self.counters.audited += 1
         if self.cache is not None and item.key is not None:
             self.cache.put(item.key, result)
@@ -309,9 +331,9 @@ class ExperimentEngine:
         ``cause`` is None when a worker's exception could not cross)."""
         for index in (item.index, *item.twins):
             record = replace(failure, index=index)
-            log.warning("job %d (%s/%s) failed [%s after %d attempt(s)]: %s",
-                        index, record.trace_name, record.prefetcher_name,
-                        record.kind, record.attempts, record.message)
+            log.warning("job %d (%s) failed [%s after %d attempt(s)]: %s",
+                        index, record.label, record.kind, record.attempts,
+                        record.message)
             self.counters.failed += 1
             self.failures.append(record)
         if self.policy.fail_fast:
@@ -324,8 +346,8 @@ class ExperimentEngine:
             self.journal.run_id if self.journal is not None else None,
             completed=len(results) - remaining, remaining=remaining)
 
-    def _run_serial(self, pending: list[tuple[int, SimJob, str | None]],
-                    results: list[SimResult | None]) -> None:
+    def _run_serial(self, pending: list[tuple[int, object, str | None]],
+                    results: list) -> None:
         for index, job, key in pending:
             if self._stop:
                 raise self._interrupted(results)
@@ -334,15 +356,14 @@ class ExperimentEngine:
                 result = job.run()
             except Exception as exc:
                 self._register_failure(item, failure_from_exception(
-                    index, key, job.trace.name, job.prefetcher.name,
-                    KIND_RAISE, exc), exc)
+                    index, key, job.label, KIND_RAISE, exc), exc)
                 continue
             self._complete(results, item, result)
 
     # -------------------------------------------------------------- lease path
 
-    def _run_fabric(self, pending: list[tuple[int, SimJob, str | None]],
-                    results: list[SimResult | None]) -> None:
+    def _run_fabric(self, pending: list[tuple[int, object, str | None]],
+                    results: list) -> None:
         """Run pending jobs as leases on the fabric broker.
 
         The broker publishes one lease per distinct key, forks the local

@@ -9,21 +9,17 @@ treatment:
   machinery failed (a worker killed by a segfault or the OOM killer, a
   lease held past its deadline or gone silent).  Re-running the job can
   succeed, so the lease broker republishes the lease with bounded
-  exponential backoff.  A job that cannot be pickled is a bug, not a
-  fault: the broker raises ``TypeError`` naming it.
-* **Deterministic failures** — ``simulate()`` itself raised in the
+  exponential backoff (:func:`backoff`), up to :data:`MAX_ATTEMPTS`
+  attempts.  A job that cannot be pickled is a bug, not a fault: the
+  broker raises ``TypeError`` naming it.
+* **Deterministic failures** — the job's ``run()`` itself raised in the
   worker.  Re-running reproduces the same exception, so retrying is
   waste and (worse) hides the bug.  These become structured
   :class:`JobFailure` records carrying the original worker traceback;
   the batch keeps going unless ``fail_fast`` is set.
 
-Fig 13's private process pool classifies through
-:func:`is_transport_failure`, which keys off how :mod:`concurrent.futures`
-surfaces worker exceptions: an exception raised *inside* a worker is
-re-raised in the parent with a ``_RemoteTraceback`` chained as its
-``__cause__`` whose formatted stack ran through the worker loop;
-feed-side pickling errors and pool bookkeeping failures carry no such
-stack (see :func:`has_remote_traceback`).
+Every job, single-core or four-core, is named in these records by its
+``label``.
 
 The module also hosts the seedable **chaos injector** used by the chaos
 CI job: with ``REPRO_CHAOS_SEED`` set, worker processes
@@ -40,16 +36,23 @@ import logging
 import os
 import time
 import traceback as traceback_module
-from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 log = logging.getLogger("repro.experiments.faults")
 
 #: JobFailure.kind values.
-KIND_RAISE = "raise"          # deterministic exception inside simulate()
+KIND_RAISE = "raise"          # deterministic exception inside a job's run()
 KIND_TIMEOUT = "timeout"      # lease held past its deadline, retries exhausted
 KIND_LEASE_EXPIRED = "lease-expired"  # lease holder lost, retries exhausted
+
+#: Total attempts per job (first run + retries) for transport faults.
+MAX_ATTEMPTS = 3
+#: Retry backoff: ``BACKOFF_BASE * BACKOFF_FACTOR ** (attempt - 1)``
+#: seconds, capped at ``BACKOFF_MAX``.
+BACKOFF_BASE = 0.5
+BACKOFF_FACTOR = 2.0
+BACKOFF_MAX = 30.0
 
 
 class JobTimeout(RuntimeError):
@@ -62,12 +65,12 @@ class LeaseExpired(RuntimeError):
     A lease expiry is the fabric's transport fault: the worker holding
     the claim died (or partitioned) without producing an answer, so the
     job itself is innocent.  The broker retries by reassignment up to
-    ``FaultPolicy.max_attempts``; this exception marks the exhaustion.
+    :data:`MAX_ATTEMPTS`; this exception marks the exhaustion.
     """
 
 
 class RemoteJobError(RuntimeError):
-    """A fabric worker reported a deterministic ``simulate()`` failure.
+    """A fabric worker reported a deterministic failure of a job's ``run()``.
 
     Raised in the broker process under ``fail_fast`` when the original
     exception object is unavailable (only the worker's formatted
@@ -85,7 +88,7 @@ class BatchFailed(RuntimeError):
     """
 
     def __init__(self, failures: list["JobFailure"], results: list) -> None:
-        names = ", ".join(sorted({f.trace_name for f in failures}))
+        names = ", ".join(sorted({f.label for f in failures}))
         kinds = ", ".join(sorted({f.kind for f in failures}))
         super().__init__(
             f"{len(failures)} job(s) failed ({kinds}) on {names}; "
@@ -117,8 +120,9 @@ class JobFailure:
 
     index: int
     key: str | None
-    trace_name: str
-    prefetcher_name: str
+    #: The job's ``label``: ``trace/prefetcher``, or the four lanes'
+    #: traces joined by ``+`` for a multicore job.
+    label: str
     kind: str   # KIND_RAISE / KIND_TIMEOUT / KIND_LEASE_EXPIRED
     error_type: str
     message: str
@@ -129,8 +133,7 @@ class JobFailure:
         return {
             "index": self.index,
             "key": self.key,
-            "trace_name": self.trace_name,
-            "prefetcher_name": self.prefetcher_name,
+            "label": self.label,
             "kind": self.kind,
             "error_type": self.error_type,
             "message": self.message,
@@ -139,21 +142,20 @@ class JobFailure:
         }
 
 
-def failure_from_exception(index: int, key: str | None, trace_name: str,
-                           prefetcher_name: str, kind: str, exc: BaseException,
+def failure_from_exception(index: int, key: str | None, label: str,
+                           kind: str, exc: BaseException,
                            attempts: int = 1) -> JobFailure:
     """Build a :class:`JobFailure` carrying the exception's formatted
     traceback (with its chained causes)."""
     tb = "".join(traceback_module.format_exception(
         type(exc), exc, exc.__traceback__))
-    return JobFailure(index=index, key=key, trace_name=trace_name,
-                      prefetcher_name=prefetcher_name, kind=kind,
+    return JobFailure(index=index, key=key, label=label, kind=kind,
                       error_type=type(exc).__name__, message=str(exc),
                       traceback=tb, attempts=attempts)
 
 
-def lease_expiry_failure(index: int, key: str | None, trace_name: str,
-                         prefetcher_name: str, attempts: int, reason: str,
+def lease_expiry_failure(index: int, key: str | None, label: str,
+                         attempts: int, reason: str,
                          kind: str = KIND_LEASE_EXPIRED) -> JobFailure:
     """The structured record of a lease reaped until its retry budget ran
     out (``kind``: the last reap's cause, deadline or lost holder).
@@ -165,65 +167,32 @@ def lease_expiry_failure(index: int, key: str | None, trace_name: str,
     error_type = "JobTimeout" if kind == KIND_TIMEOUT else "LeaseExpired"
     message = (f"lease reaped {attempts} time(s) without a result "
                f"(transport fault — job innocent): {reason}")
-    return JobFailure(index=index, key=key, trace_name=trace_name,
-                      prefetcher_name=prefetcher_name, kind=kind,
+    return JobFailure(index=index, key=key, label=label, kind=kind,
                       error_type=error_type, message=message,
                       traceback=f"{error_type}: {message}\n",
                       attempts=attempts)
-
-
-# --------------------------------------------------------------- classification
-
-def has_remote_traceback(exc: BaseException) -> bool:
-    """True when ``exc`` was raised *inside* a pool worker.
-
-    ``concurrent.futures`` re-raises worker exceptions in the parent with
-    a ``_RemoteTraceback`` instance chained as ``__cause__`` — but so
-    does the pool's feeder thread when the *job cannot be pickled*, and
-    that is a transport failure.  The two are told apart by where the
-    formatted traceback ran: an in-worker exception's stack always goes
-    through ``_process_worker``; a feed-side pickling error's stack never
-    does (it dies in ``multiprocessing.queues._feed`` in the parent).
-    """
-    cause = getattr(exc, "__cause__", None)
-    if cause is None or type(cause).__name__ != "_RemoteTraceback":
-        return False
-    return "_process_worker" in str(cause)
-
-
-def is_transport_failure(exc: BaseException) -> bool:
-    """The job never ran to completion for machinery reasons.
-
-    Pool deaths and local (pickling) failures are transport; an exception
-    with a remote traceback actually executed and is deterministic.
-    """
-    return isinstance(exc, BrokenExecutor) or not has_remote_traceback(exc)
 
 
 # ----------------------------------------------------------------- fault policy
 
 @dataclass
 class FaultPolicy:
-    """Retry/timeout budget governing one :class:`ExperimentEngine`."""
+    """The timeout and failure switches of one :class:`ExperimentEngine`
+    (``--job-timeout`` and ``--fail-fast``)."""
 
     #: Per-lease wall-clock deadline in seconds, measured from when the
     #: broker first sees the job claimed (a queued job's clock does not
     #: run).  A claim held past it is reaped and retried.  ``None``
     #: disables the deadline; serial in-process runs have none.
     job_timeout: float | None = None
-    #: Total attempts per job (first run + retries) for transport faults.
-    max_attempts: int = 3
-    backoff_base: float = 0.5
-    backoff_factor: float = 2.0
-    backoff_max: float = 30.0
     #: Raise the first failure immediately instead of recording it and
     #: finishing the batch.
     fail_fast: bool = False
 
-    def backoff(self, attempt: int) -> float:
-        """Delay before the ``attempt``-th retry of a reaped lease (1-based)."""
-        return min(self.backoff_max,
-                   self.backoff_base * self.backoff_factor ** (attempt - 1))
+
+def backoff(attempt: int) -> float:
+    """Delay before the ``attempt``-th retry of a reaped lease (1-based)."""
+    return min(BACKOFF_MAX, BACKOFF_BASE * BACKOFF_FACTOR ** (attempt - 1))
 
 
 # -------------------------------------------------------------- chaos injection

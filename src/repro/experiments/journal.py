@@ -74,14 +74,10 @@ class RunJournal:
                       if name.endswith(".json") and not name.startswith(".")}
         #: Structured {key, path, reason} record per quarantined entry.
         self.corrupt_events: list[dict] = []
-        #: The commit a fresh run recorded in ``meta.json`` (None when
-        #: reopening a run: its meta names the commit that started it).
-        self.git_sha: str | None = None
         if not self.meta_path.exists():
-            self.git_sha = current_git_sha()
             self.meta_path.write_text(json.dumps(
                 {"run_id": run_id, "created_unix": time.time(),
-                 "git_sha": self.git_sha}, indent=2))
+                 "git_sha": current_git_sha()}, indent=2))
         #: The handle :meth:`record_done` fsyncs each rename through.
         self._dir_fd = os.open(self.results_dir, os.O_RDONLY)
         self._release = weakref.finalize(self, os.close, self._dir_fd)

@@ -10,6 +10,7 @@ the fact.
 
 from __future__ import annotations
 
+import functools
 import json
 import subprocess
 import time
@@ -17,15 +18,23 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 
-def current_git_sha(repo_root: str | Path | None = None) -> str:
-    """The checked-out commit, or 'unknown' outside a git work tree."""
+@functools.cache
+def current_git_sha() -> str:
+    """The commit this package's code is checked out at, or ``"unknown"``
+    outside a git work tree or without git.
+
+    ``git`` runs in the package's own directory, so a run started inside
+    another repository still records this code's commit; it runs once
+    per process.
+    """
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "HEAD"], cwd=repo_root,
-            capture_output=True, text=True, timeout=10, check=True)
-        return out.stdout.strip()
+            ["git", "rev-parse", "HEAD"], cwd=Path(__file__).resolve().parent,
+            capture_output=True, text=True, timeout=10)
     except (OSError, subprocess.SubprocessError):
         return "unknown"
+    sha = out.stdout.strip()
+    return sha if out.returncode == 0 and sha else "unknown"
 
 
 @dataclass

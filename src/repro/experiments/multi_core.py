@@ -6,15 +6,18 @@ all-high, and the three half/half combinations), with traces drawn
 deterministically from the classified suite.
 
 :func:`fig13` evaluates every (trace set × prefetcher) cell — plus one
-shared baseline run per trace set — as independent tasks, optionally
-fanned out over a process pool (``workers=N``).  Task results are placed
-back by index, so parallel numbers match serial ones exactly.  The trace
-sets share their traces: each distinct spec is built once per figure.
+shared baseline run per trace set — as one :class:`MulticoreJob` each.
+Serially it runs them in order; with ``workers=N`` they are one batch on
+the :class:`~repro.experiments.engine.ExperimentEngine`'s lease workers,
+bound by the run's :class:`~repro.experiments.faults.FaultPolicy` like
+any other parallel batch.  Results come back by job index, so parallel
+numbers match serial ones exactly.  The trace sets share their traces:
+each distinct spec is built once per figure.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,10 +26,13 @@ from ..memtrace.trace import Trace, rebase
 from ..memtrace.workloads import WorkloadSpec, classify_suite, quick_suite
 from ..prefetchers import COMPETITORS
 from ..prefetchers.base import NoPrefetcher, Prefetcher
-from ..sim.multicore import multicore_speedup, simulate_multicore
+from ..sim.multicore import (WARMUP_FRACTION, multicore_speedup,
+                             simulate_multicore)
 from ..sim.params import SystemConfig
-from ..sim.stats import geomean
-from .faults import is_transport_failure
+from ..sim.stats import SimResult, geomean
+from .cache import CACHE_VERSION, fingerprint, prefetcher_fingerprint
+from .engine import ExperimentEngine
+from .faults import FaultPolicy
 from .report import format_table
 
 PrefetcherFactory = Callable[[], Prefetcher]
@@ -63,66 +69,53 @@ def build_heterogeneous_mixes(specs: Sequence[WorkloadSpec] | None = None,
     return mixes
 
 
-def _multicore_task(payload: list[tuple[str, str, int, tuple]],
-                    factory: PrefetcherFactory,
-                    config: SystemConfig) -> list:
-    """Worker entry point: rebuild one trace set, run one multicore sim."""
-    traces = [Trace.from_arrays(name, arrays, family=family, seed=seed)
-              for name, family, seed, arrays in payload]
-    return simulate_multicore(traces, factory, config)
+@dataclass
+class MulticoreJob:
+    """One four-core simulation: a lane trace per core, one prefetcher
+    factory for every core, and the shared system config.
 
-
-def _run_trace_sets(trace_sets: Sequence[Sequence[Trace]],
-                    factories: dict[str, PrefetcherFactory],
-                    config: SystemConfig,
-                    workers: int = 0) -> dict[str, list[list]]:
-    """Per trace set: every prefetcher plus one shared baseline run.
-
-    Returns ``{name: [per-set SimResult lists]}`` with the baseline under
-    ``"baseline"``.  Tasks are independent, so with ``workers > 1`` the
-    whole Fig 13 grid fans out at once.  Only *transport* failures — a
-    task that cannot be pickled, or a pool that died under it — fall back
-    to in-process execution; a deterministic exception raised inside the
-    simulation propagates with its original worker traceback (silently
-    re-running it would reproduce the same error, slower, or worse, hide
-    a nondeterminism bug).
+    ``name`` is the prefetcher's Fig 13 column (``baseline`` for no
+    prefetching).  The factory travels with the job, so a leased job's
+    factory must pickle; the broker names the job if it does not.
     """
-    names = list(factories) + ["baseline"]
-    tasks = [(set_index, name)
-             for set_index in range(len(trace_sets)) for name in names]
-    results: dict[tuple[int, str], list] = {}
 
-    def factory_for(name: str) -> PrefetcherFactory:
-        return NoPrefetcher if name == "baseline" else factories[name]
+    traces: list[Trace]
+    factory: PrefetcherFactory
+    config: SystemConfig
+    name: str
+    #: The (prefetcher, config) fingerprints, shared by every job of one
+    #: factory so each factory is fingerprinted once per figure (as
+    #: ``SimJob.config_parts``).
+    config_parts: list[str] = field(default_factory=list, repr=False,
+                                    compare=False)
+    #: The driver audits when ``REPRO_CHECK_INVARIANTS`` is set (as
+    #: ``--check-invariants`` does), which is what the engine counts.
+    check_invariants = None
 
-    if workers > 1 and len(tasks) > 1:
-        # arrays() is memoised, so a trace shared by several sets is
-        # packed once.
-        payloads = [[(t.name, t.family, t.seed, t.arrays())
-                     for t in trace_set] for trace_set in trace_sets]
-        retry: list[tuple[int, str]] = []
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            futures = {task: pool.submit(_multicore_task,
-                                         payloads[task[0]],
-                                         factory_for(task[1]), config)
-                       for task in tasks}
-            for task, future in futures.items():
-                try:
-                    results[task] = future.result()
-                except Exception as exc:
-                    if not is_transport_failure(exc):
-                        raise
-                    retry.append(task)
-        for task in retry:
-            results[task] = simulate_multicore(list(trace_sets[task[0]]),
-                                               factory_for(task[1]), config)
-    else:
-        for set_index, name in tasks:
-            results[(set_index, name)] = simulate_multicore(
-                list(trace_sets[set_index]), factory_for(name), config)
+    @property
+    def label(self) -> str:
+        return f"{'+'.join(trace.name for trace in self.traces)}/{self.name}"
 
-    return {name: [results[(i, name)] for i in range(len(trace_sets))]
-            for name in names}
+    def key(self) -> str:
+        """Content hash of this simulation: every lane's trace, the
+        prefetcher and config fingerprints and the lanes' warmup."""
+        if not self.config_parts:
+            self.config_parts.extend((prefetcher_fingerprint(self.factory()),
+                                      self.config.fingerprint()))
+        return fingerprint([CACHE_VERSION, "multicore",
+                            *(trace.content_hash() for trace in self.traces),
+                            *self.config_parts, repr(WARMUP_FRACTION)])
+
+    def run(self) -> list[SimResult]:
+        return simulate_multicore(self.traces, self.factory, self.config)
+
+    @staticmethod
+    def encode(results: list[SimResult]) -> dict:
+        return {"cores": [result.to_dict() for result in results]}
+
+    @staticmethod
+    def decode(data: dict) -> list[SimResult]:
+        return [SimResult.from_dict(core) for core in data["cores"]]
 
 
 def _core_trace_sets(set_specs: Sequence[Sequence[WorkloadSpec]],
@@ -151,14 +144,17 @@ def _core_trace_sets(set_specs: Sequence[Sequence[WorkloadSpec]],
 def fig13(specs: Sequence[WorkloadSpec] | None = None,
           accesses: int = 15_000,
           prefetchers: dict[str, PrefetcherFactory] | None = None,
-          workers: int = 0) -> dict[str, dict[str, float]]:
+          workers: int = 0,
+          policy: FaultPolicy | None = None) -> dict[str, dict[str, float]]:
     """Full Fig 13: homogeneous + heterogeneous speedups per prefetcher.
 
     Homogeneous sets put one spec on all four cores; heterogeneous sets
     are the Table VII mixes.  Each trace set's baseline is simulated once
     and shared across every prefetcher, and each (spec, core) trace is
-    built once and shared across every set that uses it;
-    ``workers=N`` distributes the whole grid.
+    built once and shared across every set that uses it.  ``workers=N``
+    runs the whole grid as one batch on N lease workers under
+    ``policy`` (its job deadline and ``fail_fast``); a failed job raises
+    :class:`~repro.experiments.faults.BatchFailed` once the batch ends.
     """
     prefetchers = prefetchers or dict(COMPETITORS)
     # One suite object for both halves, so a spec drawn into a mix is the
@@ -171,7 +167,19 @@ def fig13(specs: Sequence[WorkloadSpec] | None = None,
     set_specs = ([[spec] * 4 for spec in homogeneous_specs]
                  + [list(mix_specs) for _, mix_specs in mixes])
     trace_sets = _core_trace_sets(set_specs, accesses)
-    runs = _run_trace_sets(trace_sets, prefetchers, config, workers)
+    factories = {**prefetchers, "baseline": NoPrefetcher}
+    config_parts: dict[str, list[str]] = {name: [] for name in factories}
+    jobs = [MulticoreJob(traces, factory, config, name, config_parts[name])
+            for traces in trace_sets for name, factory in factories.items()]
+    if workers > 1:
+        engine = ExperimentEngine(workers=workers,
+                                  policy=policy or FaultPolicy())
+        results = engine.run_jobs(jobs)
+    else:
+        results = [job.run() for job in jobs]
+    width = len(factories)
+    runs = {name: results[column::width]
+            for column, name in enumerate(factories)}
 
     n_homo = len(homogeneous_specs)
     baselines = runs["baseline"]

@@ -43,7 +43,7 @@ from .cache import ResultCache
 from .engine import ExperimentEngine, SimJob
 from .faults import FaultPolicy
 from .journal import RunJournal
-from .manifest import RunManifest, current_git_sha
+from .manifest import RunManifest
 
 if TYPE_CHECKING:  # imported lazily at runtime (repro.fabric imports us)
     from ..fabric.lease import FabricConfig
@@ -93,7 +93,7 @@ class SuiteRunner:
     # Journal for crash-safe resume: a RunJournal instance, or a run
     # directory root (a fresh run id is generated).  None disables.
     journal: RunJournal | str | Path | None = None
-    # Sampled execution (repro.sampling): when set and enabled, every job
+    # Sampled execution (repro.sampling): when set, every job
     # simulates representative windows only and extrapolates, carrying
     # the plan and error bars in SimResult.sampling.  Results are
     # estimates, so the engine's cache keys are salted with the sampling
@@ -275,9 +275,6 @@ class SuiteRunner:
         journal = self.journal if isinstance(self.journal, RunJournal) else None
         return RunManifest(
             experiment=experiment,
-            # A fresh journal already read the commit: spare a second
-            # `git rev-parse`.
-            git_sha=(journal and journal.git_sha) or current_git_sha(),
             config_fingerprint=self.config.fingerprint(),
             workers=self.workers,
             accesses=self.accesses,
@@ -300,7 +297,7 @@ class SuiteRunner:
         """The manifest's free-form section (event counters when traced)."""
         extra = {"batches": counters.batches,
                  "warmup_fraction": self.warmup_fraction}
-        if self.sampling is not None and self.sampling.enabled:
+        if self.sampling is not None:
             extra["sampling"] = self.sampling.to_dict()
         if counters.audited:
             # Every audited simulation completed, i.e. raised no

@@ -2,8 +2,8 @@
 
 The fabric turns one experiment batch into durable, claimable **lease
 files** on a shared filesystem so independent worker processes — same
-host or NFS peers — can execute :class:`~repro.experiments.engine.SimJob`
-payloads and survive dying mid-job.  See :mod:`repro.fabric.protocol`
+host or NFS peers — can run the engine's pickled jobs and survive
+dying mid-job.  See :mod:`repro.fabric.protocol`
 for the on-disk layout, :mod:`repro.fabric.lease` for the lease state
 machine, :mod:`repro.fabric.broker` for the reaping/reassigning broker
 the engine embeds, and :mod:`repro.fabric.worker` for the claim loop

@@ -2,7 +2,8 @@
 
 The :class:`~repro.experiments.engine.ExperimentEngine` runs every
 parallel batch through a broker.  It publishes one durable lease plus
-the pickled :class:`~repro.experiments.engine.SimJob` per distinct job
+the pickled job (a :class:`~repro.experiments.engine.SimJob` or a
+:class:`~repro.experiments.multi_core.MulticoreJob`) per distinct job
 key, forks ``local_workers`` worker processes, and consumes completions
 into the engine's journal and cache the moment they land.  Local
 workers wake it through a pipe after each result, so it never sleeps
@@ -14,11 +15,11 @@ The fault policy is **per lease**:
   first saw it), a dead local holder (its process sentinel fires) or a
   heartbeat older than ``lease_ttl`` gets the lease **reaped**: one
   more attempt counted, epoch+1, republished with a
-  ``FaultPolicy.backoff`` ``not_before`` stamp — the machinery failed,
-  the job is innocent.  A local holder that timed out is killed; a
+  :func:`~repro.experiments.faults.backoff` ``not_before`` stamp — the
+  machinery failed, the job is innocent.  A local holder that timed out is killed; a
   remote one is fenced off by the epoch bump.  A local worker lost with
   a lease is replaced.
-* a lease reaped ``FaultPolicy.max_attempts`` times becomes a structured
+* a lease reaped ``faults.MAX_ATTEMPTS`` times becomes a structured
   :class:`~repro.experiments.faults.JobFailure` — a batch can fail,
   never hang; a worker-reported exception is deterministic and becomes
   one at once, with the worker's traceback;
@@ -52,11 +53,11 @@ from multiprocessing.connection import wait
 from pathlib import Path
 from typing import Callable
 
+from ..experiments import faults
 from ..experiments.faults import (KIND_LEASE_EXPIRED, KIND_RAISE,
                                   KIND_TIMEOUT, FaultPolicy,
                                   JobFailure, JobTimeout, LeaseExpired,
                                   lease_expiry_failure)
-from ..sim.stats import SimResult
 from . import lease as lease_mod
 from .lease import FabricConfig, verified_outcome
 from .protocol import (BATCH_COMPLETE, BATCH_OPEN, BATCH_PAUSED, LEASE_STATES,
@@ -107,8 +108,8 @@ class FabricBroker:
     config: FabricConfig
     policy: FaultPolicy
     counters: object            # EngineCounters (duck-typed)
-    #: ``on_result(item, SimResult)`` — place/cache/journal a completion.
-    on_result: Callable[[object, SimResult], None]
+    #: ``on_result(item, result)`` — place/cache/journal a completion.
+    on_result: Callable[[object, object], None]
     #: ``on_failure(item, failure, cause)`` — record a structured
     #: JobFailure.
     on_failure: Callable[[object, JobFailure, BaseException | None], None]
@@ -233,9 +234,8 @@ class FabricBroker:
                 payload = pickle.dumps(item.job)
             except (pickle.PicklingError, TypeError, AttributeError) as exc:
                 raise TypeError(
-                    f"job {item.index} ({item.job.trace.name}/"
-                    f"{item.job.prefetcher.name}) cannot be pickled for a "
-                    f"lease worker: {exc}") from exc
+                    f"job {item.index} ({item.job.label}) cannot be "
+                    f"pickled for a lease worker: {exc}") from exc
             with (jobs_dir(self.run_dir) / f"{key}.job").open("wb") as fh:
                 fh.write(payload)
             lease_mod.publish(self.run_dir, key, 0)
@@ -261,8 +261,7 @@ class FabricBroker:
     def _fork_worker(self) -> None:
         """Fork one worker process attached to this batch.
 
-        A forked worker starts without re-importing the simulator, as
-        the process pool's workers did on Linux.
+        A forked worker starts without re-importing the simulator.
         """
         self._forked += 1
         worker = FabricWorker(
@@ -312,7 +311,7 @@ class FabricBroker:
 
     def _finish(self, key: str, record: dict, result: dict) -> None:
         state = self._state[key]
-        self.on_result(state.item, SimResult.from_dict(result))
+        self.on_result(state.item, state.item.job.decode(result))
         self._retire(key)
         worker = record.get("worker")
         if worker:
@@ -346,9 +345,7 @@ class FabricBroker:
             else:
                 failure = JobFailure(
                     index=state.item.index, key=key,
-                    trace_name=state.item.job.trace.name,
-                    prefetcher_name=state.item.job.prefetcher.name,
-                    kind=KIND_RAISE,
+                    label=state.item.job.label, kind=KIND_RAISE,
                     error_type=str(value.get("error_type", "Exception")),
                     message=str(value.get("message", "")),
                     traceback=str(value.get("traceback", "")),
@@ -413,22 +410,22 @@ class FabricBroker:
         else:
             self.counters.lease_expired += 1
         log.warning("lease %s… reaped (attempt %d/%d): %s", key[:12],
-                    state.attempts, self.policy.max_attempts, reason)
+                    state.attempts, faults.MAX_ATTEMPTS, reason)
         claimed = state_dir(self.run_dir, "claimed") / lease_filename(
             key, state.epoch)
         record = read_json(claimed)
         killed = (timed_out and record is not None
                   and self._kill_worker(str(record.get("worker"))))
-        if state.attempts >= self.policy.max_attempts:
+        if state.attempts >= faults.MAX_ATTEMPTS:
             failure = lease_expiry_failure(
-                state.item.index, key, state.item.job.trace.name,
-                state.item.job.prefetcher.name, state.attempts, reason,
+                state.item.index, key, state.item.job.label,
+                state.attempts, reason,
                 kind=KIND_TIMEOUT if timed_out else KIND_LEASE_EXPIRED)
             cause = (JobTimeout if timed_out else LeaseExpired)(failure.message)
             self.on_failure(state.item, failure, cause)
             self._retire(key)
         else:
-            not_before = time.time() + self.policy.backoff(state.attempts)
+            not_before = time.time() + faults.backoff(state.attempts)
             lease_mod.reap(self.run_dir, key, state.epoch, not_before)
             state.epoch += 1
             self.counters.retried += 1
@@ -447,9 +444,8 @@ class FabricBroker:
             state.attempts += 1
             self.counters.lease_expired += 1
             failure = lease_expiry_failure(
-                state.item.index, key, state.item.job.trace.name,
-                state.item.job.prefetcher.name, state.attempts,
-                f"no live workers for {idle:.1f}s")
+                state.item.index, key, state.item.job.label,
+                state.attempts, f"no live workers for {idle:.1f}s")
             self.on_failure(state.item, failure, LeaseExpired(failure.message))
             self._retire(key)
 

@@ -17,7 +17,7 @@ race has exactly one winner:
   epoch and is swept, never trusted.
 * **done** — the holder lands its outcome, a result or a structured
   failure, as one checksummed record in ``done/`` and drops its claim.
-  Outcomes are accepted *per key*, not per epoch: ``simulate()`` is
+  Outcomes are accepted *per key*, not per epoch: a job's ``run()`` is
   deterministic, so a stale epoch's outcome is the current one's and
   consuming whichever lands first is sound (the journal is idempotent
   per key — the exactly-once argument lives there).

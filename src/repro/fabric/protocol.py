@@ -12,14 +12,14 @@ NFS provide::
                                         # finished job (broker-owned)
       fabric/
         batch.json                      # {"status": open|paused|complete, ...}
-        jobs/<key>.job                  # the pickled SimJob of each key
+        jobs/<key>.job                  # the pickled job of each key
         leases/
           open/<key>.e<epoch>.json      # published, claimable
           claimed/<key>.e<epoch>.json   # held by a worker (mtime = heartbeat)
           done/<key>.e<epoch>.json      # outcome: checksummed result or failure
         workers/<worker-id>.json        # census entry (mtime = heartbeat)
 
-A lease's filename carries its **key** (the SimJob content hash — the
+A lease's filename carries its **key** (the job's content hash — the
 same key the cache and journal use) and its **epoch**, a monotonic
 fencing token: every broker reassignment bumps the epoch, so a stale
 worker's files are recognisable by their lower epoch and can never

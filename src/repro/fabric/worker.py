@@ -4,13 +4,13 @@ A worker is an independent process — ``pmp-repro fabric worker``, one
 the broker forks for a ``--workers N`` batch, or, in tests, a plain
 thread — pointed at a runs root.  It discovers an open batch, registers
 a census entry, and loops: claim an open lease (atomic rename; losing
-the race just means trying the next one), load the pickled
-:class:`~repro.experiments.engine.SimJob`, call its ``run()``, and land
-the outcome as one checksummed ``done/`` record:
+the race just means trying the next one), load the pickled job, call
+its ``run()``, and land the outcome as one checksummed ``done/`` record:
 
-* success → the result (the broker verifies it before journaling — a
-  truncated write is a transport fault, not a wrong number);
-* a deterministic ``simulate()`` exception → a structured failure
+* success → the result in the job's own ``encode`` form (the broker
+  verifies it before journaling — a truncated write is a transport
+  fault, not a wrong number);
+* a deterministic exception from ``run()`` → a structured failure
   carrying the traceback (the broker never retries those);
 * a missing payload → no outcome: the broker retired that key (the
   engine already took its outcome), so the claim is dropped.
@@ -183,7 +183,7 @@ class FabricWorker:
                 log.warning("worker %s: job %s… raised %s", self.worker_id,
                             key[:12], type(exc).__name__)
             else:
-                lease_mod.complete(run_dir, record, result.to_dict())
+                lease_mod.complete(run_dir, record, job.encode(result))
                 self.jobs_done += 1
             self._wake_broker()
         finally:

@@ -35,16 +35,13 @@ def _add_sampling_flags(parser: argparse.ArgumentParser) -> None:
                         help="cap on simulated representatives")
     parser.add_argument("--threshold", type=float, default=defaults.threshold,
                         help="L1 signature distance to join a cluster")
-    parser.add_argument("--seed", type=int, default=defaults.seed,
-                        help="clustering seed (the shipped greedy leader "
-                             "clustering is seed-independent)")
 
 
 def _sampling(args: argparse.Namespace) -> SamplingConfig:
     return SamplingConfig(windows=args.windows,
                           warmup_windows=args.warmup_windows,
                           max_clusters=args.max_clusters,
-                          threshold=args.threshold, seed=args.seed)
+                          threshold=args.threshold)
 
 
 def _parser() -> argparse.ArgumentParser:

@@ -30,10 +30,9 @@ class SamplingConfig:
     discarded — before each representative; ``max_clusters`` caps the
     number of representatives actually simulated; ``threshold`` is the
     L1 signature distance under which a window joins an existing
-    cluster.  ``seed`` is reserved for seeded clustering variants: the
-    greedy leader algorithm shipped here is deterministic and
-    seed-independent (pinned by hypothesis tests), so two configs that
-    differ only in seed produce identical plans.
+    cluster.  The greedy leader clustering is deterministic, so these
+    knobs alone fix the plan.  A run samples when it is given a config
+    and runs exactly when it is given ``None``.
 
     The defaults are calibrated on the golden traces at the fidelity
     scale (``pmp-repro sample validate``: 120k accesses): worst-case
@@ -43,13 +42,11 @@ class SamplingConfig:
     --accesses``.
     """
 
-    enabled: bool = True
     windows: int = 40
     warmup_windows: int = 2
     max_clusters: int = 6
     threshold: float = 0.28
     min_window: int = MIN_WINDOW
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.windows < 2:
@@ -69,7 +66,7 @@ class SamplingConfig:
         return ("sampling/v1:"
                 f"w={self.windows},k={self.warmup_windows},"
                 f"c={self.max_clusters},t={self.threshold!r},"
-                f"m={self.min_window},s={self.seed}")
+                f"m={self.min_window}")
 
     def to_dict(self) -> dict:
         """JSON-safe form (lands in ``SimResult.sampling`` and bench meta)."""
@@ -79,8 +76,8 @@ class SamplingConfig:
     def from_mapping(cls, table: Mapping) -> "SamplingConfig":
         """Build from a scenario's ``sim.sampling`` table (already
         schema-validated; unknown keys raise here as a backstop)."""
-        known = {"enabled", "windows", "warmup_windows", "max_clusters",
-                 "threshold", "min_window", "seed"}
+        known = {"windows", "warmup_windows", "max_clusters", "threshold",
+                 "min_window"}
         unknown = set(table) - known
         if unknown:
             raise KeyError(f"unknown sim.sampling key(s) {sorted(unknown)}")

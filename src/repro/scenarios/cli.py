@@ -152,27 +152,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _run_sampling(args: argparse.Namespace, spec: ScenarioSpec):
-    """The sampled-simulation config for one scenario run, or None.
-
-    A ``sim.sampling`` table opts the scenario in declaratively
-    (``enabled = false`` keeps it parked but pre-tuned); ``--sample``
-    opts in from the command line, reusing the scenario's tuned knobs
-    when it has any.
-    """
-    from ..sampling.config import SamplingConfig
-
-    table = spec.sim.get("sampling")
-    sampling = SamplingConfig.from_mapping(table) if table else None
-    if args.sample:
-        if sampling is None:
-            sampling = SamplingConfig(enabled=True)
-        elif not sampling.enabled:
-            from dataclasses import replace
-            sampling = replace(sampling, enabled=True)
-    return sampling if sampling is not None and sampling.enabled else None
-
-
 def _run_prefetchers(args: argparse.Namespace,
                      spec: ScenarioSpec) -> list[str]:
     if args.prefetcher:
@@ -188,6 +167,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     from ..memtrace.workloads import expand_scenario
     from ..prefetchers import COMPETITORS
     from ..prefetchers.base import NoPrefetcher
+    from ..sampling.config import SamplingConfig
     from ..sim.engine import simulate
     from ..sim.params import SystemConfig
     from .catalog import scale_defaults
@@ -221,7 +201,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         config = apply_sim_config(SystemConfig.default(),
                                   spec.sim.get("config", {}))
         fastpath = not args.no_fastpath
-        sampling = _run_sampling(args, spec)
+        # A sim.sampling table opts the scenario in with its tuned knobs;
+        # --sample opts in from the command line.
+        table = spec.sim.get("sampling")
+        sampling = (SamplingConfig.from_mapping(table) if table is not None
+                    else SamplingConfig() if args.sample else None)
 
         mode = " [sampled]" if sampling is not None else ""
         print(f"== scenario {spec.name} ({spec.kind}, family {spec.family}, "

@@ -41,7 +41,6 @@ A document is::
     dram_mt_per_sec = 6400
     llc_size_bytes = 4194304
     [scenario.sim.sampling]  # opt-in sampled simulation for this scenario
-    enabled = true
     windows = 40
     warmup_windows = 2
 
@@ -89,13 +88,11 @@ _EXPECTED_KEYS = set(_BOUND_KEYS) | {
 # sim.sampling override keys -> value type (mirrors
 # repro.sampling.config.SamplingConfig.from_mapping).
 _SAMPLING_KEYS: dict[str, type | tuple[type, ...]] = {
-    "enabled": bool,
     "windows": int,
     "warmup_windows": int,
     "max_clusters": int,
     "threshold": (int, float),
     "min_window": int,
-    "seed": int,
 }
 
 
@@ -210,10 +207,6 @@ def _validate_sim(problems: list[str], where: str, sim: Any) -> None:
             if key not in _SAMPLING_KEYS:
                 problems.append(f"{where}.sampling: unknown field {key!r}; "
                                 f"known: {sorted(_SAMPLING_KEYS)}")
-            elif key == "enabled":
-                if not isinstance(value, bool):
-                    problems.append(f"{where}.sampling.enabled: expected a "
-                                    f"boolean, got {value!r}")
             elif not isinstance(value, _SAMPLING_KEYS[key]) or \
                     isinstance(value, bool):
                 problems.append(f"{where}.sampling.{key}: expected a number, "

@@ -201,15 +201,15 @@ def simulate(trace: Trace, prefetcher: Prefetcher | None = None,
     ``fastpath=False`` (``--no-fastpath`` on the CLI) is the escape
     hatch that forces every access through the event kernel.
 
-    ``sampling``, when given an enabled
+    ``sampling``, when given a
     :class:`~repro.sampling.config.SamplingConfig`, dispatches to
     :func:`repro.sampling.engine.simulate_sampled`: representative
     windows are simulated and the full-run counters extrapolated, with
     the plan and error bars attached as ``SimResult.sampling``.  Off
-    (``None`` or ``enabled=False``) by default — then this function's
-    behaviour is bit-identical to the pre-sampling engine.
+    (``None``) by default — then this function's behaviour is
+    bit-identical to the pre-sampling engine.
     """
-    if sampling is not None and sampling.enabled:
+    if sampling is not None:
         from ..sampling.engine import simulate_sampled  # avoid import cycle
 
         return simulate_sampled(trace, prefetcher, config, warmup_fraction,

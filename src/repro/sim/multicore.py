@@ -37,6 +37,9 @@ from .stats import SimResult, geomean
 
 PrefetcherFactory = Callable[[], Prefetcher]
 
+#: Every lane's default warmup fraction.
+WARMUP_FRACTION = 0.2
+
 
 def _warmup_ends(traces: Sequence[Trace],
                  warmup_fraction: float | Sequence[float]) -> list[int]:
@@ -144,7 +147,7 @@ def _run_lanes(runs: Sequence[Run], warmup_ends: Sequence[int],
 def simulate_multicore(traces: Sequence[Trace],
                        prefetcher_factory: PrefetcherFactory | None = None,
                        config: SystemConfig | None = None,
-                       warmup_fraction: float | Sequence[float] = 0.2,
+                       warmup_fraction: float | Sequence[float] = WARMUP_FRACTION,
                        check_invariants: bool | None = None) -> list[SimResult]:
     """Run N traces on N cores sharing an LLC and DRAM channels.
 

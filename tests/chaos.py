@@ -142,16 +142,18 @@ def spawn_fabric_worker(cache_dir: str | Path, *, run_id: str | None = None,
                             stderr=subprocess.STDOUT)
 
 
-def record_backoffs(policy) -> list[float]:
-    """Wrap ``policy.backoff`` to record every retry delay it grants."""
+def record_backoffs(monkeypatch) -> list[float]:
+    """Wrap ``faults.backoff`` to record every retry delay it grants."""
+    from repro.experiments import faults
+
     delays: list[float] = []
-    backoff = policy.backoff
+    backoff = faults.backoff
 
     def recording(attempt: int) -> float:
         delays.append(backoff(attempt))
         return delays[-1]
 
-    policy.backoff = recording
+    monkeypatch.setattr(faults, "backoff", recording)
     return delays
 
 

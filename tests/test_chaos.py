@@ -21,6 +21,7 @@ import pytest
 
 from tests.chaos import (ChaosRaise, FaultyPrefetcher, corrupt_cache_entry,
                          record_backoffs)
+from repro.experiments import faults
 from repro.experiments.cache import ResultCache
 from repro.experiments.faults import (CHAOS_DIR_ENV, CHAOS_MODES_ENV,
                                       CHAOS_RATE_ENV, CHAOS_SEED_ENV,
@@ -74,13 +75,12 @@ class TestHungWorker:
 
 class TestCrashedWorker:
     def test_dead_worker_lease_retried_with_backoff_and_matches_clean_run(
-            self, tmp_path, clean_outcome):
+            self, tmp_path, clean_outcome, monkeypatch):
         """A worker dies mid-job: its lease is reaped at once (no
-        ``lease_ttl`` wait), retried after the policy's backoff on a
-        replacement worker, and the numbers are untouched."""
+        ``lease_ttl`` wait), retried after the backoff on a replacement
+        worker, and the numbers are untouched."""
         runner = SuiteRunner(specs=SPECS, accesses=ACCESSES, workers=2)
-        policy = runner.engine.policy
-        delays = record_backoffs(policy)
+        delays = record_backoffs(monkeypatch)
         results = runner.run(lambda: FaultyPrefetcher(
             mode="crash", latch_dir=tmp_path))
         assert result_dicts(results) == clean_outcome
@@ -91,7 +91,7 @@ class TestCrashedWorker:
         assert counters.failed == 0
         assert counters.wall_seconds < FabricConfig().lease_ttl / 2
         # The first retry waited exactly the base backoff.
-        assert delays and delays[0] == policy.backoff_base
+        assert delays and delays[0] == faults.BACKOFF_BASE
         assert delays == sorted(delays)  # backoff never shrinks
 
 
@@ -123,8 +123,12 @@ class TestDeterministicFailure:
         with pytest.raises(BatchFailed) as excinfo:
             runner.run(lambda: FaultyPrefetcher(
                 mode="raise", latch_dir=tmp_path, only_in_worker=False))
-        assert len(excinfo.value.failures) == 1
+        (failure,) = excinfo.value.failures
         assert runner.engine.counters.simulated == len(SPECS) - 1
+        # The record carries the original exception and its traceback.
+        assert failure.label == f"{SPECS[failure.index].name}/pmp"
+        assert failure.error_type == "ChaosRaise"
+        assert "_maybe_fire" in failure.traceback
 
     def test_fail_fast_propagates_original_exception(self, tmp_path):
         runner = SuiteRunner(specs=SPECS, accesses=ACCESSES, workers=2,

@@ -118,8 +118,9 @@ class TestParallelEngineFlags:
 
 
 class TestFig13Flags:
-    """Fig 13 takes only the trace, access and ``--workers`` options, so
-    it refuses the engine flags it would silently drop."""
+    """Fig 13 takes the trace, access, ``--workers``, ``--job-timeout``
+    and ``--fail-fast`` options, so it refuses the engine flags it would
+    silently drop."""
 
     @pytest.fixture
     def ran(self, monkeypatch):
@@ -135,18 +136,21 @@ class TestFig13Flags:
     def test_dropped_flags_exit_2_before_running(self, experiment, ran,
                                                  tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main([experiment, "--job-timeout", "5", "--trace-events",
+            main([experiment, "--job-timeout", "5", "--fail-fast",
+                  "--trace-events", "--run-id", "r1",
                   "--cache-dir", str(tmp_path)])
         assert excinfo.value.code == 2
         assert ran == []
         message = capsys.readouterr().err.strip().splitlines()[-1]
-        assert "--job-timeout" in message and "--trace-events" in message
+        assert "--trace-events" in message and "--run-id" in message
+        assert "--job-timeout" not in message
         assert "--fail-fast" not in message
-        assert "experiment engine" in message
+        assert "fig13 would ignore" in message
 
     def test_flags_fig13_already_honours_are_accepted(self, ran, tmp_path):
         assert main(["fig13", "--no-cache", "--no-journal", "--no-fastpath",
-                     "--workers", "2", "--cache-dir", str(tmp_path)]) == 0
+                     "--workers", "2", "--job-timeout", "60", "--fail-fast",
+                     "--cache-dir", str(tmp_path)]) == 0
         assert ran == ["fig13"]
 
 

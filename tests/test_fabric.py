@@ -22,6 +22,7 @@ import pytest
 
 from tests.chaos import ChaosRaise, FaultyPrefetcher
 from repro.experiments import engine as engine_module
+from repro.experiments import faults
 from repro.experiments.engine import EngineCounters
 from repro.experiments.faults import (KIND_LEASE_EXPIRED, KIND_RAISE,
                                       BatchFailed, FaultPolicy)
@@ -64,12 +65,19 @@ def fabric_runner(tmp_path, *, ttl=5.0, run_id=None,
                        fabric=config, **kwargs)
 
 
+class StubJob:
+    """A trivial picklable job: a label and an identity result codec."""
+
+    label = "t/p"
+
+    @staticmethod
+    def decode(data):
+        return data
+
+
 def stub_item(key=KEY, index=0):
     """A work item with a trivial payload, for driving a broker by hand."""
-    return SimpleNamespace(
-        key=key, index=index, twins=[],
-        job=SimpleNamespace(trace=SimpleNamespace(name="t"),
-                            prefetcher=SimpleNamespace(name="p")))
+    return SimpleNamespace(key=key, index=index, twins=[], job=StubJob())
 
 
 def stub_broker(run_dir, *, ttl=1.0, failures=None, **kwargs):
@@ -77,7 +85,7 @@ def stub_broker(run_dir, *, ttl=1.0, failures=None, **kwargs):
     failures = [] if failures is None else failures
     return FabricBroker(
         run_dir=run_dir, run_id=None, config=FabricConfig(lease_ttl=ttl),
-        policy=FaultPolicy(max_attempts=3), counters=EngineCounters(),
+        policy=FaultPolicy(), counters=EngineCounters(),
         on_failure=lambda _item, failure, _cause: failures.append(failure),
         **kwargs)
 
@@ -434,9 +442,10 @@ class TestCleanRunDirectory:
             if index != failure.index]
         assert_no_live_work(runner.journal.directory)
 
-    def test_exhausted_retries_leave_no_live_work(self, tmp_path):
+    def test_exhausted_retries_leave_no_live_work(self, tmp_path,
+                                                  monkeypatch):
+        monkeypatch.setattr(faults, "MAX_ATTEMPTS", 1)
         runner = self.local_runner(tmp_path, "run-exhausted")
-        runner.engine.policy.max_attempts = 1
         with pytest.raises(BatchFailed) as excinfo:
             runner.run(lambda: FaultyPrefetcher(
                 mode="crash", latch_dir=tmp_path / "latch"))

@@ -1,6 +1,7 @@
 """Multi-core simulation: shared LLC, DRAM contention, speedup metric."""
 
 import numpy as np
+import pytest
 
 from repro.memtrace import synthetic as syn
 from repro.memtrace.trace import Trace
@@ -133,3 +134,88 @@ class TestFig13TraceReuse:
                     for i in range(len(fresh_sets))]
         assert out == {"pmp": {"homogeneous": geomean(speedups[:n_homo]),
                                "heterogeneous": geomean(speedups[n_homo:])}}
+
+
+class TestFig13OnLeaseWorkers:
+    """``fig13(workers=N)`` runs its grid as one batch of multicore jobs
+    on lease workers: bit-identical to the serial figure, and a hung or
+    crashed worker is reaped and its job retried."""
+
+    ACCESSES = 400
+
+    @staticmethod
+    def faulty(mode, **kwargs):
+        from functools import partial
+
+        from tests.chaos import FaultyPrefetcher
+        return {"faulty": partial(FaultyPrefetcher, mode=mode, **kwargs)}
+
+    @pytest.fixture(scope="class")
+    def specs(self):
+        from repro.memtrace.workloads import quick_suite
+        return quick_suite()[:2]
+
+    @pytest.fixture(scope="class")
+    def clean(self, specs):
+        from repro.experiments.multi_core import fig13
+        return fig13(specs[:1], accesses=self.ACCESSES,
+                     prefetchers=self.faulty("none"))
+
+    def test_parallel_figure_equals_serial(self, specs):
+        from repro.experiments.multi_core import fig13
+        prefetchers = {"pmp": PMP}
+        serial = fig13(specs, accesses=self.ACCESSES, prefetchers=prefetchers)
+        parallel = fig13(specs, accesses=self.ACCESSES,
+                         prefetchers=prefetchers, workers=2)
+        assert parallel == serial
+
+    def test_multicore_job_key_covers_lanes_prefetcher_and_config(self,
+                                                                  specs):
+        from repro.experiments.multi_core import MulticoreJob
+        from repro.memtrace.trace import rebase
+        config = SystemConfig.default().for_multicore(4)
+        lanes = [rebase(specs[0].build(self.ACCESSES), core)
+                 for core in range(4)]
+        job = MulticoreJob(lanes, PMP, config, "pmp")
+        assert job.key() == MulticoreJob(list(lanes), PMP, config,
+                                         "pmp").key()
+        assert job.key() != MulticoreJob(lanes[::-1], PMP, config,
+                                         "pmp").key()
+        assert job.key() != MulticoreJob(lanes, NoPrefetcher, config,
+                                         "pmp").key()
+        assert job.key() != MulticoreJob(lanes, PMP, SystemConfig.default(),
+                                         "pmp").key()
+        results = job.run()
+        assert job.decode(job.encode(results)) == results
+
+    def test_hung_worker_is_reaped_and_retried(self, specs, clean, tmp_path,
+                                               caplog):
+        import time
+
+        from repro.experiments.faults import FaultPolicy
+        from repro.experiments.multi_core import fig13
+        start = time.monotonic()
+        out = fig13(specs[:1], accesses=self.ACCESSES,
+                    prefetchers=self.faulty("hang", latch_dir=tmp_path,
+                                            hang_seconds=20.0),
+                    workers=2, policy=FaultPolicy(job_timeout=3.0))
+        assert time.monotonic() - start < 15.0  # not the 20 s hang
+        assert out == clean
+        assert (tmp_path / "hang.fired").exists()
+        assert "held past the 3s job deadline" in caplog.text
+
+    def test_crashed_worker_is_reaped_at_once(self, specs, clean, tmp_path,
+                                              caplog):
+        from repro.experiments.multi_core import fig13
+        out = fig13(specs[:1], accesses=self.ACCESSES,
+                    prefetchers=self.faulty("crash", latch_dir=tmp_path),
+                    workers=2)
+        assert out == clean
+        assert "exited with code 139" in caplog.text
+
+    def test_unpicklable_factory_names_its_job(self, specs):
+        from repro.experiments.multi_core import fig13
+        with pytest.raises(TypeError, match=r"job 0 \(.*/pmp\) cannot be "
+                                            r"pickled"):
+            fig13(specs[:1], accesses=self.ACCESSES,
+                  prefetchers={"pmp": lambda: PMP()}, workers=2)

@@ -130,7 +130,7 @@ class TestSchemaRejections:
                    for p in validate_scenario_doc(doc))
 
     def test_sampling_table_validates_known_keys_and_types(self):
-        doc = _doc(sim={"sampling": {"windows": 40, "enabled": True}})
+        doc = _doc(sim={"sampling": {"windows": 40, "threshold": 0.3}})
         assert validate_scenario_doc(doc) == []
         doc = _doc(sim={"sampling": {"window_count": 40}})
         assert any("unknown field 'window_count'" in p
@@ -138,9 +138,13 @@ class TestSchemaRejections:
         doc = _doc(sim={"sampling": {"windows": "many"}})
         assert any("sampling.windows" in p
                    for p in validate_scenario_doc(doc))
-        doc = _doc(sim={"sampling": {"enabled": 1}})
-        assert any("sampling.enabled" in p
+        doc = _doc(sim={"sampling": {"windows": True}})
+        assert any("sampling.windows" in p
                    for p in validate_scenario_doc(doc))
+        for dropped in ("enabled", "seed"):
+            doc = _doc(sim={"sampling": {dropped: 1}})
+            assert any(f"unknown field {dropped!r}" in p
+                       for p in validate_scenario_doc(doc))
 
     def test_expected_tolerance_must_be_a_small_fraction(self):
         doc = _doc(expected={"tolerance": 0.05, "min_ipc": 0.5})
