@@ -84,7 +84,6 @@ def bench_main(argv: list[str] | None = None) -> int:
             print(f"{bench.name:<22} [{bench.units}]")
         print(f"{'simulate_pmp':<22} [accesses/s]  (macro)")
         print(f"{'simulate_hot_loop':<22} [accesses/s]  (macro)")
-        print(f"{'simulate_pmp_sampled':<22} [accesses/s]  (macro)")
         return 0
 
     only = set(args.only) if args.only else None

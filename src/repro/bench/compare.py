@@ -114,7 +114,7 @@ def _shape_of(row: dict) -> tuple:
     """
     meta = row.get("meta", {})
     return (row.get("units"), meta.get("scale"), meta.get("accesses"),
-            meta.get("seed"), meta.get("fastpath"), meta.get("sampling"))
+            meta.get("seed"), meta.get("fastpath"))
 
 
 def compare_docs(current: dict, baseline: dict, *,

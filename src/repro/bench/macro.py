@@ -12,13 +12,6 @@ Two pinned workload samples:
   of the evaluation suites) whose accesses are almost all ordinary L1
   hits: the regime the vectorized fast path batches, and therefore the
   record that demonstrates its speedup.
-* **spec06-00 sampled** (``simulate_pmp_sampled``) — the same macro
-  sample driven through window-signature sampled simulation
-  (:mod:`repro.sampling`): sampled-vs-full wall-clock on the identical
-  trace is the macro speedup the sampler buys.  Its ``meta`` records the
-  sampling fingerprint plus the fraction of accesses actually executed;
-  the comparator treats ``sampling`` as part of the workload shape, so
-  sampled and full records never gate each other.
 
 Each sample is deterministic in (name, seed, accesses): its content hash
 and the simulation's final counters are recorded in the document's
@@ -63,16 +56,15 @@ def build_hot_trace(accesses: int = MACRO_ACCESSES) -> Trace:
 
 
 def _macro_record(name: str, trace: Trace, *, fastpath: bool, repeats: int,
-                  profile_n: int, sampling=None) -> BenchRecord:
+                  profile_n: int) -> BenchRecord:
     """Measure simulate() throughput on one pinned sample."""
 
     def fn() -> None:
-        simulate(trace, make_pmp(), fastpath=fastpath, sampling=sampling)
+        simulate(trace, make_pmp(), fastpath=fastpath)
 
     # One extra run outside the timed region pins the simulation's
     # outcome: bit-identical code must reproduce these exact counters.
-    result = simulate(trace, make_pmp(), fastpath=fastpath,
-                      sampling=sampling)
+    result = simulate(trace, make_pmp(), fastpath=fastpath)
     meta = {
         "trace": trace.name,
         "accesses": len(trace),
@@ -83,12 +75,6 @@ def _macro_record(name: str, trace: Trace, *, fastpath: bool, repeats: int,
         "result_cycles": result.cycles,
         "result_ipc": round(result.ipc, 9),
     }
-    if sampling is not None:
-        meta["sampling"] = sampling.fingerprint()
-        if result.sampling is not None and \
-                "fraction_simulated" in result.sampling:
-            meta["fraction_simulated"] = round(
-                result.sampling["fraction_simulated"], 6)
     return measure(name, fn, number=1, repeats=repeats,
                    ops_per_call=float(len(trace)), units="accesses/s",
                    profile_n=profile_n, meta=meta)
@@ -96,18 +82,12 @@ def _macro_record(name: str, trace: Trace, *, fastpath: bool, repeats: int,
 
 def run_macro(*, accesses: int = MACRO_ACCESSES, repeats: int = 3,
               profile_n: int = 15, fastpath: bool = True) -> list[BenchRecord]:
-    """Measure simulate() throughput on the pinned samples (3 records)."""
-    from ..sampling.config import SamplingConfig
-
-    macro_trace = build_macro_trace(accesses)
+    """Measure simulate() throughput on the pinned samples (2 records)."""
     return [
-        _macro_record("simulate_pmp", macro_trace,
+        _macro_record("simulate_pmp", build_macro_trace(accesses),
                       fastpath=fastpath, repeats=repeats,
                       profile_n=profile_n),
         _macro_record("simulate_hot_loop", build_hot_trace(accesses),
                       fastpath=fastpath, repeats=repeats,
                       profile_n=profile_n),
-        _macro_record("simulate_pmp_sampled", macro_trace,
-                      fastpath=fastpath, repeats=repeats,
-                      profile_n=profile_n, sampling=SamplingConfig()),
     ]

@@ -17,8 +17,6 @@ Examples::
     pmp-repro scenarios list        # the declarative workload catalog
     pmp-repro scenarios run thrash-00   # expected:-gated scenario run
     pmp-repro fig8 --scenario tenants-00 --scenario thrash-00
-    pmp-repro fig8 --sample         # sampled simulation (estimates)
-    pmp-repro sample validate       # sampled-vs-full fidelity gate
 
 Simulation-backed commands persist their results under ``--cache-dir``
 (default ``.repro-cache/``) keyed by a content hash of (trace, prefetcher
@@ -120,20 +118,6 @@ def _journal(args: argparse.Namespace) -> RunJournal | None:
     return args.journal_obj
 
 
-def _sampling(args: argparse.Namespace):
-    """The run's SamplingConfig, or None when --sample is off."""
-    if not getattr(args, "sample", False):
-        return None
-    from .sampling import SamplingConfig
-
-    overrides = {}
-    if args.sample_windows is not None:
-        overrides["windows"] = args.sample_windows
-    if args.sample_warmup is not None:
-        overrides["warmup_windows"] = args.sample_warmup
-    return SamplingConfig(**overrides)
-
-
 def _fabric(args: argparse.Namespace):
     """The run's FabricConfig, or None when --fabric is off."""
     if not getattr(args, "fabric", False):
@@ -162,7 +146,6 @@ def _runner(args: argparse.Namespace) -> SuiteRunner:
                          job_timeout=args.job_timeout,
                          fail_fast=args.fail_fast,
                          journal=_journal(args),
-                         sampling=_sampling(args),
                          fabric=_fabric(args))
     # main() writes one manifest per experiment from the runners it
     # created; the signal handler stops every engine ever registered.
@@ -276,8 +259,7 @@ def _fig13_dropped_flags(args: argparse.Namespace) -> list[str]:
         ("--fabric", args.fabric), ("--resume", args.resume is not None),
         ("--run-id", args.run_id is not None),
         ("--trace-cache", bool(args.trace_cache)),
-        ("--trace-events", args.trace_events), ("--sample", args.sample))
-        if value]
+        ("--trace-events", args.trace_events)) if value]
 
 
 def cmd_fig13(args: argparse.Namespace) -> None:
@@ -340,11 +322,6 @@ def main(argv: list[str] | None = None) -> int:
     if argv and argv[0] == "scenarios":
         from .scenarios.cli import scenarios_main
         return scenarios_main(argv[1:])
-    # `pmp-repro sample ...` inspects and validates sampled simulation
-    # (plan/validate); the fidelity gate in CI runs `sample validate`.
-    if argv and argv[0] == "sample":
-        from .sampling.cli import sample_main
-        return sample_main(argv[1:])
     # `pmp-repro fabric ...` is the lease-based distributed fabric:
     # `worker` and `status` own their argument sets (its broker is an
     # ordinary experiment run with --fabric).
@@ -360,7 +337,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="trace length (memory accesses) per workload "
                              "(default: the catalog's scale defaults)")
     parser.add_argument("--traces", type=int, default=0,
-                        help="limit the number of quick-suite traces")
+                        help="limit the number of quick-suite traces "
+                             "(0 = all)")
     parser.add_argument("--full-suite", action="store_true",
                         help="use all 125 workloads (slow)")
     parser.add_argument("--scenario", action="append", default=[],
@@ -384,20 +362,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="attach the event-trace observer; prints the "
                              "per-component event counters and stores them "
                              "in the run manifest")
-    parser.add_argument("--sample", action="store_true",
-                        help="sampled simulation: cluster trace windows by "
-                             "access-vector signature, simulate one "
-                             "representative per cluster and extrapolate "
-                             "(estimates with error bars — see `pmp-repro "
-                             "sample validate` for the fidelity bounds)")
-    parser.add_argument("--sample-windows", type=int, default=None,
-                        metavar="N",
-                        help="target window count for --sample (default: "
-                             "the calibrated SamplingConfig default)")
-    parser.add_argument("--sample-warmup", type=int, default=None,
-                        metavar="N",
-                        help="cache-warmup windows replayed before each "
-                             "representative for --sample")
     parser.add_argument("--no-fastpath", action="store_true",
                         help="force every access through the event-driven "
                              "kernel instead of batching ordinary L1-hit "
@@ -447,6 +411,11 @@ def main(argv: list[str] | None = None) -> int:
                         help="replay the journaled jobs of an interrupted "
                              "run and simulate only the remainder")
     args = parser.parse_args(argv)
+    if args.accesses < 1:
+        parser.error(f"--accesses must be at least 1, got {args.accesses}")
+    if args.traces < 0:
+        parser.error(f"--traces must be at least 0 (0 = all), "
+                     f"got {args.traces}")
     if args.check_invariants:
         # The env flag reaches every simulation path — worker processes
         # and the multicore driver included — not just SuiteRunner jobs.

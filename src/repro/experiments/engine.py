@@ -66,7 +66,6 @@ from typing import TYPE_CHECKING
 
 from ..memtrace.trace import Trace
 from ..prefetchers.base import Prefetcher
-from ..sampling.config import SamplingConfig
 from ..sim.engine import simulate
 from ..sim.invariants import audit_requested
 from ..sim.observers import merge_counter_snapshots
@@ -101,10 +100,6 @@ class SimJob:
     # differential suite pins this), so fastpath-on and --no-fastpath
     # runs share cache entries.
     fastpath: bool = True
-    # Sampled execution (repro.sampling).  Unlike fastpath this IS part
-    # of key() when set: sampled results are estimates, so they must
-    # never alias exact results — or results sampled with other knobs.
-    sampling: SamplingConfig | None = None
     # The (prefetcher, config) fingerprints of this job's configuration.
     # Jobs built from one factory and config share this list: the first
     # one keyed fills it, the rest reuse it.  Sound because fresh
@@ -119,8 +114,6 @@ class SimJob:
         ``trace_events`` salts the key only when on, so every result
         cached before the observer existed stays valid for untraced runs
         (traced results carry extra payload and must not alias them).
-        ``sampling`` salts the key with its full knob fingerprint, again
-        only when set, for the same backwards-compatibility reason.
         """
         if not self.config_parts:
             self.config_parts.extend((prefetcher_fingerprint(self.prefetcher),
@@ -133,8 +126,6 @@ class SimJob:
         ]
         if self.trace_events:
             parts.append("trace-events")
-        if self.sampling is not None:
-            parts.append(self.sampling.fingerprint())
         return fingerprint(parts)
 
     def run(self) -> SimResult:
@@ -143,7 +134,7 @@ class SimJob:
         return simulate(self.trace, self.prefetcher, self.config,
                         self.warmup_fraction, trace_events=self.trace_events,
                         check_invariants=self.check_invariants or None,
-                        fastpath=self.fastpath, sampling=self.sampling)
+                        fastpath=self.fastpath)
 
     @property
     def label(self) -> str:

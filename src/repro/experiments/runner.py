@@ -35,7 +35,6 @@ from ..memtrace.store import TraceStore
 from ..memtrace.trace import Trace
 from ..memtrace.workloads import WorkloadSpec, quick_suite
 from ..prefetchers.base import NoPrefetcher, Prefetcher
-from ..sampling.config import SamplingConfig
 from ..scenarios.catalog import scale_defaults
 from ..sim.params import SystemConfig
 from ..sim.stats import SimResult, geomean
@@ -93,12 +92,6 @@ class SuiteRunner:
     # Journal for crash-safe resume: a RunJournal instance, or a run
     # directory root (a fresh run id is generated).  None disables.
     journal: RunJournal | str | Path | None = None
-    # Sampled execution (repro.sampling): when set, every job
-    # simulates representative windows only and extrapolates, carrying
-    # the plan and error bars in SimResult.sampling.  Results are
-    # estimates, so the engine's cache keys are salted with the sampling
-    # fingerprint — sampled and exact runs never alias.
-    sampling: "SamplingConfig | None" = None
     # Open leased batches to external `pmp-repro fabric worker`
     # processes (repro.fabric): leases are published under the
     # journal's run directory.  Requires journal.
@@ -149,7 +142,6 @@ class SuiteRunner:
                        trace_events=self.trace_events,
                        check_invariants=self.check_invariants,
                        fastpath=self.fastpath,
-                       sampling=self.sampling,
                        config_parts=config_parts)
                 for trace in self.traces]
 
@@ -297,8 +289,6 @@ class SuiteRunner:
         """The manifest's free-form section (event counters when traced)."""
         extra = {"batches": counters.batches,
                  "warmup_fraction": self.warmup_fraction}
-        if self.sampling is not None:
-            extra["sampling"] = self.sampling.to_dict()
         if counters.audited:
             # Every audited simulation completed, i.e. raised no
             # InvariantViolation (a violation aborts the run).

@@ -3,12 +3,12 @@
 Every engine must honour the same engine-facing contracts: the
 :class:`~repro.prefetchers.base.Prefetcher` protocol, deterministic
 construction (the result cache's per-configuration keys rest on it), the
-hit-run fast-path rules, the invariant auditor's conservation laws, and
-the sampled-simulation stitching assumptions.  This module packages those
-contracts as named check functions so ``tests/test_prefetcher_conformance``
-can parametrize (engine x check) over the live registry plus the
-unregistered engines it lists — a new engine registered in
-``COMPETITORS`` is conformance-tested with zero new test code.
+hit-run fast-path rules and the invariant auditor's conservation laws.
+This module packages those contracts as named check functions so
+``tests/test_prefetcher_conformance`` can parametrize (engine x check)
+over the live registry plus the unregistered engines it lists — a new
+engine registered in ``COMPETITORS`` is conformance-tested with zero new
+test code.
 
 Each check takes a zero-argument factory (so every run gets a fresh
 instance) and raises :class:`ConformanceError` with a diagnostic on
@@ -42,12 +42,6 @@ class ConformanceError(AssertionError):
 def conformance_trace(accesses: int = _TRACE_ACCESSES):
     """The canonical conformance workload (deterministic)."""
     return quick_suite()[0].build(accesses)
-
-
-def _result_fingerprint(result) -> dict:
-    data = result.to_dict()
-    data.pop("sampling", None)
-    return data
 
 
 # --------------------------------------------------------------- checks
@@ -177,28 +171,6 @@ def check_hit_run_differential(factory: PrefetcherFactory, trace) -> None:
             "hooks do not replicate on_access exactly")
 
 
-def check_sampling_stitch_safety(factory: PrefetcherFactory, trace) -> None:
-    """Sampled simulation must stitch safely around the engine.
-
-    On a trace too small to window, the planner falls back to the exact
-    engine and the result must be bit-identical to an unsampled run —
-    any engine state leaking across the sampled/exact boundary (module
-    globals, class-level caches) breaks the equality.
-    """
-    from ..sampling.config import SamplingConfig
-
-    tiny = quick_suite()[0].build(100)
-    sampled = simulate(tiny, factory(), sampling=SamplingConfig())
-    exact = simulate(tiny, factory())
-    if not (sampled.sampling and sampled.sampling.get("fallback")):
-        raise ConformanceError(
-            f"{factory().name}: expected the tiny-trace sampling fallback")
-    if _result_fingerprint(sampled) != _result_fingerprint(exact):
-        raise ConformanceError(
-            f"{factory().name}: sampled fallback result differs from the "
-            "exact run — engine state leaked across the sampling boundary")
-
-
 # A stable, ordered catalogue: tests parametrize over this so the suite
 # grows automatically when a check is added.
 CONFORMANCE_CHECKS: dict[str, Callable[[PrefetcherFactory, object], None]] = {
@@ -208,7 +180,6 @@ CONFORMANCE_CHECKS: dict[str, Callable[[PrefetcherFactory, object], None]] = {
     "address_legality": check_address_legality,
     "feedback_conservation": check_feedback_conservation,
     "hit_run_differential": check_hit_run_differential,
-    "sampling_stitch_safety": check_sampling_stitch_safety,
 }
 
 

@@ -10,7 +10,6 @@ Examples::
     pmp-repro scenarios run tenants-00             # expected:-gated run
     pmp-repro scenarios run --spec my_scenario.toml --accesses 8000
     pmp-repro scenarios run thrash-00 --prefetcher pmp --prefetcher spp+ppf
-    pmp-repro scenarios run spec06-00 --sample     # sampled simulation
 
 Exit codes: 0 = success (and every ``expected:`` assertion held);
 1 = at least one expected assertion failed (suppress with ``--no-gate``);
@@ -64,9 +63,9 @@ def _parser() -> argparse.ArgumentParser:
                        metavar="FILE", help="run scenarios from a spec file "
                        "instead of the catalog (repeatable)")
     p_run.add_argument("--accesses", type=int, default=0,
-                       help="override the build length (default: the "
-                            "scenario's scale.accesses, then the catalog "
-                            "experiment default)")
+                       help="override the build length (default, or 0: "
+                            "the scenario's scale.accesses, then the "
+                            "catalog experiment default)")
     p_run.add_argument("--prefetcher", action="append", default=[],
                        metavar="NAME",
                        help="prefetcher(s) to simulate (default: the "
@@ -74,10 +73,6 @@ def _parser() -> argparse.ArgumentParser:
                             "expected: block references, then pmp)")
     p_run.add_argument("--warmup", type=float, default=None,
                        help="warmup fraction override")
-    p_run.add_argument("--sample", action="store_true",
-                       help="run sampled simulation (window-signature "
-                            "sampling) even for scenarios without a "
-                            "sim.sampling block")
     p_run.add_argument("--no-fastpath", action="store_true",
                        help="force every access through the event kernel")
     p_run.add_argument("--no-gate", action="store_true",
@@ -167,11 +162,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     from ..memtrace.workloads import expand_scenario
     from ..prefetchers import COMPETITORS
     from ..prefetchers.base import NoPrefetcher
-    from ..sampling.config import SamplingConfig
     from ..sim.engine import simulate
     from ..sim.params import SystemConfig
     from .catalog import scale_defaults
 
+    if args.accesses < 0:
+        print(f"error: --accesses must be at least 0 (0 = the scenario's "
+              f"default), got {args.accesses}", file=sys.stderr)
+        return 2
     selected: list[tuple[ScenarioSpec, Path | None]] = []
     for file in args.spec:
         for spec in parse_scenario_file(file):
@@ -201,34 +199,20 @@ def cmd_run(args: argparse.Namespace) -> int:
         config = apply_sim_config(SystemConfig.default(),
                                   spec.sim.get("config", {}))
         fastpath = not args.no_fastpath
-        # A sim.sampling table opts the scenario in with its tuned knobs;
-        # --sample opts in from the command line.
-        table = spec.sim.get("sampling")
-        sampling = (SamplingConfig.from_mapping(table) if table is not None
-                    else SamplingConfig() if args.sample else None)
 
-        mode = " [sampled]" if sampling is not None else ""
         print(f"== scenario {spec.name} ({spec.kind}, family {spec.family}, "
-              f"{accesses} accesses{mode}) ==")
+              f"{accesses} accesses) ==")
         for workload in expand_scenario(spec, base_dir):
             trace = workload.build(accesses)
             baseline = simulate(trace, NoPrefetcher(), config,
-                                warmup_fraction=warmup, fastpath=fastpath,
-                                sampling=sampling)
+                                warmup_fraction=warmup, fastpath=fastpath)
             results = {}
             for name, factory in factories.items():
                 results[name] = simulate(trace, factory(), config,
                                          warmup_fraction=warmup,
-                                         fastpath=fastpath,
-                                         sampling=sampling)
+                                         fastpath=fastpath)
             print(f"{workload.name}: baseline ipc {baseline.ipc:.4f}, "
                   f"mpki {trace.estimated_mpki():.1f}")
-            if sampling is not None and baseline.sampling is not None \
-                    and "fraction_simulated" in baseline.sampling:
-                print(f"  [sampled: {baseline.sampling['clusters']} "
-                      f"cluster(s), "
-                      f"{baseline.sampling['fraction_simulated']:.1%} of "
-                      "accesses executed]")
             for name, result in results.items():
                 print(f"  {name:<10} nipc {result.nipc(baseline):.4f}  "
                       f"nmt {result.nmt(baseline):.4f}  "

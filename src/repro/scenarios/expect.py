@@ -15,10 +15,10 @@ table.  Coverage is measured at ``coverage_level`` (default ``l1d``).
 ``tolerance`` (a relative fraction, e.g. ``0.05``) slackens every
 simulation-derived bound assertion and the ``nipc_order`` comparison:
 ``min_*`` bounds shrink to ``bound * (1 - tolerance)``, ``max_*`` bounds
-grow to ``bound * (1 + tolerance)``.  Scenarios meant to gate *sampled*
-runs (``--sample``, or a ``sim.sampling`` block) declare their sampling
-error budget this way instead of hand-loosening each bound.  MPKI
-assertions are exact — they measure the trace, not the simulation.
+grow to ``bound * (1 + tolerance)``.  A scenario whose engines sit
+close together declares that margin once this way instead of
+hand-loosening each bound.  MPKI assertions are exact — they measure
+the trace, not the simulation.
 """
 
 from __future__ import annotations
@@ -164,8 +164,8 @@ def evaluate_expected(expected: Mapping, *, trace: Trace,
                 f"nipc_order: prefetcher(s) {missing} were not simulated")
         else:
             nipcs = [(name, results[name].nipc(baseline)) for name in order]
-            # Tolerance lets a sampled run pass when adjacent entries are
-            # within the declared error budget of each other.
+            # Tolerance lets adjacent entries pass when they are within
+            # the declared margin of each other.
             ok = all(a[1] >= b[1] * (1.0 - tolerance)
                      for a, b in zip(nipcs, nipcs[1:]))
             rendered = " >= ".join(f"{name}({value:.4f})"

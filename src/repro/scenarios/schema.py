@@ -40,9 +40,6 @@ A document is::
     [scenario.sim.config]
     dram_mt_per_sec = 6400
     llc_size_bytes = 4194304
-    [scenario.sim.sampling]  # opt-in sampled simulation for this scenario
-    windows = 40
-    warmup_windows = 2
 
     [scenario.expected]     # optional post-run assertions
     min_nipc = { pmp = 1.02 }       # or a bare number for every prefetcher
@@ -53,7 +50,7 @@ A document is::
     nipc_order = ["pmp", "dspatch"]  # non-increasing NIPC in this order
     min_mpki = 5.0                   # trace properties (no baseline needed)
     max_mpki = 200.0
-    tolerance = 0.05                 # relative slack for sampled-run gating
+    tolerance = 0.05                 # relative slack on every bound
 """
 
 from __future__ import annotations
@@ -84,16 +81,6 @@ _BOUND_KEYS = ("min_nipc", "max_nipc", "max_nmt", "min_coverage",
 _EXPECTED_KEYS = set(_BOUND_KEYS) | {
     "coverage_level", "nipc_order", "min_mpki", "max_mpki", "min_ipc",
     "tolerance"}
-
-# sim.sampling override keys -> value type (mirrors
-# repro.sampling.config.SamplingConfig.from_mapping).
-_SAMPLING_KEYS: dict[str, type | tuple[type, ...]] = {
-    "windows": int,
-    "warmup_windows": int,
-    "max_clusters": int,
-    "threshold": (int, float),
-    "min_window": int,
-}
 
 
 def _is_number(value: Any) -> bool:
@@ -199,20 +186,7 @@ def _validate_sim(problems: list[str], where: str, sim: Any) -> None:
                 problems.append(f"{where}.config.{key}: expected "
                                 f"{SIM_CONFIG_KEYS[key].__name__}, "
                                 f"got {value!r}")
-    sampling = sim.get("sampling", {})
-    if not isinstance(sampling, Mapping):
-        problems.append(f"{where}.sampling: expected a table")
-    else:
-        for key, value in sampling.items():
-            if key not in _SAMPLING_KEYS:
-                problems.append(f"{where}.sampling: unknown field {key!r}; "
-                                f"known: {sorted(_SAMPLING_KEYS)}")
-            elif not isinstance(value, _SAMPLING_KEYS[key]) or \
-                    isinstance(value, bool):
-                problems.append(f"{where}.sampling.{key}: expected a number, "
-                                f"got {value!r}")
-    unknown = set(sim) - {"warmup_fraction", "prefetchers", "config",
-                          "sampling"}
+    unknown = set(sim) - {"warmup_fraction", "prefetchers", "config"}
     if unknown:
         problems.append(f"{where}: unknown field(s) {sorted(unknown)}")
 

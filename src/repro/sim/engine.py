@@ -8,9 +8,8 @@ prefetcher, and (3) issues whatever prefetches the prefetcher returned,
 subject to PQ/MSHR admission in the hierarchy.
 
 :func:`simulate` drives one :class:`Run` across its single warmup
-boundary; sampled runs (:mod:`repro.sampling.engine`) drive one over a
-plan's segments, and multicore lanes (:mod:`repro.sim.multicore`) step
-one per core, an access at a time.
+boundary, and multicore lanes (:mod:`repro.sim.multicore`) step one per
+core, an access at a time.
 """
 
 from __future__ import annotations
@@ -143,12 +142,12 @@ class Run:
         if self.auditor is not None:
             self.auditor.finalize(cycle)
 
-    def snapshot(self, trace_name: str | None = None) -> SimResult:
+    def snapshot(self) -> SimResult:
         """The measured window so far, as a :class:`SimResult`."""
         hierarchy = self.hierarchy
         port = hierarchy.dram_port.stats
         return SimResult(
-            trace_name=self.trace.name if trace_name is None else trace_name,
+            trace_name=self.trace.name,
             prefetcher_name=hierarchy.prefetcher.name,
             instructions=self.core.instructions - self._start_instructions,
             cycles=self.core.cycle - self._start_cycle,
@@ -172,8 +171,7 @@ def simulate(trace: Trace, prefetcher: Prefetcher | None = None,
              warmup_fraction: float = 0.2,
              trace_events: bool = False,
              check_invariants: bool | None = None,
-             fastpath: bool = True,
-             sampling=None) -> SimResult:
+             fastpath: bool = True) -> SimResult:
     """Run one trace through one prefetcher; returns the measured stats.
 
     ``warmup_fraction`` must lie in [0, 1) (``ValueError`` otherwise).
@@ -200,22 +198,7 @@ def simulate(trace: Trace, prefetcher: Prefetcher | None = None,
     bit-identical either way (the differential suite pins this);
     ``fastpath=False`` (``--no-fastpath`` on the CLI) is the escape
     hatch that forces every access through the event kernel.
-
-    ``sampling``, when given a
-    :class:`~repro.sampling.config.SamplingConfig`, dispatches to
-    :func:`repro.sampling.engine.simulate_sampled`: representative
-    windows are simulated and the full-run counters extrapolated, with
-    the plan and error bars attached as ``SimResult.sampling``.  Off
-    (``None``) by default — then this function's behaviour is
-    bit-identical to the pre-sampling engine.
     """
-    if sampling is not None:
-        from ..sampling.engine import simulate_sampled  # avoid import cycle
-
-        return simulate_sampled(trace, prefetcher, config, warmup_fraction,
-                                sampling=sampling, trace_events=trace_events,
-                                check_invariants=check_invariants,
-                                fastpath=fastpath)
     boundary = warmup_boundary(len(trace), warmup_fraction)
     if prefetcher is None:
         prefetcher = NoPrefetcher()

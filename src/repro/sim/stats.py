@@ -61,11 +61,6 @@ class SimResult:
     # None when tracing was off (the serialized form omits it, so golden
     # fixtures and cached results are unchanged by default).
     event_counters: dict | None = None
-    # Sampling provenance from repro.sampling: plan shape, executed
-    # fraction, and error bars. None for exact (unsampled) runs, and
-    # omitted from the serialized form then — same contract as
-    # event_counters, so existing fixtures and caches are untouched.
-    sampling: dict | None = None
 
     @property
     def ipc(self) -> float:
@@ -125,8 +120,6 @@ class SimResult:
         }
         if self.event_counters is not None:
             data["event_counters"] = self.event_counters
-        if self.sampling is not None:
-            data["sampling"] = self.sampling
         return data
 
     @classmethod
@@ -146,7 +139,6 @@ class SimResult:
                                in data["issued_prefetches"].items()},
             dropped_prefetches=data["dropped_prefetches"],
             event_counters=data.get("event_counters"),
-            sampling=data.get("sampling"),
         )
 
 

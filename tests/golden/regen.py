@@ -6,12 +6,12 @@ behaviour change::
     PYTHONPATH=src python tests/golden/regen.py
 
 The fixture pins full :meth:`SimResult.to_dict` snapshots (every counter,
-cycles bit-exact through JSON's repr round-trip) for three set-ups:
+cycles bit-exact through JSON's repr round-trip) for two set-ups:
 
 * ``traces``: single-core runs of small fixed-seed traces under the
-  no-prefetch baseline, PMP and SPP, plus NIPC to 6 decimals;
-* ``sampled``: stitched sampled runs (:mod:`repro.sampling`) of one
-  trace, including a traced run that pins the per-segment tracer reset;
+  no-prefetch baseline, PMP and SPP, plus NIPC to 6 decimals, and a
+  traced PMP run (``pmp+events``) that pins the event tracer's counters
+  and its reset at the warmup boundary;
 * ``multicore``: 4-core shared-LLC runs of a homogeneous set and a mixed
   set, each trace rebased onto its core, including per-lane warmups.
 
@@ -28,12 +28,9 @@ from pathlib import Path
 GOLDEN_PATH = Path(__file__).parent / "golden_stats.json"
 ACCESSES = 4000
 TRACE_NAMES = ("spec06-00", "ligra-00")
-
-SAMPLED_TRACE = "spec06-00"
-SAMPLED_ACCESSES = 6000
-#: Sampled run name -> (prefetcher, trace_events).
-SAMPLED_RUNS = {"none": ("none", False), "pmp": ("pmp", False),
-                "pmp+events": ("pmp", True)}
+#: Single-core run name -> (prefetcher, trace_events).
+TRACE_RUNS = {"none": ("none", False), "pmp": ("pmp", False),
+              "spp": ("spp", False), "pmp+events": ("pmp", True)}
 
 MULTICORE_ACCESSES = 1500
 TRACE_SETS = {"homogeneous": ("spec06-00",) * 4,
@@ -62,19 +59,13 @@ def suite_specs() -> dict:
     return {spec.name: spec for spec in full_suite()}
 
 
-def sampled_trace():
-    return suite_specs()[SAMPLED_TRACE].build(SAMPLED_ACCESSES)
-
-
-def run_sampled(trace, name: str) -> dict:
-    """One sampled run of ``SAMPLED_RUNS[name]``, serialized."""
-    from repro.sampling.config import SamplingConfig
+def run_single(trace, name: str):
+    """One single-core run of ``TRACE_RUNS[name]``."""
     from repro.sim.engine import simulate
 
-    pf_name, trace_events = SAMPLED_RUNS[name]
-    sampling = SamplingConfig(windows=12, warmup_windows=1, max_clusters=4)
+    pf_name, trace_events = TRACE_RUNS[name]
     return simulate(trace, prefetcher_factories()[pf_name](),
-                    sampling=sampling, trace_events=trace_events).to_dict()
+                    trace_events=trace_events)
 
 
 def multicore_trace_sets() -> dict:
@@ -103,24 +94,18 @@ def run_multicore(trace_sets: dict, name: str) -> list[dict]:
 
 
 def compute() -> dict:
-    from repro.sim.engine import simulate
-
     by_name = suite_specs()
     golden: dict = {"accesses": ACCESSES, "traces": {}}
     for trace_name in TRACE_NAMES:
         trace = by_name[trace_name].build(ACCESSES)
-        runs: dict = {}
-        for pf_name, factory in prefetcher_factories().items():
-            runs[pf_name] = simulate(trace, factory()).to_dict()
+        runs = {name: run_single(trace, name).to_dict()
+                for name in TRACE_RUNS}
         baseline_ipc = (runs["none"]["instructions"] / runs["none"]["cycles"])
-        for pf_name, data in runs.items():
+        for data in runs.values():
             ipc = data["instructions"] / data["cycles"]
             data["nipc6"] = round(ipc / baseline_ipc, 6)
         golden["traces"][trace_name] = runs
 
-    trace = sampled_trace()
-    golden["sampled"] = {name: run_sampled(trace, name)
-                         for name in SAMPLED_RUNS}
     trace_sets = multicore_trace_sets()
     golden["multicore"] = {name: run_multicore(trace_sets, name)
                            for name in MULTICORE_RUNS}

@@ -5,6 +5,18 @@ import pytest
 from repro.cli import COMMANDS, main
 
 
+@pytest.fixture
+def ran(monkeypatch):
+    """Replace every experiment with a stub that records its name."""
+    from repro import cli
+
+    ran = []
+    for name in cli.COMMANDS:
+        monkeypatch.setitem(cli.COMMANDS, name,
+                            lambda _args, name=name: ran.append(name))
+    return ran
+
+
 class TestParser:
     def test_storage_command_runs(self, capsys):
         assert main(["storage"]) == 0
@@ -122,16 +134,6 @@ class TestFig13Flags:
     and ``--fail-fast`` options, so it refuses the engine flags it would
     silently drop."""
 
-    @pytest.fixture
-    def ran(self, monkeypatch):
-        from repro import cli
-
-        ran = []
-        for name in cli.COMMANDS:
-            monkeypatch.setitem(cli.COMMANDS, name,
-                                lambda _args, name=name: ran.append(name))
-        return ran
-
     @pytest.mark.parametrize("experiment", ["fig13", "all"])
     def test_dropped_flags_exit_2_before_running(self, experiment, ran,
                                                  tmp_path, capsys):
@@ -152,6 +154,57 @@ class TestFig13Flags:
                      "--workers", "2", "--job-timeout", "60", "--fail-fast",
                      "--cache-dir", str(tmp_path)]) == 0
         assert ran == ["fig13"]
+
+
+class TestSizeFlags:
+    """A size that cannot describe a run exits 2 naming its flag, before
+    any experiment starts: a negative ``--traces`` would slice the suite
+    from its end, and an empty trace would print a table of zeros."""
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--traces", "-1"), ("--traces", "-7"),
+        ("--accesses", "0"), ("--accesses", "-5"),
+    ])
+    def test_invalid_size_exits_2_before_running(self, flag, value, ran,
+                                                 tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fig8", flag, value, "--no-cache", "--no-journal",
+                  "--cache-dir", str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert ran == []
+        message = capsys.readouterr().err.strip().splitlines()[-1]
+        assert flag in message
+
+    def test_zero_traces_means_the_whole_quick_suite(self, monkeypatch,
+                                                     tmp_path):
+        from repro import cli
+        from repro.memtrace.workloads import quick_suite
+
+        specs = []
+        monkeypatch.setitem(cli.COMMANDS, "fig8",
+                            lambda args: specs.append(cli._specs(args)))
+        assert main(["fig8", "--traces", "0", "--accesses", "1",
+                     "--cache-dir", str(tmp_path)]) == 0
+        assert [s.name for s in specs[0]] == [s.name
+                                              for s in quick_suite()]
+
+
+class TestNoSampledMode:
+    """Every run is exact: a sampled-mode flag or the ``sample`` command
+    group is a usage error, never a run that is quietly exact."""
+
+    @pytest.mark.parametrize("argv", [
+        "fig8 --sample",
+        "fig8 --sample-windows 64",
+        "fig8 --sample-warmup 2",
+        "sample validate",
+        "sample plan --trace spec06-00",
+    ])
+    def test_exits_2(self, argv, ran, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv.split())
+        assert excinfo.value.code == 2
+        assert ran == []
 
 
 class TestFabricOnlyFlags:

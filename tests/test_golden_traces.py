@@ -3,12 +3,12 @@
 The fixture (``tests/golden/golden_stats.json``) pins the complete
 ``SimResult`` — hits, misses, issued/useful prefetches per level, DRAM
 traffic, cycles — plus NIPC to 6 decimals, for the no-prefetch baseline,
-PMP, and SPP on two small fixed-seed traces.  It also pins every set-up
-that steps the simulator differently: stitched sampled runs and 4-core
-shared-LLC runs (per-lane warmups included).  Any drift in how runs are
-stepped, the cache hierarchy, or ``prefetchers/pmp.py`` fails here with
-the exact counter that moved.  For intentional behaviour changes,
-regenerate with ``PYTHONPATH=src python tests/golden/regen.py``.
+PMP, SPP and a traced PMP run (its event counters included) on two small
+fixed-seed traces.  It also pins 4-core shared-LLC runs (per-lane
+warmups included), which step the simulator differently.  Any drift in
+how runs are stepped, the cache hierarchy, or ``prefetchers/pmp.py``
+fails here with the exact counter that moved.  For intentional behaviour
+changes, regenerate with ``PYTHONPATH=src python tests/golden/regen.py``.
 """
 
 from __future__ import annotations
@@ -19,18 +19,15 @@ from pathlib import Path
 import pytest
 
 from repro.memtrace.workloads import full_suite
-from repro.sim.engine import simulate
 
 from .golden.regen import (
     ACCESSES,
     GOLDEN_PATH,
     MULTICORE_RUNS,
-    SAMPLED_RUNS,
+    TRACE_RUNS,
     multicore_trace_sets,
-    prefetcher_factories,
     run_multicore,
-    run_sampled,
-    sampled_trace,
+    run_single,
 )
 
 GOLDEN = json.loads(Path(GOLDEN_PATH).read_text())
@@ -44,13 +41,13 @@ def traces():
 
 
 @pytest.mark.parametrize("trace_name", sorted(GOLDEN["traces"]))
-@pytest.mark.parametrize("pf_name", sorted(prefetcher_factories()))
+@pytest.mark.parametrize("pf_name", sorted(TRACE_RUNS))
 def test_golden_stats_exact(traces, trace_name, pf_name):
     """Every counter of every run matches the checked-in snapshot."""
     expected = dict(GOLDEN["traces"][trace_name][pf_name])
     expected_nipc = expected.pop("nipc6")
 
-    result = simulate(traces[trace_name], prefetcher_factories()[pf_name]())
+    result = run_single(traces[trace_name], pf_name)
     got = result.to_dict()
     # Round-trip through JSON so int-vs-str dict keys compare like the
     # fixture (json object keys are always strings).
@@ -67,22 +64,8 @@ def test_golden_stats_exact(traces, trace_name, pf_name):
 
 
 @pytest.fixture(scope="module")
-def sampled():
-    return sampled_trace()
-
-
-@pytest.fixture(scope="module")
 def trace_sets():
     return multicore_trace_sets()
-
-
-@pytest.mark.parametrize("name", sorted(SAMPLED_RUNS))
-def test_golden_sampled_exact(sampled, name):
-    """Stitched sampled runs reproduce every extrapolated counter."""
-    got = json.loads(json.dumps(run_sampled(sampled, name)))
-    assert got == GOLDEN["sampled"][name], (
-        f"sampled/{name} drifted — if intentional, regenerate via "
-        f"PYTHONPATH=src python tests/golden/regen.py")
 
 
 @pytest.mark.parametrize("name", sorted(MULTICORE_RUNS))
@@ -103,16 +86,16 @@ def test_golden_fixture_sane():
     """The fixture itself covers what the test matrix expects."""
     assert set(GOLDEN["traces"]) == {"spec06-00", "ligra-00"}
     for runs in GOLDEN["traces"].values():
-        assert set(runs) == {"none", "pmp", "spp"}
+        assert set(runs) == {"none", "pmp", "spp", "pmp+events"}
         assert runs["none"]["issued_prefetches"] in ({}, {"1": 0, "2": 0, "3": 0})
-        for data in runs.values():
+        for name, data in runs.items():
             _sane(data)
-
-    assert set(GOLDEN["sampled"]) == set(SAMPLED_RUNS)
-    for name, data in GOLDEN["sampled"].items():
-        _sane(data)
-        assert data["sampling"]["clusters"] >= 2  # really stitched
-        assert ("event_counters" in data) == SAMPLED_RUNS[name][1]
+            assert ("event_counters" in data) == TRACE_RUNS[name][1]
+        # Tracing is pure observation: the traced run's counters are
+        # the untraced run's.
+        traced = dict(runs["pmp+events"])
+        del traced["event_counters"]
+        assert traced == runs["pmp"]
 
     assert set(GOLDEN["multicore"]) == set(MULTICORE_RUNS)
     for name, per_core in GOLDEN["multicore"].items():

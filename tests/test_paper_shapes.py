@@ -17,8 +17,11 @@ from repro.sim.params import SystemConfig
 
 
 @pytest.fixture(scope="module")
-def runner():
-    return SuiteRunner(specs=quick_suite()[:4], accesses=12_000)
+def runner(tmp_path_factory):
+    # A result cache lets each test reuse the simulations an earlier
+    # test already ran (default PMP, Bingo, DSPatch, DesignB(8)).
+    return SuiteRunner(specs=quick_suite()[:4], accesses=12_000,
+                       cache=tmp_path_factory.mktemp("paper-shapes-cache"))
 
 
 @pytest.fixture(scope="module")

@@ -4,8 +4,8 @@ Every engine in ``COMPETITORS`` is auto-discovered, and every engine that
 produces a number without being registered is listed in
 :data:`UNREGISTERED`.  Each runs through the shared conformance suite
 (:mod:`repro.prefetchers.conformance`): determinism, construction
-determinism, warmup discipline, address legality, feedback conservation,
-the hit-run differential, and sampled-stitching safety.  A guard fails
+determinism, warmup discipline, address legality, feedback conservation
+and the hit-run differential.  A guard fails
 when an engine defined under ``repro.prefetchers`` is in neither, and the
 registry's duplicate-name guard is pinned here too, next to the discovery
 it protects.

@@ -130,21 +130,11 @@ class TestSchemaRejections:
                    for p in validate_scenario_doc(doc))
 
     def test_sampling_table_validates_known_keys_and_types(self):
+        # Every run is exact: a sim.sampling table is an unknown sim
+        # field, never a table that is quietly ignored.
         doc = _doc(sim={"sampling": {"windows": 40, "threshold": 0.3}})
-        assert validate_scenario_doc(doc) == []
-        doc = _doc(sim={"sampling": {"window_count": 40}})
-        assert any("unknown field 'window_count'" in p
+        assert any("unknown field(s) ['sampling']" in p
                    for p in validate_scenario_doc(doc))
-        doc = _doc(sim={"sampling": {"windows": "many"}})
-        assert any("sampling.windows" in p
-                   for p in validate_scenario_doc(doc))
-        doc = _doc(sim={"sampling": {"windows": True}})
-        assert any("sampling.windows" in p
-                   for p in validate_scenario_doc(doc))
-        for dropped in ("enabled", "seed"):
-            doc = _doc(sim={"sampling": {dropped: 1}})
-            assert any(f"unknown field {dropped!r}" in p
-                       for p in validate_scenario_doc(doc))
 
     def test_expected_tolerance_must_be_a_small_fraction(self):
         doc = _doc(expected={"tolerance": 0.05, "min_ipc": 0.5})
@@ -483,6 +473,32 @@ weight = 1.0
         assert scenarios_main(["run", "--spec", path,
                                "--prefetcher", "hybridd"]) == 2
         assert "unknown prefetcher" in capsys.readouterr().err
+
+    def test_negative_accesses_exits_two_before_simulating(
+            self, monkeypatch, capsys):
+        import repro.sim.engine
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated despite --accesses -5")
+
+        monkeypatch.setattr(repro.sim.engine, "simulate", refuse)
+        assert scenarios_main(["run", "spec06-00", "--accesses", "-5",
+                               "--no-gate"]) == 2
+        captured = capsys.readouterr()
+        assert "--accesses" in captured.err
+        assert "== scenario" not in captured.out
+
+    def test_sample_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            scenarios_main(["run", "spec06-00", "--sample"])
+        assert excinfo.value.code == 2
+
+    def test_validate_rejects_a_sampling_table(self, tmp_path, capsys):
+        path = tmp_path / "sampled.toml"
+        path.write_text(MINIMAL + "\n[scenario.sim.sampling]\nwindows = 40\n")
+        assert scenarios_main(["validate", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert f"FAIL {path}" in out and "sampling" in out
 
     def test_validate_flags_broken_files(self, tmp_path, capsys):
         good = tmp_path / "good.toml"

@@ -1,7 +1,7 @@
 """Unit tests for the PR-10 zoo ports: Pangloss, Gaze, Triangel.
 
 Engine-level behaviour only; cross-cutting contracts (determinism,
-legality, fastpath, sampling) are covered for every registered engine by
+legality, fastpath) are covered for every registered engine by
 ``tests/test_prefetcher_conformance.py``.
 """
 
