@@ -442,6 +442,9 @@ def main(argv: list[str] | None = None) -> int:
         dropped = _fig13_dropped_flags(args)
         if dropped:
             parser.error(f"fig13 would ignore {', '.join(dropped)}")
+        if args.accesses < 2:
+            parser.error(f"--accesses must be at least 2 for fig13, which "
+                         f"halves it per core, got {args.accesses}")
     args.all_runners = []
     args.journal_obj = None
     if args.resume:

@@ -12,24 +12,24 @@ content hash over everything that determines its output:
 The prefetcher state is encoded by :func:`canonical`, which hashes a
 Q-table or counter table in one C-level pass rather than value by value.
 
-Results are stored one JSON file per key under ``<dir>/results/``, in the
-:meth:`SimResult.to_dict` form, so a warm-cache rerun of any experiment
-matrix replays the exact numbers without a single new simulation.  The
-hit/miss counters feed the per-experiment run manifests.  The run
-journal (:mod:`repro.experiments.journal`) keeps its completions in the
-same format: both stores write through :func:`write_entry` and read
-through :func:`read_entry`.
+Results are stored one JSON file per key under ``<dir>/results/``, each
+holding its job's ``encode(result)`` payload, which only the job's
+``decode`` reads, so a warm-cache rerun of any experiment matrix replays
+the exact numbers without a single new simulation.  The run journal
+(:mod:`repro.experiments.journal`) keeps its completions in the same
+format: both stores write through :func:`write_entry` and read through
+:func:`read_entry`.
 
 **Integrity**: every entry carries a SHA-256 checksum over its result
-payload, verified on read.  An entry that fails to parse or to verify is
-*quarantined* (:func:`quarantine_entry`) — moved to ``<dir>/quarantine/``
-and counted (the run manifest reports the count) — rather than silently
-treated as a miss and deleted, so corruption is visible and the bytes
-stay available for post-mortem.
+payload, verified on read.  An entry that fails to parse, to verify or
+to decode is *quarantined* (:func:`quarantine_entry`) — moved to
+``<dir>/quarantine/`` and counted (the run manifest reports the count)
+— rather than silently treated as a miss and deleted, so corruption is
+visible and the bytes stay available for post-mortem.
 
 **Versions**: :data:`CACHE_VERSION` salts every key, so entries written
 under an older version are never read again; they stay behind as dead
-files until ``clear()``.
+files until ``<dir>/results/`` is deleted.
 
 1. The first format.
 2. Added the per-entry integrity checksum.
@@ -51,15 +51,15 @@ from collections import OrderedDict
 from enum import Enum
 from itertools import chain
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
 from ..prefetchers.base import Prefetcher
-from ..sim.stats import SimResult
 
-#: Salt of every key.  Bump whenever SimResult semantics, simulator
-#: behaviour, the entry format or the key encoding changes in a way that
-#: invalidates stored entries (history in the module docstring).
+#: Salt of every key.  Bump whenever result semantics, a job's payload,
+#: simulator behaviour, the entry format or the key encoding changes in a
+#: way that invalidates stored entries (history in the module docstring).
 CACHE_VERSION = 4
 
 log = logging.getLogger("repro.experiments.cache")
@@ -244,12 +244,14 @@ class CorruptCacheEntry(ValueError):
 
 #: What :func:`read_entry` raises for an entry that exists but cannot be
 #: used (``FileNotFoundError``, an ``OSError``, means there is none).
-UNREADABLE = (ValueError, KeyError, TypeError, OSError)
+#: ``AttributeError`` is how a decoder meets a payload of the wrong shape.
+UNREADABLE = (ValueError, KeyError, TypeError, AttributeError, OSError)
 
 
-def write_entry(directory: Path, key: str, result: SimResult,
+def write_entry(directory: Path, key: str, data: dict,
                 dir_fd: int | None = None) -> None:
-    """Store ``result`` as the checksummed entry ``<directory>/<key>.json``.
+    """Store the payload ``data`` as the checksummed entry
+    ``<directory>/<key>.json``.
 
     The entry is staged under a hidden per-process name (the scheme of
     :func:`repro.fabric.protocol.write_json_atomic`) and renamed into
@@ -262,11 +264,9 @@ def write_entry(directory: Path, key: str, result: SimResult,
     """
     path = directory / f"{key}.json"
     tmp = directory / f".{path.name}.{os.getpid()}.tmp"
-    result_dict = result.to_dict()
     with tmp.open("w") as fh:
         json.dump({"version": CACHE_VERSION, "key": key,
-                   "checksum": result_checksum(result_dict),
-                   "result": result_dict}, fh)
+                   "checksum": result_checksum(data), "result": data}, fh)
         if dir_fd is not None:
             fh.flush()
             os.fsync(fh.fileno())
@@ -275,22 +275,24 @@ def write_entry(directory: Path, key: str, result: SimResult,
         os.fsync(dir_fd)
 
 
-def read_entry(path: Path) -> SimResult:
-    """Parse one entry, verifying its integrity checksum.
+def read_entry(path: Path, decode: Callable[[dict], Any]) -> Any:
+    """Parse one entry, verify its integrity checksum and return
+    ``decode(payload)``.
 
     Raises one of :data:`UNREADABLE`: ``FileNotFoundError`` when there is
     no entry, :class:`CorruptCacheEntry` when the payload does not match
-    its checksum.
+    its checksum, and whatever ``decode`` raises for a payload it cannot
+    read.
     """
     with path.open() as fh:
-        data = json.load(fh)
-    stored = data["checksum"]
-    actual = result_checksum(data["result"])
+        entry = json.load(fh)
+    stored = entry["checksum"]
+    actual = result_checksum(entry["result"])
     if stored != actual:
         raise CorruptCacheEntry(
             f"checksum mismatch: stored {stored[:12]}…, "
             f"payload hashes to {actual[:12]}…")
-    return SimResult.from_dict(data["result"])
+    return decode(entry["result"])
 
 
 def quarantine_entry(path: Path, quarantine_dir: Path, reason: str) -> dict:
@@ -321,15 +323,13 @@ def quarantine_entry(path: Path, quarantine_dir: Path, reason: str) -> dict:
 
 
 class ResultCache:
-    """Directory-backed store of :class:`SimResult`s keyed by content hash."""
+    """Directory-backed store of job result payloads keyed by content hash."""
 
     def __init__(self, directory: str | Path = ".repro-cache") -> None:
         self.directory = Path(directory)
         self.results_dir = self.directory / "results"
         self.quarantine_dir = self.directory / "quarantine"
         self.results_dir.mkdir(parents=True, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
         #: Corrupt entries quarantined by this cache instance.
         self.corrupt = 0
         #: Structured {key, path, reason} record per quarantined entry.
@@ -338,39 +338,28 @@ class ResultCache:
     def _path_for(self, key: str) -> Path:
         return self.results_dir / f"{key}.json"
 
-    def get(self, key: str) -> SimResult | None:
-        """The stored, integrity-checked result for a key, or None.
+    def get(self, key: str, decode: Callable[[dict], Any]) -> Any:
+        """``decode`` of the stored, integrity-checked payload for a key,
+        or None.
 
-        Counts hits and misses; a corrupt entry is quarantined and
-        counted separately (``corrupt`` / ``corrupt_events``), then
-        reported as a miss so the job re-simulates.
+        An entry that fails to parse, verify or decode is quarantined and
+        counted (``corrupt`` / ``corrupt_events``), then reported as None
+        so the job re-simulates.
         """
         path = self._path_for(key)
         try:
-            result = read_entry(path)
+            return read_entry(path, decode)
         except FileNotFoundError:
-            self.misses += 1
             return None
         except UNREADABLE as exc:
             self.corrupt += 1
             self.corrupt_events.append(quarantine_entry(
                 path, self.quarantine_dir, f"{type(exc).__name__}: {exc}"))
-            self.misses += 1
             return None
-        self.hits += 1
-        return result
 
-    def put(self, key: str, result: SimResult) -> None:
-        """Persist one checksummed result (atomic via rename)."""
-        write_entry(self.results_dir, key, result)
+    def put(self, key: str, data: dict) -> None:
+        """Persist one checksummed payload (atomic via rename)."""
+        write_entry(self.results_dir, key, data)
 
     def __len__(self) -> int:
         return sum(1 for _ in self.results_dir.glob("*.json"))
-
-    def clear(self) -> int:
-        """Delete all stored results; returns how many were removed."""
-        removed = 0
-        for path in self.results_dir.glob("*.json"):
-            path.unlink()
-            removed += 1
-        return removed

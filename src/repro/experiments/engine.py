@@ -24,11 +24,10 @@ engine, the broker and the worker read only this of it: ``key()``, its
 content hash; ``run()``, the simulation, made in this process on the
 serial path or in the lease worker that unpickled the job; ``label``,
 the name failure records and errors give it; ``encode(result)`` and
-``decode(data)``, which turn its result into the JSON-safe dict a lease
-outcome record carries and back (a twin gets a decoded copy); and
-``check_invariants``, whether its run is audited.  Fig 13 runs its
-jobs with no result cache or run journal, which store single-core
-results only.
+``decode(data)``, which turn its result into the JSON-safe payload that
+lease outcome records, cache entries and journal entries carry, and
+back (the job and each twin get their own decoded copy); and
+``check_invariants``, whether its run is audited.
 
 Fault tolerance (see :mod:`repro.experiments.faults` for the taxonomy
 and :mod:`repro.fabric.broker` for the mechanics) is per lease:
@@ -261,13 +260,13 @@ class ExperimentEngine:
         for index, job in enumerate(jobs):
             key = job.key() if need_key else None
             if self.journal is not None and key is not None:
-                replayed = self.journal.lookup(key)
+                replayed = self.journal.lookup(key, job.decode)
                 if replayed is not None:
                     results[index] = replayed
                     self.counters.journal_replayed += 1
                     continue
             if self.cache is not None:
-                cached = self.cache.get(key)
+                cached = self.cache.get(key, job.decode)
                 if cached is not None:
                     results[index] = cached
                     self.counters.cache_hits += 1
@@ -301,19 +300,20 @@ class ExperimentEngine:
 
     # ------------------------------------------------------------ job plumbing
 
-    def _complete(self, results: list, item: _WorkItem, result) -> None:
-        """One job finished: place, count, cache and journal its result."""
+    def _complete(self, results: list, item: _WorkItem, data: dict) -> None:
+        """One job finished with the payload ``data``: place a decoded
+        copy at its index and at each twin's, count it, cache and journal
+        ``data``."""
         job = item.job
-        results[item.index] = result
-        for index in item.twins:
-            results[index] = job.decode(job.encode(result))
+        for index in (item.index, *item.twins):
+            results[index] = job.decode(data)
         self.counters.simulated += 1
         if audit_requested(job.check_invariants or None):
             self.counters.audited += 1
         if self.cache is not None and item.key is not None:
-            self.cache.put(item.key, result)
+            self.cache.put(item.key, data)
         if self.journal is not None and item.key is not None:
-            self.journal.record_done(item.key, result)
+            self.journal.record_done(item.key, data)
 
     def _register_failure(self, item: _WorkItem, failure: JobFailure,
                           cause: BaseException | None) -> None:
@@ -349,7 +349,7 @@ class ExperimentEngine:
                 self._register_failure(item, failure_from_exception(
                     index, key, job.label, KIND_RAISE, exc), exc)
                 continue
-            self._complete(results, item, result)
+            self._complete(results, item, job.encode(result))
 
     # -------------------------------------------------------------- lease path
 
@@ -383,8 +383,7 @@ class ExperimentEngine:
             run_dir=run_dir, run_id=run_id,
             config=self.fabric or FabricConfig(), policy=self.policy,
             counters=self.counters,
-            on_result=lambda item, result: self._complete(
-                results, item, result),
+            on_result=lambda item, data: self._complete(results, item, data),
             on_failure=self._register_failure,
             should_stop=lambda: self._stop,
             local_workers=self.workers if self.workers > 1 else 0)

@@ -4,12 +4,13 @@ A :class:`RunJournal` owns one directory under ``<root>/runs/<run-id>/``:
 
 * ``meta.json`` — run id, creation time, git SHA (written once);
 * ``results/<key>.json`` — one entry per *finished* job, in exactly the
-  format the result cache writes (``version``, ``key``, ``checksum``,
-  ``result``), through the same :func:`~repro.experiments.cache.
-  write_entry` and :func:`~repro.experiments.cache.read_entry`.  The
-  entry is fsynced and renamed into place, and the directory fsynced,
-  before :meth:`RunJournal.record_done` returns;
-* ``quarantine/`` — entries that failed to parse or verify.
+  format the result cache writes (``version``, ``key``, ``checksum`` and
+  ``result``, the job's own ``encode(result)`` payload), through the
+  same :func:`~repro.experiments.cache.write_entry` and
+  :func:`~repro.experiments.cache.read_entry`.  The entry is fsynced and
+  renamed into place, and the directory fsynced, before
+  :meth:`RunJournal.record_done` returns;
+* ``quarantine/`` — entries that failed to parse, verify or decode.
 
 Because jobs are identified by the same content hash the result cache
 uses, a resumed run does not need the original job *ordering* — any run
@@ -20,8 +21,8 @@ with their tracebacks).
 
 Integrity: each entry stands alone, so a crash mid-write costs at most
 the job being written (its staging file is never renamed into place),
-and an entry that fails its checksum is quarantined, as a corrupt cache
-entry is, and its job re-simulates.
+and an entry that fails its checksum or its job's ``decode`` is
+quarantined, as a corrupt cache entry is, and its job re-simulates.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ import re
 import time
 import weakref
 from pathlib import Path
+from typing import Any, Callable
 
-from ..sim.stats import SimResult
 from .cache import UNREADABLE, quarantine_entry, read_entry, write_entry
 from .manifest import current_git_sha
 
@@ -92,27 +93,27 @@ class RunJournal:
                 f"(expected {directory})")
         return cls(root, run_id)
 
-    def record_done(self, key: str, result: SimResult) -> None:
-        """Journal one completed job (idempotent per key); the entry is
-        on stable storage when this returns."""
+    def record_done(self, key: str, data: dict) -> None:
+        """Journal one completed job's payload (idempotent per key); the
+        entry is on stable storage when this returns."""
         if key in self._keys:
             return
         if not self._release.alive:
             raise ValueError(f"run journal {self.run_id} is closed")
-        write_entry(self.results_dir, key, result, self._dir_fd)
+        write_entry(self.results_dir, key, data, self._dir_fd)
         self._keys.add(key)
 
-    def lookup(self, key: str) -> SimResult | None:
-        """The journaled result for a job key, or None.
+    def lookup(self, key: str, decode: Callable[[dict], Any]) -> Any:
+        """``decode`` of the journaled payload for a job key, or None.
 
-        A corrupt entry is quarantined and reported as None, so its job
-        re-simulates.
+        An entry that fails to parse, verify or decode is quarantined and
+        reported as None, so its job re-simulates.
         """
         if key not in self._keys:
             return None
         path = self.results_dir / f"{key}.json"
         try:
-            return read_entry(path)
+            return read_entry(path, decode)
         except UNREADABLE as exc:
             self._keys.discard(key)
             self.corrupt_events.append(quarantine_entry(

@@ -108,8 +108,9 @@ class FabricBroker:
     config: FabricConfig
     policy: FaultPolicy
     counters: object            # EngineCounters (duck-typed)
-    #: ``on_result(item, result)`` — place/cache/journal a completion.
-    on_result: Callable[[object, object], None]
+    #: ``on_result(item, data)`` — place/cache/journal a completion's
+    #: verified payload, the job's ``encode(result)``.
+    on_result: Callable[[object, dict], None]
     #: ``on_failure(item, failure, cause)`` — record a structured
     #: JobFailure.
     on_failure: Callable[[object, JobFailure, BaseException | None], None]
@@ -222,9 +223,9 @@ class FabricBroker:
             self._state[key] = _LeaseState(item)
             self._outstanding.add(key)
             if key in harvest:
-                epoch, record, result = harvest[key]
+                epoch, record, data = harvest[key]
                 self._state[key].epoch = epoch
-                self._finish(key, record, result)
+                self._finish(key, record, data)
             else:
                 fresh.append(item)
         write_batch(self.run_dir, BATCH_OPEN, len(items), self.run_id)
@@ -309,9 +310,8 @@ class FabricBroker:
 
     # ------------------------------------------------------------ consumption
 
-    def _finish(self, key: str, record: dict, result: dict) -> None:
-        state = self._state[key]
-        self.on_result(state.item, state.item.job.decode(result))
+    def _finish(self, key: str, record: dict, data: dict) -> None:
+        self.on_result(self._state[key].item, data)
         self._retire(key)
         worker = record.get("worker")
         if worker:

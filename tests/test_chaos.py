@@ -148,8 +148,8 @@ class TestInterruptAndResume:
         runner = SuiteRunner(specs=SPECS, accesses=ACCESSES, journal=journal)
         recorded = journal.record_done
 
-        def stop_after_two(key, result):
-            recorded(key, result)
+        def stop_after_two(key, data):
+            recorded(key, data)
             if journal.completed == 2:
                 runner.engine.request_stop()
 
@@ -242,6 +242,7 @@ class TestCacheCorruption:
                            cache=warm_cache)
         again = result_dicts(warm.run(PMP))
         assert again == first
+        assert warm.engine.counters.cache_misses == 1
         assert warm_cache.corrupt == 1
         assert warm_cache.corrupt_events[0]["key"] == entry.stem
         # The corrupt bytes moved aside for autopsy, not deleted.

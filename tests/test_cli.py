@@ -50,13 +50,15 @@ class TestParser:
         out = capsys.readouterr().out
         assert "Trigger Offset" in out
 
-    def test_table9_small(self, capsys):
-        assert main(["table9", "--accesses", "3000", "--traces", "1"]) == 0
+    def test_table9_small(self, tmp_path, capsys):
+        assert main(["table9", "--accesses", "3000", "--traces", "1",
+                     "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "pattern length" in out and "overhead" in out
 
-    def test_structures_small(self, capsys):
-        assert main(["structures", "--accesses", "3000", "--traces", "1"]) == 0
+    def test_structures_small(self, tmp_path, capsys):
+        assert main(["structures", "--accesses", "3000", "--traces", "1",
+                     "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "dual" in out
 
@@ -75,7 +77,8 @@ class TestParser:
     def test_trace_cache_option(self, tmp_path, capsys):
         cache_dir = str(tmp_path / "cache")
         assert main(["table9", "--accesses", "2000", "--traces", "1",
-                     "--trace-cache", cache_dir]) == 0
+                     "--trace-cache", cache_dir,
+                     "--cache-dir", str(tmp_path / "results")]) == 0
         import pathlib
         assert list(pathlib.Path(cache_dir).glob("*.pmptrc"))
 
@@ -174,6 +177,22 @@ class TestSizeFlags:
         assert ran == []
         message = capsys.readouterr().err.strip().splitlines()[-1]
         assert flag in message
+
+    @pytest.mark.parametrize("experiment", ["fig13", "all"])
+    def test_fig13_needs_two_accesses_to_halve(self, experiment, ran,
+                                               tmp_path, capsys):
+        """Fig 13 gives each core half of ``--accesses``: at 1 that is an
+        empty trace, whose table would read 0.000 for every engine."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([experiment, "--accesses", "1", "--no-cache",
+                  "--no-journal", "--cache-dir", str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert ran == []
+        message = capsys.readouterr().err.strip().splitlines()[-1]
+        assert "--accesses" in message
+        assert main(["fig13", "--accesses", "2", "--no-cache",
+                     "--no-journal", "--cache-dir", str(tmp_path)]) == 0
+        assert ran == ["fig13"]
 
     def test_zero_traces_means_the_whole_quick_suite(self, monkeypatch,
                                                      tmp_path):

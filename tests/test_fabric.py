@@ -66,13 +66,9 @@ def fabric_runner(tmp_path, *, ttl=5.0, run_id=None,
 
 
 class StubJob:
-    """A trivial picklable job: a label and an identity result codec."""
+    """A trivial picklable job: only its label."""
 
     label = "t/p"
-
-    @staticmethod
-    def decode(data):
-        return data
 
 
 def stub_item(key=KEY, index=0):

@@ -20,8 +20,10 @@ from repro.experiments import faults
 from repro.experiments import manifest as manifest_module
 from repro.experiments.cache import (CACHE_VERSION, ResultCache,
                                      result_checksum)
+from repro.experiments.engine import SimJob
 from repro.experiments.journal import RunJournal, new_run_id
 from repro.experiments.manifest import RunManifest, current_git_sha
+from repro.experiments.multi_core import MulticoreJob
 from repro.experiments.runner import SuiteRunner
 from repro.memtrace.workloads import quick_suite
 from repro.prefetchers.base import NoPrefetcher, Prefetcher
@@ -36,42 +38,50 @@ def result():
     return SuiteRunner(specs=SPECS, accesses=1_000).run(NoPrefetcher)[0]
 
 
+@pytest.fixture(scope="module")
+def data(result):
+    """Its payload, as its job hands it to the cache and the journal."""
+    return SimJob.encode(result)
+
+
+decode = SimJob.decode
+
+
 class TestRunJournal:
-    def test_round_trips_done_records(self, tmp_path, result):
+    def test_round_trips_done_records(self, tmp_path, result, data):
         journal = RunJournal(tmp_path, "run-a")
-        journal.record_done("done-key", result)
+        journal.record_done("done-key", data)
         journal.close()
 
         reopened = RunJournal(tmp_path, "run-a")
         assert reopened.completed == 1
-        assert reopened.lookup("done-key").to_dict() == result.to_dict()
-        assert reopened.lookup("missing") is None
+        assert reopened.lookup("done-key", decode) == result
+        assert reopened.lookup("missing", decode) is None
         reopened.close()
 
-    def test_entries_are_result_cache_entries(self, tmp_path, result):
+    def test_entries_are_result_cache_entries(self, tmp_path, result, data):
         """A journal entry is byte for byte the entry the result cache
         writes for the same key, so both stores share one format."""
         journal = RunJournal(tmp_path / "runs", "run-cache-format")
-        journal.record_done("k1", result)
+        journal.record_done("k1", data)
         journal.close()
         cache = ResultCache(tmp_path / "cache")
-        cache.put("k1", result)
+        cache.put("k1", data)
         entry = journal.results_dir / "k1.json"
         assert entry.read_bytes() == cache._path_for("k1").read_bytes()
-        assert ResultCache(journal.directory).get("k1").to_dict() == (
-            result.to_dict())
+        assert ResultCache(journal.directory).get("k1", decode) == result
 
-    def test_record_done_is_idempotent_per_key(self, tmp_path, result):
+    def test_record_done_is_idempotent_per_key(self, tmp_path, data):
         journal = RunJournal(tmp_path, "run-b")
-        journal.record_done("k", result)
-        journal.record_done("k", result)
+        journal.record_done("k", data)
+        journal.record_done("k", data)
         journal.close()
         reopened = RunJournal(tmp_path, "run-b")
         assert reopened.completed == 1
         assert os.listdir(reopened.results_dir) == ["k.json"]
         reopened.close()
 
-    def test_record_done_is_durable_when_it_returns(self, tmp_path, result,
+    def test_record_done_is_durable_when_it_returns(self, tmp_path, data,
                                                     monkeypatch):
         """The entry is fsynced before its rename and the directory
         after it, so the completion survives a crash once recorded."""
@@ -85,23 +95,23 @@ class TestRunJournal:
             fsync(fd)
 
         monkeypatch.setattr(os, "fsync", recording_fsync)
-        journal.record_done("k1", result)
+        journal.record_done("k1", data)
         (_, staged_in_place), directory = synced
         assert not staged_in_place           # the staging file, pre-rename
         assert directory == (journal._dir_fd, True)
         journal.close()
         with pytest.raises(ValueError, match="closed"):
-            journal.record_done("k2", result)
+            journal.record_done("k2", data)
 
     def test_completion_after_a_crash_mid_write_replays(self, tmp_path,
-                                                        result):
+                                                        result, data):
         """A crash mid-write costs only the job being written: a
         completion recorded after it, by a journal reopened by run id,
         replays on the next open and after ``--resume``.  (In the
         append-only log this entry layout replaced, the next record
         joined the torn line and failed its checksum on every load.)"""
         journal = RunJournal(tmp_path, "run-x")
-        journal.record_done("k1", result)
+        journal.record_done("k1", data)
         journal.close()
         # The crash: half an entry in a staging file, and half an entry
         # renamed into place (a rename the filesystem kept without data).
@@ -110,32 +120,32 @@ class TestRunJournal:
         (journal.results_dir / "k-torn.json").write_text(torn)
 
         reopened = RunJournal(tmp_path, "run-x")
-        reopened.record_done("k2", result)
+        reopened.record_done("k2", data)
         reopened.close()
 
         again = RunJournal(tmp_path, "run-x")
-        assert again.lookup("k2").to_dict() == result.to_dict()
-        assert again.lookup("k-torn") is None
+        assert again.lookup("k2", decode) == result
+        assert again.lookup("k-torn", decode) is None
         assert again.completed == 2
         again.close()
         resumed = RunJournal.resume(tmp_path, "run-x")
         assert resumed.completed == 2
         for key in ("k1", "k2"):
-            assert resumed.lookup(key).to_dict() == result.to_dict()
+            assert resumed.lookup(key, decode) == result
         resumed.close()
 
-    def test_truncated_tail_is_skipped_not_fatal(self, tmp_path, result):
+    def test_truncated_tail_is_skipped_not_fatal(self, tmp_path, data):
         journal = RunJournal(tmp_path, "run-c")
-        journal.record_done("k1", result)
-        journal.record_done("k2", result)
+        journal.record_done("k1", data)
+        journal.record_done("k2", data)
         journal.close()
         path = journal.results_dir / "k2.json"
         # Chop the entry in half: a write the crash cut short.
         path.write_text(path.read_text()[:20])
 
         reopened = RunJournal(tmp_path, "run-c")
-        assert reopened.lookup("k1") is not None
-        assert reopened.lookup("k2") is None  # re-runs on resume
+        assert reopened.lookup("k1", decode) is not None
+        assert reopened.lookup("k2", decode) is None  # re-runs on resume
         assert reopened.completed == 1
         (event,) = reopened.corrupt_events
         assert event["key"] == "k2"
@@ -144,9 +154,9 @@ class TestRunJournal:
         assert not path.exists()
         reopened.close()
 
-    def test_tampered_entry_is_quarantined(self, tmp_path, result):
+    def test_tampered_entry_is_quarantined(self, tmp_path, result, data):
         journal = RunJournal(tmp_path, "run-d")
-        journal.record_done("k1", result)
+        journal.record_done("k1", data)
         journal.close()
         path = journal.results_dir / "k1.json"
         record = json.loads(path.read_text())
@@ -154,12 +164,12 @@ class TestRunJournal:
         path.write_text(json.dumps(record))
 
         reopened = RunJournal(tmp_path, "run-d")
-        assert reopened.lookup("k1") is None
+        assert reopened.lookup("k1", decode) is None
         assert reopened.completed == 0
         assert "checksum mismatch" in reopened.corrupt_events[0]["reason"]
         # Recorded again, the job's fresh entry replays.
-        reopened.record_done("k1", result)
-        assert reopened.lookup("k1").to_dict() == result.to_dict()
+        reopened.record_done("k1", data)
+        assert reopened.lookup("k1", decode) == result
         reopened.close()
 
     def test_corrupt_entry_resimulates_on_resume(self, tmp_path):
@@ -199,35 +209,72 @@ class TestRunJournal:
 
 
 class TestCacheIntegrity:
-    def test_entries_carry_version_and_checksum(self, tmp_path, result):
+    def test_entries_carry_version_and_checksum(self, tmp_path, result, data):
         cache = ResultCache(tmp_path)
-        cache.put("key1", result)
-        data = json.loads(next(cache.results_dir.glob("*.json")).read_text())
-        assert data["version"] == CACHE_VERSION
-        assert data["checksum"] == result_checksum(data["result"])
-        assert cache.get("key1").to_dict() == result.to_dict()
+        cache.put("key1", data)
+        entry = json.loads(next(cache.results_dir.glob("*.json")).read_text())
+        assert entry["version"] == CACHE_VERSION
+        assert entry["checksum"] == result_checksum(entry["result"])
+        assert cache.get("key1", decode) == result
         assert cache.corrupt == 0
 
-    def test_checksum_mismatch_quarantines_as_miss(self, tmp_path, result):
+    def test_simjob_entry_bytes_are_the_pinned_format(self, tmp_path, result):
+        """A single-core entry is the same bytes as before the stores took
+        payloads, so caches and journals written then replay now."""
+        d = result.to_dict()
+        expected = json.dumps({"version": CACHE_VERSION, "key": "k",
+                               "checksum": result_checksum(d), "result": d})
+        cache = ResultCache(tmp_path / "cache")
+        cache.put("k", SimJob.encode(result))
+        journal = RunJournal(tmp_path / "runs", "run-bytes")
+        journal.record_done("k", SimJob.encode(result))
+        journal.close()
+        assert cache._path_for("k").read_text() == expected
+        assert (journal.results_dir / "k.json").read_text() == expected
+
+    def test_checksum_mismatch_quarantines_as_miss(self, tmp_path, data):
         cache = ResultCache(tmp_path)
-        cache.put("key1", result)
+        cache.put("key1", data)
         path = cache._path_for("key1")
-        data = json.loads(path.read_text())
-        data["result"]["cycles"] = 999
-        path.write_text(json.dumps(data))
+        entry = json.loads(path.read_text())
+        entry["result"]["cycles"] = 999
+        path.write_text(json.dumps(entry))
 
         fresh = ResultCache(tmp_path)
-        assert fresh.get("key1") is None
-        assert fresh.misses == 1
+        assert fresh.get("key1", decode) is None
         assert fresh.corrupt == 1
         assert (fresh.quarantine_dir / "key1.json").exists()
         assert not path.exists()
         assert "checksum mismatch" in fresh.corrupt_events[0]["reason"]
         # A later probe of the same key is a plain miss, not re-quarantine.
-        assert fresh.get("key1") is None
+        assert fresh.get("key1", decode) is None
         assert fresh.corrupt == 1
 
-    def test_requarantined_key_keeps_prior_evidence(self, tmp_path, result):
+    @pytest.mark.parametrize("garble, reader", [
+        (lambda d: d, MulticoreJob.decode),               # KeyError
+        (lambda d: {"cores": 3}, MulticoreJob.decode),    # TypeError
+        (lambda d: {**d, "levels": []}, SimJob.decode),   # AttributeError
+    ], ids=["single-core-entry", "cores-not-a-list", "levels-not-a-dict"])
+    def test_entry_that_verifies_but_does_not_decode_is_quarantined(
+            self, tmp_path, data, garble, reader):
+        """The checksum holds, but the job cannot read the payload: both
+        stores quarantine the entry and report None, so it re-simulates."""
+        payload = garble(data)
+        cache = ResultCache(tmp_path / "cache")
+        cache.put("k", payload)
+        journal = RunJournal(tmp_path / "runs", "run-undecodable")
+        journal.record_done("k", payload)
+        stores = ((cache, cache.get), (journal, journal.lookup))
+        for store, read in stores:
+            assert read("k", reader) is None
+            (event,) = store.corrupt_events
+            assert event["key"] == "k"
+            assert (store.quarantine_dir / "k.json").exists()
+            assert read("k", reader) is None   # gone: a plain miss now
+        assert cache.corrupt == 1 and journal.completed == 0
+        journal.close()
+
+    def test_requarantined_key_keeps_prior_evidence(self, tmp_path, data):
         # Regression: quarantine destinations used to be `<key>.json`
         # unconditionally, so a key corrupted, re-simulated, and
         # corrupted again silently overwrote the first corpse — exactly
@@ -235,12 +282,12 @@ class TestCacheIntegrity:
         cache = ResultCache(tmp_path)
 
         def corrupt_and_probe():
-            cache.put("key1", result)
+            cache.put("key1", data)
             path = cache._path_for("key1")
-            data = json.loads(path.read_text())
-            data["result"]["cycles"] = 999
-            path.write_text(json.dumps(data))
-            assert cache.get("key1") is None
+            entry = json.loads(path.read_text())
+            entry["result"]["cycles"] = 999
+            path.write_text(json.dumps(entry))
+            assert cache.get("key1", decode) is None
 
         corrupt_and_probe()
         corrupt_and_probe()
@@ -253,12 +300,13 @@ class TestCacheIntegrity:
         paths = [event["path"] for event in cache.corrupt_events]
         assert len(set(paths)) == 3
 
-    def test_concurrent_writers_share_a_directory(self, tmp_path, result):
+    def test_concurrent_writers_share_a_directory(self, tmp_path, result,
+                                                  data):
         # Regression: every writer staged an entry at the fixed name
         # `<key>.tmp`, so a second process renamed it away under the
         # first, whose own rename then raised FileNotFoundError.
         result_path = tmp_path / "result.json"
-        result_path.write_text(json.dumps(result.to_dict()))
+        result_path.write_text(json.dumps(data))
         cache_dir = tmp_path / "cache"
         ready = [str(tmp_path / "ready-a"), str(tmp_path / "ready-b")]
         src = Path(__file__).resolve().parent.parent / "src"
@@ -281,7 +329,7 @@ class TestCacheIntegrity:
         cache = ResultCache(cache_dir)
         assert len(cache) == 5
         for key in range(5):
-            assert cache.get(f"key{key}").to_dict() == result.to_dict()
+            assert cache.get(f"key{key}", decode) == result
         assert cache.corrupt == 0
         assert list(cache.results_dir.glob(".*.tmp")) == []
 
@@ -379,15 +427,14 @@ class TestManifestFaultFields:
 
 
 #: One cache writer: waits until its peer has started too, then puts the
-#: same five keys 400 times each.
+#: same payload under five keys, 400 times each.
 _PUT_LOOP = """
 import json, sys, time
 from pathlib import Path
 from repro.experiments.cache import ResultCache
-from repro.sim.stats import SimResult
 
 directory, result_path, mine, peer = sys.argv[1:]
-result = SimResult.from_dict(json.loads(Path(result_path).read_text()))
+data = json.loads(Path(result_path).read_text())
 cache = ResultCache(directory)
 Path(mine).touch()
 deadline = time.monotonic() + 60
@@ -397,7 +444,7 @@ while not Path(peer).exists():
     time.sleep(0.001)
 for _ in range(400):
     for key in range(5):
-        cache.put(f"key{key}", result)
+        cache.put(f"key{key}", data)
 """
 
 

@@ -136,6 +136,44 @@ class TestFig13TraceReuse:
                                "heterogeneous": geomean(speedups[n_homo:])}}
 
 
+class TestMulticoreJobsInTheStores:
+    """The result cache and the run journal keep a four-core job's
+    payload as they keep a single-core one."""
+
+    def test_batch_replays_from_the_cache_and_from_a_resumed_journal(
+            self, tmp_path):
+        from repro.experiments.cache import ResultCache
+        from repro.experiments.engine import ExperimentEngine
+        from repro.experiments.journal import RunJournal
+        from repro.experiments.multi_core import MulticoreJob
+
+        config = SystemConfig.default().for_multicore(4)
+        lanes = [stream_trace(i, n=400, segment=i) for i in range(4)]
+
+        def batch():
+            return [MulticoreJob(lanes, NoPrefetcher, config, "baseline"),
+                    MulticoreJob(lanes, PMP, config, "pmp")]
+
+        cold = ExperimentEngine(cache=ResultCache(tmp_path / "cache"),
+                                journal=RunJournal(tmp_path / "runs", "mc"))
+        first = cold.run_jobs(batch())
+        cold.journal.close()
+        assert cold.counters.simulated == 2
+
+        warm = ExperimentEngine(cache=ResultCache(tmp_path / "cache"))
+        cached = warm.run_jobs(batch())
+        assert (warm.counters.simulated, warm.counters.cache_hits) == (0, 2)
+
+        resumed = ExperimentEngine(
+            journal=RunJournal.resume(tmp_path / "runs", "mc"))
+        replayed = resumed.run_jobs(batch())
+        resumed.journal.close()
+        assert (resumed.counters.simulated,
+                resumed.counters.journal_replayed) == (0, 2)
+        assert first == cached == replayed
+        assert [len(cores) for cores in first] == [4, 4]
+
+
 class TestFig13OnLeaseWorkers:
     """``fig13(workers=N)`` runs its grid as one batch of multicore jobs
     on lease workers: bit-identical to the serial figure, and a hung or
