@@ -416,6 +416,20 @@ def main(argv: list[str] | None = None) -> int:
     if args.traces < 0:
         parser.error(f"--traces must be at least 0 (0 = all), "
                      f"got {args.traces}")
+    non_positive = [f"{flag} {value:g}" for flag, value in (
+        ("--job-timeout", args.job_timeout), ("--lease-ttl", args.lease_ttl),
+        ("--fabric-poll", args.fabric_poll))
+        if value is not None and not value > 0]
+    if non_positive:
+        parser.error(f"seconds must be positive: {', '.join(non_positive)}")
+    selector = ("--scenario" if args.scenario
+                else "--full-suite" if args.full_suite else None)
+    overridden = [flag for flag, value in (("--full-suite", args.full_suite),
+                                           ("--traces", args.traces))
+                  if value and selector not in (None, flag)]
+    if overridden:
+        parser.error(f"{selector} selects the traces, so "
+                     f"{', '.join(overridden)} would be ignored")
     if args.check_invariants:
         # The env flag reaches every simulation path — worker processes
         # and the multicore driver included — not just SuiteRunner jobs.

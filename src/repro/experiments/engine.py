@@ -3,13 +3,17 @@
 The engine turns an experiment matrix (traces × prefetcher configs ×
 system configs) into a flat list of jobs and executes them:
 
-1. **Replay** — each job is content-hashed (see
-   :mod:`repro.experiments.cache`); a journaled result from a resumed
-   run, or a checksummed cache entry, returns without simulating.
-2. **Fan-out** — remaining jobs run serially (``workers <= 1``) or as
-   leases on the :mod:`repro.fabric` broker: one lease per distinct job
-   key, simulated by ``workers`` local worker processes forked for the
-   batch (and, under ``fabric``, by any external ``pmp-repro fabric
+1. **Reuse and replay** — each job is content-hashed (see
+   :mod:`repro.experiments.cache`) and each distinct key runs once per
+   engine: a key simulated in an earlier batch is answered from the
+   payload the engine kept, a key repeated in the batch rides along as
+   a twin of its first job (both count as ``reused``), and a journaled
+   result from a resumed run or a checksummed cache entry returns
+   without simulating.
+2. **Fan-out** — the remaining distinct keys run serially
+   (``workers <= 1``) or as leases on the :mod:`repro.fabric` broker,
+   simulated by ``workers`` local worker processes forked for the batch
+   (and, under ``fabric``, by any external ``pmp-repro fabric
    worker``).  Results are placed back by job index, and every job's
    prefetcher instance is constructed in the parent *in job order*
    before dispatch, so parallel runs are bit-identical to serial runs
@@ -25,9 +29,9 @@ content hash; ``run()``, the simulation, made in this process on the
 serial path or in the lease worker that unpickled the job; ``label``,
 the name failure records and errors give it; ``encode(result)`` and
 ``decode(data)``, which turn its result into the JSON-safe payload that
-lease outcome records, cache entries and journal entries carry, and
-back (the job and each twin get their own decoded copy); and
-``check_invariants``, whether its run is audited.
+lease outcome records, cache entries, journal entries and the engine's
+kept completions carry, and back (each job gets its own decoded copy);
+and ``check_invariants``, whether its run is audited.
 
 Fault tolerance (see :mod:`repro.experiments.faults` for the taxonomy
 and :mod:`repro.fabric.broker` for the mechanics) is per lease:
@@ -46,7 +50,8 @@ and :mod:`repro.fabric.broker` for the mechanics) is per lease:
 * a **deterministic exception** inside ``run()`` never retries: it
   becomes a structured :class:`JobFailure` carrying the original worker
   traceback, and the batch finishes before raising :class:`BatchFailed`
-  (or raises immediately under ``fail_fast``).
+  (or raises immediately under ``fail_fast``).  A failed key is not
+  kept, so a later batch runs it again.
 
 ``request_stop()`` (wired to SIGINT/SIGTERM by the CLI) stops the batch
 at the next completion boundary and raises :class:`RunInterrupted` with
@@ -174,6 +179,9 @@ class EngineCounters:
     timed_out: int = 0
     #: Jobs replayed from a resumed run's journal.
     journal_replayed: int = 0
+    #: Jobs answered by a simulation of their key in this batch or an
+    #: earlier one.
+    reused: int = 0
     # ---- lease accounting ----
     #: Claimed leases reaped because their holder died or its heartbeat
     #: went stale (one per expiry, so a job can contribute several).
@@ -198,6 +206,7 @@ class EngineCounters:
             "retried": self.retried,
             "timed_out": self.timed_out,
             "journal_replayed": self.journal_replayed,
+            "reused": self.reused,
             "lease_expired": self.lease_expired,
             "fabric_completed": self.fabric_completed,
         }
@@ -208,13 +217,14 @@ class EngineCounters:
 
 @dataclass
 class _WorkItem:
-    """One pending job: its batch index, the job and its key."""
+    """One distinct key to run: its first job, that job's batch index
+    and the key."""
 
     index: int
     job: object
-    key: str | None
-    #: Indices of later jobs in the batch with the same key: one lease
-    #: runs them all, and its result lands at each.
+    key: str
+    #: Indices of later jobs in the batch with the same key: one run
+    #: serves them all, and its result lands at each.
     twins: list[int] = field(default_factory=list)
 
 
@@ -236,6 +246,9 @@ class ExperimentEngine:
     failures: list[JobFailure] = field(default_factory=list)
     #: Worker census of the last fabric batch (manifest fodder).
     fabric_census: list = field(default_factory=list, init=False, repr=False)
+    #: The payload of every key this engine simulated.
+    _done: dict[str, dict] = field(default_factory=dict, init=False,
+                                   repr=False)
     _stop: bool = field(default=False, init=False, repr=False)
 
     def request_stop(self) -> None:
@@ -253,13 +266,20 @@ class ExperimentEngine:
         start = time.perf_counter()
         failures_before = len(self.failures)
         results: list = [None] * len(jobs)
-        pending: list[tuple[int, object, str | None]] = []
-        # Leases are keyed, so every parallel batch is.
-        need_key = (self.fabric is not None or self.workers > 1
-                    or self.cache is not None or self.journal is not None)
+        # One work item per distinct key still to run; repeats ride
+        # along as twins, so the serial loop and the broker run it once.
+        pending: dict[str, _WorkItem] = {}
         for index, job in enumerate(jobs):
-            key = job.key() if need_key else None
-            if self.journal is not None and key is not None:
+            key = job.key()
+            if key in pending:
+                pending[key].twins.append(index)
+                continue
+            done = self._done.get(key)
+            if done is not None:
+                results[index] = job.decode(done)
+                self.counters.reused += 1
+                continue
+            if self.journal is not None:
                 replayed = self.journal.lookup(key, job.decode)
                 if replayed is not None:
                     results[index] = replayed
@@ -272,14 +292,15 @@ class ExperimentEngine:
                     self.counters.cache_hits += 1
                     continue
                 self.counters.cache_misses += 1
-            pending.append((index, job, key))
+            pending[key] = _WorkItem(index, job, key)
+        items = list(pending.values())
 
         try:
-            if ((self.fabric is not None and pending)
-                    or (self.workers > 1 and len(pending) > 1)):
-                self._run_fabric(pending, results)
+            if ((self.fabric is not None and items)
+                    or (self.workers > 1 and len(items) > 1)):
+                self._run_fabric(items, results)
             else:
-                self._run_serial(pending, results)
+                self._run_serial(items, results)
         except KeyboardInterrupt:
             # Bare Ctrl+C without the CLI's signal handler installed:
             # surface the resume hint.
@@ -302,17 +323,19 @@ class ExperimentEngine:
 
     def _complete(self, results: list, item: _WorkItem, data: dict) -> None:
         """One job finished with the payload ``data``: place a decoded
-        copy at its index and at each twin's, count it, cache and journal
-        ``data``."""
+        copy at its index and at each twin's, count it, keep ``data`` for
+        later batches, cache and journal it."""
         job = item.job
         for index in (item.index, *item.twins):
             results[index] = job.decode(data)
+        self._done[item.key] = data
         self.counters.simulated += 1
+        self.counters.reused += len(item.twins)
         if audit_requested(job.check_invariants or None):
             self.counters.audited += 1
-        if self.cache is not None and item.key is not None:
+        if self.cache is not None:
             self.cache.put(item.key, data)
-        if self.journal is not None and item.key is not None:
+        if self.journal is not None:
             self.journal.record_done(item.key, data)
 
     def _register_failure(self, item: _WorkItem, failure: JobFailure,
@@ -337,27 +360,25 @@ class ExperimentEngine:
             self.journal.run_id if self.journal is not None else None,
             completed=len(results) - remaining, remaining=remaining)
 
-    def _run_serial(self, pending: list[tuple[int, object, str | None]],
-                    results: list) -> None:
-        for index, job, key in pending:
+    def _run_serial(self, items: list[_WorkItem], results: list) -> None:
+        for item in items:
             if self._stop:
                 raise self._interrupted(results)
-            item = _WorkItem(index, job, key)
+            job = item.job
             try:
                 result = job.run()
             except Exception as exc:
                 self._register_failure(item, failure_from_exception(
-                    index, key, job.label, KIND_RAISE, exc), exc)
+                    item.index, item.key, job.label, KIND_RAISE, exc), exc)
                 continue
             self._complete(results, item, job.encode(result))
 
     # -------------------------------------------------------------- lease path
 
-    def _run_fabric(self, pending: list[tuple[int, object, str | None]],
-                    results: list) -> None:
-        """Run pending jobs as leases on the fabric broker.
+    def _run_fabric(self, items: list[_WorkItem], results: list) -> None:
+        """Run work items as leases on the fabric broker.
 
-        The broker publishes one lease per distinct key, forks the local
+        The broker publishes one lease per item, forks the local
         workers and consumes completions back through the same
         ``_complete`` / ``_register_failure`` plumbing the serial path
         uses, so caching, journaling and failure accounting are
@@ -388,21 +409,10 @@ class ExperimentEngine:
             should_stop=lambda: self._stop,
             local_workers=self.workers if self.workers > 1 else 0)
         try:
-            status = broker.run(self._work_items(pending))
+            status = broker.run(items)
         finally:
             self.fabric_census = broker.census_snapshot()
             if private is not None:
                 shutil.rmtree(private, ignore_errors=True)
         if status == BATCH_PAUSED:
             raise self._interrupted(results)
-
-    @staticmethod
-    def _work_items(pending) -> list[_WorkItem]:
-        """One work item per distinct key; repeats ride along as twins."""
-        items: dict[str, _WorkItem] = {}
-        for index, job, key in pending:
-            if key in items:
-                items[key].twins.append(index)
-            else:
-                items[key] = _WorkItem(index, job, key)
-        return list(items.values())

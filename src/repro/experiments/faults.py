@@ -119,7 +119,7 @@ class JobFailure:
     """Structured record of one job that produced no result."""
 
     index: int
-    key: str | None
+    key: str
     #: The job's ``label``: ``trace/prefetcher``, or the four lanes'
     #: traces joined by ``+`` for a multicore job.
     label: str
@@ -142,7 +142,7 @@ class JobFailure:
         }
 
 
-def failure_from_exception(index: int, key: str | None, label: str,
+def failure_from_exception(index: int, key: str, label: str,
                            kind: str, exc: BaseException,
                            attempts: int = 1) -> JobFailure:
     """Build a :class:`JobFailure` carrying the exception's formatted
@@ -154,7 +154,7 @@ def failure_from_exception(index: int, key: str | None, label: str,
                       traceback=tb, attempts=attempts)
 
 
-def lease_expiry_failure(index: int, key: str | None, label: str,
+def lease_expiry_failure(index: int, key: str, label: str,
                          attempts: int, reason: str,
                          kind: str = KIND_LEASE_EXPIRED) -> JobFailure:
     """The structured record of a lease reaped until its retry budget ran

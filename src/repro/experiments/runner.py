@@ -1,11 +1,13 @@
 """Shared experiment plumbing: build traces once, run prefetcher matrices.
 
-All per-table/per-figure experiment modules go through :class:`SuiteRunner`
-so traces and baseline runs are computed once and reused across the
-experiment matrix (baseline runs dominate cost otherwise).
+All per-table/per-figure experiment modules go through :class:`SuiteRunner`,
+which builds the suite's traces once and hands every request to one
+:class:`ExperimentEngine`.  The engine runs each distinct job key once, so
+the runner keeps no memo of its own: a baseline suite is an ordinary
+``NoPrefetcher`` entry in every batch that needs it, simulated the first
+time and reused from then on (baseline runs dominate cost otherwise).
 
-The runner delegates execution to an :class:`ExperimentEngine`, which adds
-three orthogonal capabilities:
+The engine adds three orthogonal capabilities:
 
 * ``workers=N`` fans ``simulate()`` calls out to N local lease workers
   with deterministic job ordering — parallel results are bit-identical
@@ -19,10 +21,11 @@ three orthogonal capabilities:
   attaches a :class:`~repro.experiments.journal.RunJournal` so an
   interrupted run resumes with ``--resume <run-id>``.
 
-Batch entry points (:meth:`matrix`, :meth:`suite_comparison`,
-:meth:`nipc_sweep`, :meth:`nipc_grid`) flatten whole experiment matrices
-into one engine batch, which is what keeps a worker pool busy instead of
-synchronising after every 8-trace run.
+Every entry point (:meth:`run`, :meth:`baselines`, :meth:`geomean_nipc`,
+:meth:`matrix`, :meth:`suite_comparison`, :meth:`nipc_sweep`,
+:meth:`nipc_grid`) is a view over one (config × prefetcher × trace)
+flattening run as a single engine batch, which is what keeps a worker
+pool busy instead of synchronising after every 8-trace run.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from ..memtrace.trace import Trace
 from ..memtrace.workloads import WorkloadSpec, quick_suite
 from ..prefetchers.base import NoPrefetcher, Prefetcher
 from ..scenarios.catalog import scale_defaults
+from ..sim.engine import warmup_boundary
 from ..sim.params import SystemConfig
 from ..sim.stats import SimResult, geomean
 from .cache import ResultCache
@@ -62,7 +66,7 @@ class SuiteRunner:
     ``workers=0`` (or 1) runs serially in-process; ``workers=N`` runs
     each batch on N forked lease workers.  ``cache`` may be a
     :class:`ResultCache` or a directory path; ``None`` disables the
-    persistent cache (in-memory baseline memoisation still applies).
+    persistent cache (the engine still runs each job key once).
     """
 
     specs: Sequence[WorkloadSpec] = field(default_factory=quick_suite)
@@ -99,10 +103,8 @@ class SuiteRunner:
 
     def __post_init__(self) -> None:
         self._traces: list[Trace] | None = None
-        # Baseline runs keyed by the FULL config fingerprint.  The old key
-        # hashed only (DRAM rate, channels, LLC size); sweeps varying any
-        # other field silently reused stale baselines.
-        self._baselines: dict[str, list[SimResult]] = {}
+        # A fraction outside [0, 1) would fail every job: refuse it here.
+        warmup_boundary(0, self.warmup_fraction)
         if isinstance(self.cache, (str, Path)):
             self.cache = ResultCache(self.cache)
         if isinstance(self.journal, (str, Path)):
@@ -145,64 +147,35 @@ class SuiteRunner:
                        config_parts=config_parts)
                 for trace in self.traces]
 
-    def baselines(self, config: SystemConfig | None = None) -> list[SimResult]:
-        """No-prefetcher runs (cached per full system configuration)."""
-        cfg = config or self.config
-        key = cfg.fingerprint()
-        if key not in self._baselines:
-            self._baselines[key] = self.engine.run_jobs(
-                self._jobs(NoPrefetcher, cfg))
-        return self._baselines[key]
-
     def run(self, factory: PrefetcherFactory,
             config: SystemConfig | None = None) -> list[SimResult]:
         """Simulate one prefetcher configuration over the suite."""
-        cfg = config or self.config
-        return self.engine.run_jobs(self._jobs(factory, cfg))
+        return self._grid([factory], [config or self.config])[0][0]
+
+    def baselines(self, config: SystemConfig | None = None) -> list[SimResult]:
+        """No-prefetcher runs over the suite (every NIPC's denominator)."""
+        return self.run(NoPrefetcher, config)
 
     def geomean_nipc(self, factory: PrefetcherFactory,
                      config: SystemConfig | None = None) -> float:
         """Suite-wide NIPC for one prefetcher configuration."""
-        sweep = self.nipc_sweep([("only", factory)], config)
-        return sweep[0][1]
+        return self._nipcs([factory], [config or self.config])[0][0]
 
     def matrix(self, factories: dict[str, PrefetcherFactory],
                config: SystemConfig | None = None) -> dict[str, list[SimResult]]:
         """Run several prefetchers over the whole suite (one engine batch)."""
-        cfg = config or self.config
-        names = list(factories)
-        jobs: list[SimJob] = []
-        for name in names:
-            jobs.extend(self._jobs(factories[name], cfg))
-        flat = self.engine.run_jobs(jobs)
-        width = len(self.traces)
-        return {name: flat[i * width:(i + 1) * width]
-                for i, name in enumerate(names)}
+        (suites,) = self._grid(list(factories.values()),
+                               [config or self.config])
+        return dict(zip(factories, suites))
 
     def suite_comparison(self, factories: dict[str, PrefetcherFactory],
                          config: SystemConfig | None = None,
                          ) -> tuple[dict[str, list[SimResult]], list[SimResult]]:
-        """A prefetcher matrix plus its baselines, batched together.
-
-        Baselines join the same engine batch when not already memoised, so
-        a cold parallel run keeps every worker busy from the first job.
-        """
-        cfg = config or self.config
-        key = cfg.fingerprint()
-        names = list(factories)
-        jobs: list[SimJob] = []
-        for name in names:
-            jobs.extend(self._jobs(factories[name], cfg))
-        need_baselines = key not in self._baselines
-        if need_baselines:
-            jobs.extend(self._jobs(NoPrefetcher, cfg))
-        flat = self.engine.run_jobs(jobs)
-        width = len(self.traces)
-        if need_baselines:
-            self._baselines[key] = flat[len(names) * width:]
-        matrix = {name: flat[i * width:(i + 1) * width]
-                  for i, name in enumerate(names)}
-        return matrix, self._baselines[key]
+        """A prefetcher matrix plus its baselines, batched together, so a
+        cold parallel run keeps every worker busy from the first job."""
+        (suites,) = self._grid([*factories.values(), NoPrefetcher],
+                               [config or self.config])
+        return dict(zip(factories, suites)), suites[-1]
 
     def nipc_sweep(self, labelled: Sequence[tuple[object, PrefetcherFactory]],
                    config: SystemConfig | None = None) -> list[tuple[object, float]]:
@@ -211,51 +184,42 @@ class SuiteRunner:
         Returns ``[(label, nipc)]`` in input order — the shape every
         ablation table (VIII–XI, V-E2/3) consumes.
         """
-        cfg = config or self.config
-        matrix, baselines = self.suite_comparison(
-            {f"sweep-{i}": factory for i, (_, factory) in enumerate(labelled)},
-            cfg)
-        return [
-            (label, geomean([r.nipc(b) for r, b in
-                             zip(matrix[f"sweep-{i}"], baselines)]))
-            for i, (label, _) in enumerate(labelled)
-        ]
+        (row,) = self._nipcs([factory for _, factory in labelled],
+                             [config or self.config])
+        return [(label, nipc) for (label, _), nipc in zip(labelled, row)]
 
     def nipc_grid(self, factories: dict[str, PrefetcherFactory],
                   configs: Sequence[tuple[object, SystemConfig]],
                   ) -> dict[str, list[tuple[object, float]]]:
-        """Geomean NIPC of each prefetcher at each system config.
+        """Geomean NIPC of each prefetcher at each system config, as one
+        batch: the sensitivity-study shape (Fig 12a/12b)."""
+        rows = self._nipcs(list(factories.values()),
+                           [cfg for _, cfg in configs])
+        return {name: [(label, row[column])
+                       for (label, _), row in zip(configs, rows)]
+                for column, name in enumerate(factories)}
 
-        Flattens the full (config × prefetcher × trace) grid — plus one
-        baseline suite per config — into a single engine batch.  This is
-        the sensitivity-study shape (Fig 12a/12b).
+    def _nipcs(self, factories: Sequence[PrefetcherFactory],
+               configs: Sequence[SystemConfig]) -> list[list[float]]:
+        """Geomean NIPC of each factory (columns) at each config (rows),
+        each config's baseline suite batched last."""
+        return [[geomean([r.nipc(b) for r, b in zip(results, suites[-1])])
+                 for results in suites[:-1]]
+                for suites in self._grid([*factories, NoPrefetcher], configs)]
+
+    def _grid(self, factories: Sequence[PrefetcherFactory],
+              configs: Sequence[SystemConfig]) -> list[list[list[SimResult]]]:
+        """Every factory over the suite at every config, as one engine
+        batch: ``grid[config][factory]`` is one result per trace.
+
+        Jobs go configs in order, each config's factories in order.
         """
-        names = list(factories)
+        jobs = [job for cfg in configs for factory in factories
+                for job in self._jobs(factory, cfg)]
+        flat = iter(self.engine.run_jobs(jobs))
         width = len(self.traces)
-        jobs: list[SimJob] = []
-        result_slots: dict[tuple[int, str], int] = {}
-        baseline_slots: dict[str, int] = {}
-        for position, (_, cfg) in enumerate(configs):
-            for name in names:
-                result_slots[(position, name)] = len(jobs)
-                jobs.extend(self._jobs(factories[name], cfg))
-            key = cfg.fingerprint()
-            if key not in self._baselines and key not in baseline_slots:
-                baseline_slots[key] = len(jobs)
-                jobs.extend(self._jobs(NoPrefetcher, cfg))
-        flat = self.engine.run_jobs(jobs)
-        for key, slot in baseline_slots.items():
-            self._baselines[key] = flat[slot:slot + width]
-
-        out: dict[str, list[tuple[object, float]]] = {name: [] for name in names}
-        for position, (label, cfg) in enumerate(configs):
-            baselines = self._baselines[cfg.fingerprint()]
-            for name in names:
-                slot = result_slots[(position, name)]
-                results = flat[slot:slot + width]
-                out[name].append((label, geomean(
-                    [r.nipc(b) for r, b in zip(results, baselines)])))
-        return out
+        return [[[next(flat) for _ in range(width)] for _ in factories]
+                for _ in configs]
 
     # -------------------------------------------------------- observability
 
@@ -301,6 +265,8 @@ class SuiteRunner:
                 "completed_by_workers": counters.fabric_completed,
                 "workers": self.engine.fabric_census,
             }
+        if counters.reused:
+            extra["reused"] = counters.reused
         fault = {key: value for key, value in (
             ("lease_expired", counters.lease_expired),
             ("journal_replayed", counters.journal_replayed),

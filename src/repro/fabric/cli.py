@@ -112,7 +112,15 @@ def fabric_main(argv: list[str] | None = None) -> int:
                         help="explicit census identity (default: "
                              "<host>-<pid>-<hex>)")
     args = parser.parse_args(argv)
-    return _worker(args) if args.command == "worker" else _status(args)
+    if args.command == "worker":
+        non_positive = [f"{flag} {value:g}" for flag, value in (
+            ("--lease-ttl", args.lease_ttl), ("--poll", args.poll))
+            if not value > 0]
+        if non_positive:
+            worker.error(f"seconds must be positive: "
+                         f"{', '.join(non_positive)}")
+        return _worker(args)
+    return _status(args)
 
 
 if __name__ == "__main__":

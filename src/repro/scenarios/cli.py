@@ -159,10 +159,9 @@ def _run_prefetchers(args: argparse.Namespace,
 
 def cmd_run(args: argparse.Namespace) -> int:
     # Imported here so `scenarios list/validate` stay sim-free and fast.
+    from ..experiments.runner import SuiteRunner
     from ..memtrace.workloads import expand_scenario
     from ..prefetchers import COMPETITORS
-    from ..prefetchers.base import NoPrefetcher
-    from ..sim.engine import simulate
     from ..sim.params import SystemConfig
     from .catalog import scale_defaults
 
@@ -196,21 +195,18 @@ def cmd_run(args: argparse.Namespace) -> int:
                     or scale_defaults("experiment_accesses"))
         warmup = args.warmup if args.warmup is not None \
             else float(spec.sim.get("warmup_fraction", 0.2))
-        config = apply_sim_config(SystemConfig.default(),
-                                  spec.sim.get("config", {}))
-        fastpath = not args.no_fastpath
+        runner = SuiteRunner(
+            specs=expand_scenario(spec, base_dir), accesses=accesses,
+            config=apply_sim_config(SystemConfig.default(),
+                                    spec.sim.get("config", {})),
+            warmup_fraction=warmup, fastpath=not args.no_fastpath)
 
         print(f"== scenario {spec.name} ({spec.kind}, family {spec.family}, "
               f"{accesses} accesses) ==")
-        for workload in expand_scenario(spec, base_dir):
-            trace = workload.build(accesses)
-            baseline = simulate(trace, NoPrefetcher(), config,
-                                warmup_fraction=warmup, fastpath=fastpath)
-            results = {}
-            for name, factory in factories.items():
-                results[name] = simulate(trace, factory(), config,
-                                         warmup_fraction=warmup,
-                                         fastpath=fastpath)
+        matrix, baselines = runner.suite_comparison(factories)
+        for index, workload in enumerate(runner.specs):
+            trace, baseline = runner.traces[index], baselines[index]
+            results = {name: suite[index] for name, suite in matrix.items()}
             print(f"{workload.name}: baseline ipc {baseline.ipc:.4f}, "
                   f"mpki {trace.estimated_mpki():.1f}")
             for name, result in results.items():

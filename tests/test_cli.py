@@ -63,16 +63,33 @@ class TestParser:
         assert "dual" in out
 
     def test_table10_runs_both_sweeps_on_one_runner(self, tmp_path, capsys):
-        """One manifest covers both Table X sweeps and their one baseline
-        suite: 5 offset widths, 6 counter sizes and 1 baseline per
-        trace.  Two runners built the baselines twice and wrote two
-        manifests that could share a millisecond, and so a file name."""
+        """One manifest covers both Table X sweeps: 5 offset widths plus
+        the baseline, then 6 counter sizes plus the baseline, per trace.
+        Of those 13 jobs 11 simulate: offset width 6 and counter size 5
+        are both the default PMP, and the second sweep reuses the first's
+        baseline suite.  Two runners built the baselines twice and wrote
+        two manifests that could share a millisecond, and so a file
+        name."""
         import json
 
         assert main(["table10", "--accesses", "2000", "--traces", "1",
                      "--cache-dir", str(tmp_path)]) == 0
         (manifest,) = (tmp_path / "manifests").glob("table10-*.json")
-        assert json.loads(manifest.read_text())["jobs"] == 12
+        data = json.loads(manifest.read_text())
+        assert (data["jobs"], data["simulated"]) == (13, 11)
+        assert data["extra"]["reused"] == 2
+
+    def test_table10_without_stores_simulates_each_key_once(self, tmp_path,
+                                                            capsys):
+        """With no result cache and no journal to replay from, the engine
+        itself runs the default PMP that both Table X sweeps hold once."""
+        import json
+
+        assert main(["table10", "--accesses", "2000", "--traces", "1",
+                     "--no-cache", "--no-journal",
+                     "--cache-dir", str(tmp_path)]) == 0
+        (manifest,) = (tmp_path / "manifests").glob("table10-*.json")
+        assert json.loads(manifest.read_text())["simulated"] == 11
 
     def test_trace_cache_option(self, tmp_path, capsys):
         cache_dir = str(tmp_path / "cache")
@@ -259,6 +276,57 @@ class TestFabricOnlyFlags:
         assert main(["fig8", "--fabric", "--cache-dir", str(tmp_path)]) == 0
         assert configs == [FabricConfig(lease_ttl=7.0, poll_interval=0.2),
                            FabricConfig()]
+
+
+class TestPositiveSeconds:
+    """A deadline, lease lifetime or poll cadence of zero or less cannot
+    describe a run: ``--job-timeout -1`` failed every leased job as
+    timed out, ``--lease-ttl 0`` failed every job as lease-expired, and
+    ``--job-timeout 0`` silently meant no deadline."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        ("fig8 --workers 2 --job-timeout -1", "--job-timeout"),
+        ("fig8 --job-timeout 0", "--job-timeout"),
+        ("fig8 --fabric --workers 2 --lease-ttl 0", "--lease-ttl"),
+        ("fig8 --fabric --fabric-poll -0.5", "--fabric-poll"),
+        ("fabric worker --lease-ttl 0", "--lease-ttl"),
+        ("fabric worker --poll -1", "--poll"),
+    ])
+    def test_exit_2_naming_the_flag(self, argv, flag, ran, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv.split(), "--cache-dir", str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert ran == []
+        message = capsys.readouterr().err.strip().splitlines()[-1]
+        assert flag in message and "positive" in message
+
+
+class TestSuiteSelectors:
+    """``--scenario`` names the traces and ``--full-suite`` takes all of
+    them, so a suite flag either one overrides exits 2 naming it instead
+    of being ignored."""
+
+    @pytest.mark.parametrize("argv, overridden", [
+        ("--full-suite --traces 2", ["--traces"]),
+        ("--scenario thrash-00 --traces 2", ["--traces"]),
+        ("--scenario thrash-00 --full-suite --traces 2",
+         ["--full-suite", "--traces"]),
+    ])
+    def test_overridden_flag_exits_2(self, argv, overridden, ran, tmp_path,
+                                     capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fig8", *argv.split(), "--cache-dir", str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert ran == []
+        message = capsys.readouterr().err.strip().splitlines()[-1]
+        assert all(flag in message for flag in overridden)
+        assert "would be ignored" in message
+
+    def test_each_selector_alone_runs(self, ran, tmp_path):
+        for argv in (["--full-suite"], ["--scenario", "thrash-00"],
+                     ["--traces", "2"]):
+            assert main(["fig8", *argv, "--cache-dir", str(tmp_path)]) == 0
+        assert ran == ["fig8"] * 3
 
 
 class TestRunIdentity:

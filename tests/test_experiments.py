@@ -28,9 +28,15 @@ class TestSuiteRunner:
         assert tiny_runner.traces is first
 
     def test_baselines_cached_per_config(self, tiny_runner):
+        """A second call is answered from the engine's kept payloads:
+        nothing simulates, and each result is an equal, fresh copy."""
         a = tiny_runner.baselines()
+        counters = tiny_runner.engine.counters
+        simulated, reused = counters.simulated, counters.reused
         b = tiny_runner.baselines()
-        assert a is b
+        assert counters.simulated == simulated
+        assert counters.reused == reused + len(b)
+        assert b == a and b[0] is not a[0]
 
     def test_geomean_nipc_positive(self, tiny_runner):
         from repro.prefetchers import PMP

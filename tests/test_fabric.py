@@ -335,17 +335,20 @@ class TestFabricEndToEnd:
     def test_identical_jobs_share_one_lease(self, tmp_path):
         """Two jobs with one key get one lease whose result fills both
         slots; a lease per job would collide on the shared key and leave
-        one slot empty."""
+        one slot empty.  The serial path runs each key once too."""
         specs = quick_suite()[:2]
-        serial = SuiteRunner(specs=specs, accesses=2_000).matrix(
-            {"a": PMP, "b": PMP})
+        serial_runner = SuiteRunner(specs=specs, accesses=2_000)
+        serial = serial_runner.matrix({"a": PMP, "b": PMP})
         runner = SuiteRunner(specs=specs, accesses=2_000, workers=2,
                              journal=RunJournal(tmp_path / "runs"),
                              fabric=FabricConfig(poll_interval=0.05))
         matrix = runner.matrix({"a": PMP, "b": PMP})
         for name in ("a", "b"):
             assert result_dicts(matrix[name]) == result_dicts(serial[name])
-        assert runner.engine.counters.simulated == len(specs)
+        for counters in (serial_runner.engine.counters,
+                         runner.engine.counters):
+            assert counters.simulated == len(specs)
+            assert counters.reused == len(specs)
 
     def test_aborted_batch_is_paused_and_workers_exit(self, tmp_path):
         """A fail-fast abort leaves the batch paused, not open, so an

@@ -17,11 +17,11 @@ from repro.sim.params import SystemConfig
 
 
 @pytest.fixture(scope="module")
-def runner(tmp_path_factory):
-    # A result cache lets each test reuse the simulations an earlier
-    # test already ran (default PMP, Bingo, DSPatch, DesignB(8)).
-    return SuiteRunner(specs=quick_suite()[:4], accesses=12_000,
-                       cache=tmp_path_factory.mktemp("paper-shapes-cache"))
+def runner():
+    # The engine runs each job key once, so each test reuses the
+    # simulations an earlier test already ran (the baselines, default
+    # PMP, Bingo, DSPatch, DesignB(8)).
+    return SuiteRunner(specs=quick_suite()[:4], accesses=12_000)
 
 
 @pytest.fixture(scope="module")
