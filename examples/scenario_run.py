@@ -1,8 +1,8 @@
 """Author, validate, and run a custom scenario spec.
 
 Workloads in this repo are declarative: a TOML document describes the
-pattern recipe, scale, seed, sim overrides, and an ``expected:`` block
-of post-run assertions.  This example writes a small custom scenario to
+pattern recipe, scale, seed, and an ``expected:`` block of post-run
+assertions.  This example writes a small custom scenario to
 a temp file, validates it against the schema (showing what a rejection
 looks like), compiles it to a trace, and runs the expected-assertion
 gate programmatically — everything ``pmp-repro scenarios run`` does.

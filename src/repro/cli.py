@@ -98,7 +98,7 @@ def _catalog(args: argparse.Namespace):
 
 
 def _journal(args: argparse.Namespace) -> RunJournal | None:
-    """The one journal shared by every runner of this invocation.
+    """The invocation's one journal, shared by its runner.
 
     Created lazily so non-simulating commands (``storage``, ``table1``)
     never litter ``<cache-dir>/runs/``.
@@ -133,25 +133,27 @@ def _fabric(args: argparse.Namespace):
 
 
 def _runner(args: argparse.Namespace) -> SuiteRunner:
-    store = None
-    if args.trace_cache:
-        from .memtrace.store import TraceStore
-        store = TraceStore(args.trace_cache)
-    runner = SuiteRunner(specs=_specs(args), accesses=args.accesses,
-                         store=store, workers=args.workers,
-                         cache=args.cache_dir if args.cache else None,
-                         trace_events=args.trace_events,
-                         check_invariants=args.check_invariants,
-                         fastpath=not args.no_fastpath,
-                         job_timeout=args.job_timeout,
-                         fail_fast=args.fail_fast,
-                         journal=_journal(args),
-                         fabric=_fabric(args))
-    # main() writes one manifest per experiment from the runners it
-    # created; the signal handler stops every engine ever registered.
-    args.created_runners.append(runner)
-    args.all_runners.append(runner)
-    return runner
+    """The one runner shared by every experiment of this invocation, so
+    ``all`` simulates each job key once and writes one manifest.
+
+    Created lazily, as the journal is, so analysis-only commands never
+    build one.
+    """
+    if args.runner is None:
+        store = None
+        if args.trace_cache:
+            from .memtrace.store import TraceStore
+            store = TraceStore(args.trace_cache)
+        args.runner = SuiteRunner(
+            specs=_specs(args), accesses=args.accesses, store=store,
+            workers=args.workers,
+            cache=args.cache_dir if args.cache else None,
+            trace_events=args.trace_events,
+            check_invariants=args.check_invariants,
+            fastpath=not args.no_fastpath, job_timeout=args.job_timeout,
+            fail_fast=args.fail_fast, journal=_journal(args),
+            fabric=_fabric(args))
+    return args.runner
 
 
 def cmd_fig8(args: argparse.Namespace) -> None:
@@ -189,9 +191,8 @@ def cmd_fig4(args: argparse.Namespace) -> None:
 
 
 def cmd_fig5(args: argparse.Namespace) -> None:
-    """Fig 5: pattern heat maps for a representative trace."""
-    spec = quick_suite()[0]
-    trace = spec.build(args.accesses)
+    """Fig 5: pattern heat maps for the first selected trace."""
+    trace = _specs(args)[0].build(args.accesses)
     print(fig5_report(trace, features=("Trigger Offset", "PC", "PC+Address")))
 
 
@@ -459,7 +460,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.accesses < 2:
             parser.error(f"--accesses must be at least 2 for fig13, which "
                          f"halves it per core, got {args.accesses}")
-    args.all_runners = []
+    args.runner = None
     args.journal_obj = None
     if args.resume:
         # Fail fast on a bad run id, before any simulation starts.
@@ -469,7 +470,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
 
-    # SIGINT/SIGTERM: stop every engine at its next job boundary (each
+    # SIGINT/SIGTERM: stop the engine at its next job boundary (each
     # finished job is already journaled, so nothing finished is lost); a
     # second signal forces the default KeyboardInterrupt behaviour.
     signals_seen = {"count": 0}
@@ -480,8 +481,8 @@ def main(argv: list[str] | None = None) -> int:
             raise KeyboardInterrupt
         print(f"\n[signal {signum}: stopping at the next job boundary — "
               "signal again to force]", file=sys.stderr)
-        for runner in args.all_runners:
-            runner.engine.request_stop()
+        if args.runner is not None:
+            args.runner.engine.request_stop()
 
     previous_handlers = {}
     for sig in (signal.SIGINT, signal.SIGTERM):
@@ -495,7 +496,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         for name in names:
             start = time.time()
-            args.created_runners = []
             print(f"== {name} ==")
             interrupted: RunInterrupted | None = None
             try:
@@ -509,17 +509,6 @@ def main(argv: list[str] | None = None) -> int:
                           f"---\n{failure.traceback}", file=sys.stderr)
             except RunInterrupted as exc:
                 interrupted = exc
-            finally:
-                for runner in args.created_runners:
-                    manifest_dir = f"{args.cache_dir}/manifests"
-                    path = runner.write_manifest(name, manifest_dir)
-                    counters = runner.engine.counters
-                    print(f"[manifest: {path} — {counters.simulated} "
-                          f"simulated, {counters.cache_hits} cache hits]")
-                    if args.trace_events and counters.event_totals:
-                        print(event_counter_report(
-                            counters.event_totals,
-                            title=f"{name} — event counters"))
             print(f"[{name} took {time.time() - start:.1f}s]\n")
             if interrupted is not None:
                 print(f"[interrupted: {interrupted}]", file=sys.stderr)
@@ -531,6 +520,17 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         for sig, handler in previous_handlers.items():
             signal.signal(sig, handler)
+        if args.runner is not None:
+            # One manifest per invocation, named after its command.
+            path = args.runner.write_manifest(args.experiment,
+                                              f"{args.cache_dir}/manifests")
+            counters = args.runner.engine.counters
+            print(f"[manifest: {path} — {counters.simulated} simulated, "
+                  f"{counters.cache_hits} cache hits]")
+            if args.trace_events and counters.event_totals:
+                print(event_counter_report(
+                    counters.event_totals,
+                    title=f"{args.experiment} — event counters"))
         if args.journal_obj is not None:
             args.journal_obj.close()
     return exit_code

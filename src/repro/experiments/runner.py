@@ -39,7 +39,6 @@ from ..memtrace.trace import Trace
 from ..memtrace.workloads import WorkloadSpec, quick_suite
 from ..prefetchers.base import NoPrefetcher, Prefetcher
 from ..scenarios.catalog import scale_defaults
-from ..sim.engine import warmup_boundary
 from ..sim.params import SystemConfig
 from ..sim.stats import SimResult, geomean
 from .cache import ResultCache
@@ -63,16 +62,16 @@ DEFAULT_ACCESSES = scale_defaults("experiment_accesses")
 class SuiteRunner:
     """Runs prefetcher configurations over a workload suite with caching.
 
-    ``workers=0`` (or 1) runs serially in-process; ``workers=N`` runs
-    each batch on N forked lease workers.  ``cache`` may be a
-    :class:`ResultCache` or a directory path; ``None`` disables the
-    persistent cache (the engine still runs each job key once).
+    Every run uses the 20% warmup that ``SimJob`` keys, and
+    ``SystemConfig.default()`` unless a call passes another ``config``
+    (the Fig 12 sweeps).  ``workers=0`` (or 1) runs serially in-process;
+    ``workers=N`` runs each batch on N forked lease workers.  ``cache``
+    may be a :class:`ResultCache` or a directory path; ``None`` disables
+    the persistent cache (the engine still runs each job key once).
     """
 
     specs: Sequence[WorkloadSpec] = field(default_factory=quick_suite)
     accesses: int = DEFAULT_ACCESSES
-    config: SystemConfig = field(default_factory=SystemConfig.default)
-    warmup_fraction: float = 0.2
     store: TraceStore | None = None
     workers: int = 0
     cache: ResultCache | str | Path | None = None
@@ -103,8 +102,6 @@ class SuiteRunner:
 
     def __post_init__(self) -> None:
         self._traces: list[Trace] | None = None
-        # A fraction outside [0, 1) would fail every job: refuse it here.
-        warmup_boundary(0, self.warmup_fraction)
         if isinstance(self.cache, (str, Path)):
             self.cache = ResultCache(self.cache)
         if isinstance(self.journal, (str, Path)):
@@ -133,14 +130,16 @@ class SuiteRunner:
     # ------------------------------------------------------------ job plumbing
 
     def _jobs(self, factory: PrefetcherFactory,
-              config: SystemConfig) -> list[SimJob]:
-        """One fresh-prefetcher job per trace, in suite order.
+              config: SystemConfig | None) -> list[SimJob]:
+        """One fresh-prefetcher job per trace, in suite order, at
+        ``config`` (``None``: the default system).
 
         The jobs share one ``config_parts`` list, so the engine
         fingerprints the configuration once, not once per trace.
         """
+        config = config or SystemConfig.default()
         config_parts: list[str] = []
-        return [SimJob(trace, factory(), config, self.warmup_fraction,
+        return [SimJob(trace, factory(), config,
                        trace_events=self.trace_events,
                        check_invariants=self.check_invariants,
                        fastpath=self.fastpath,
@@ -150,7 +149,7 @@ class SuiteRunner:
     def run(self, factory: PrefetcherFactory,
             config: SystemConfig | None = None) -> list[SimResult]:
         """Simulate one prefetcher configuration over the suite."""
-        return self._grid([factory], [config or self.config])[0][0]
+        return self._grid([factory], [config])[0][0]
 
     def baselines(self, config: SystemConfig | None = None) -> list[SimResult]:
         """No-prefetcher runs over the suite (every NIPC's denominator)."""
@@ -159,13 +158,12 @@ class SuiteRunner:
     def geomean_nipc(self, factory: PrefetcherFactory,
                      config: SystemConfig | None = None) -> float:
         """Suite-wide NIPC for one prefetcher configuration."""
-        return self._nipcs([factory], [config or self.config])[0][0]
+        return self._nipcs([factory], [config])[0][0]
 
     def matrix(self, factories: dict[str, PrefetcherFactory],
                config: SystemConfig | None = None) -> dict[str, list[SimResult]]:
         """Run several prefetchers over the whole suite (one engine batch)."""
-        (suites,) = self._grid(list(factories.values()),
-                               [config or self.config])
+        (suites,) = self._grid(list(factories.values()), [config])
         return dict(zip(factories, suites))
 
     def suite_comparison(self, factories: dict[str, PrefetcherFactory],
@@ -173,8 +171,7 @@ class SuiteRunner:
                          ) -> tuple[dict[str, list[SimResult]], list[SimResult]]:
         """A prefetcher matrix plus its baselines, batched together, so a
         cold parallel run keeps every worker busy from the first job."""
-        (suites,) = self._grid([*factories.values(), NoPrefetcher],
-                               [config or self.config])
+        (suites,) = self._grid([*factories.values(), NoPrefetcher], [config])
         return dict(zip(factories, suites)), suites[-1]
 
     def nipc_sweep(self, labelled: Sequence[tuple[object, PrefetcherFactory]],
@@ -184,8 +181,7 @@ class SuiteRunner:
         Returns ``[(label, nipc)]`` in input order — the shape every
         ablation table (VIII–XI, V-E2/3) consumes.
         """
-        (row,) = self._nipcs([factory for _, factory in labelled],
-                             [config or self.config])
+        (row,) = self._nipcs([factory for _, factory in labelled], [config])
         return [(label, nipc) for (label, _), nipc in zip(labelled, row)]
 
     def nipc_grid(self, factories: dict[str, PrefetcherFactory],
@@ -200,7 +196,7 @@ class SuiteRunner:
                 for column, name in enumerate(factories)}
 
     def _nipcs(self, factories: Sequence[PrefetcherFactory],
-               configs: Sequence[SystemConfig]) -> list[list[float]]:
+               configs: Sequence[SystemConfig | None]) -> list[list[float]]:
         """Geomean NIPC of each factory (columns) at each config (rows),
         each config's baseline suite batched last."""
         return [[geomean([r.nipc(b) for r, b in zip(results, suites[-1])])
@@ -208,7 +204,8 @@ class SuiteRunner:
                 for suites in self._grid([*factories, NoPrefetcher], configs)]
 
     def _grid(self, factories: Sequence[PrefetcherFactory],
-              configs: Sequence[SystemConfig]) -> list[list[list[SimResult]]]:
+              configs: Sequence[SystemConfig | None],
+              ) -> list[list[list[SimResult]]]:
         """Every factory over the suite at every config, as one engine
         batch: ``grid[config][factory]`` is one result per trace.
 
@@ -231,7 +228,7 @@ class SuiteRunner:
         journal = self.journal if isinstance(self.journal, RunJournal) else None
         return RunManifest(
             experiment=experiment,
-            config_fingerprint=self.config.fingerprint(),
+            config_fingerprint=SystemConfig.default().fingerprint(),
             workers=self.workers,
             accesses=self.accesses,
             traces=[spec.name for spec in self.specs],
@@ -252,7 +249,7 @@ class SuiteRunner:
     def _manifest_extra(self, counters) -> dict:
         """The manifest's free-form section (event counters when traced)."""
         extra = {"batches": counters.batches,
-                 "warmup_fraction": self.warmup_fraction}
+                 "warmup_fraction": SimJob.warmup_fraction}
         if counters.audited:
             # Every audited simulation completed, i.e. raised no
             # InvariantViolation (a violation aborts the run).

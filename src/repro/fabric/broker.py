@@ -150,7 +150,8 @@ class FabricBroker:
             self._publish(items)
             status = self._supervise()
         finally:
-            write_batch(self.run_dir, status, len(items), self.run_id)
+            write_batch(self.run_dir, status, len(items),
+                        self.config.lease_ttl, self.run_id)
             self._stop_workers()
             self._update_census()
         return status
@@ -228,7 +229,8 @@ class FabricBroker:
                 self._finish(key, record, data)
             else:
                 fresh.append(item)
-        write_batch(self.run_dir, BATCH_OPEN, len(items), self.run_id)
+        write_batch(self.run_dir, BATCH_OPEN, len(items),
+                    self.config.lease_ttl, self.run_id)
         for item in fresh:
             key = item.key
             try:
@@ -268,7 +270,7 @@ class FabricBroker:
         worker = FabricWorker(
             root=self.run_dir.parent, run_id=self.run_dir.name,
             worker_id=new_worker_id(f"w{self._forked}"),
-            config=self.config, wake_fd=self._wake[1])
+            poll_interval=self.config.poll_interval, wake_fd=self._wake[1])
         process = multiprocessing.get_context("fork").Process(
             target=_serve_local, args=(worker,), name=worker.worker_id,
             daemon=True)

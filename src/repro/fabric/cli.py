@@ -26,19 +26,15 @@ import argparse
 import sys
 from pathlib import Path
 
-from .lease import FabricConfig
 from .protocol import (LEASE_STATES, heartbeat_age, read_batch, scan_leases,
                        scan_workers)
 from .worker import worker_from_env
 
 
-def _config(args: argparse.Namespace) -> FabricConfig:
-    return FabricConfig(lease_ttl=args.lease_ttl, poll_interval=args.poll)
-
-
 def _worker(args: argparse.Namespace) -> int:
     worker = worker_from_env(Path(args.cache_dir) / "runs", args.run_id,
-                             _config(args), worker_id=args.worker_id,
+                             poll_interval=args.poll,
+                             worker_id=args.worker_id,
                              max_idle=args.max_idle)
     print(f"[fabric worker {worker.worker_id} serving {args.cache_dir}]")
     code = worker.run()
@@ -100,10 +96,6 @@ def fabric_main(argv: list[str] | None = None) -> int:
         cmd.add_argument("--run-id", default=None,
                          help="attach to this run (default: newest open)")
     worker = sub.choices["worker"]
-    worker.add_argument("--lease-ttl", type=float, default=60.0,
-                        help="seconds without a heartbeat before the "
-                             "broker may reassign a claim (the worker "
-                             "heartbeats every lease-ttl / 3)")
     worker.add_argument("--poll", type=float, default=0.5,
                         help="idle scan cadence in seconds")
     worker.add_argument("--max-idle", type=float, default=60.0,
@@ -113,12 +105,8 @@ def fabric_main(argv: list[str] | None = None) -> int:
                              "<host>-<pid>-<hex>)")
     args = parser.parse_args(argv)
     if args.command == "worker":
-        non_positive = [f"{flag} {value:g}" for flag, value in (
-            ("--lease-ttl", args.lease_ttl), ("--poll", args.poll))
-            if not value > 0]
-        if non_positive:
-            worker.error(f"seconds must be positive: "
-                         f"{', '.join(non_positive)}")
+        if not args.poll > 0:
+            worker.error(f"seconds must be positive: --poll {args.poll:g}")
         return _worker(args)
     return _status(args)
 

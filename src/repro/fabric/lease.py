@@ -39,7 +39,11 @@ from .protocol import (lease_filename, read_json, state_dir,
 
 @dataclass
 class FabricConfig:
-    """Knobs governing one fabric run (broker and workers share them).
+    """The broker's knobs for one fabric run.
+
+    The broker writes ``lease_ttl`` into ``batch.json``, and every
+    worker, forked or external, heartbeats at a third of it, so a worker
+    never needs to be told the TTL of the batch it serves.
 
     The expiry math: a worker heartbeats every ``lease_ttl / 3``
     seconds; the broker declares a claim dead once it has watched the
@@ -54,7 +58,7 @@ class FabricConfig:
 
     #: Seconds without a heartbeat before a claimed lease is reaped.
     lease_ttl: float = 60.0
-    #: Broker/worker scan cadence.
+    #: Broker lease-scan cadence (and its forked workers' idle poll).
     poll_interval: float = 0.5
 
 

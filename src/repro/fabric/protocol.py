@@ -11,7 +11,8 @@ NFS provide::
       results/<key>.json                # the journal: one entry per
                                         # finished job (broker-owned)
       fabric/
-        batch.json                      # {"status": open|paused|complete, ...}
+        batch.json                      # {"status": open|paused|complete,
+                                        #  "lease_ttl": seconds, ...}
         jobs/<key>.job                  # the pickled job of each key
         leases/
           open/<key>.e<epoch>.json      # published, claimable
@@ -165,11 +166,13 @@ def heartbeat_age(path: str | Path) -> float | None:
 # ------------------------------------------------------------------- batch
 
 def write_batch(run_dir: str | Path, status: str, total: int,
-                run_id: str | None = None) -> None:
+                lease_ttl: float, run_id: str | None = None) -> None:
+    """Publish the batch record; ``lease_ttl`` sets every worker's
+    heartbeat cadence (a third of it)."""
     assert status in (BATCH_OPEN, BATCH_PAUSED, BATCH_COMPLETE), status
     write_json_atomic(batch_path(run_dir), {
-        "status": status, "total": total, "run_id": run_id,
-        "updated_unix": time.time()})
+        "status": status, "total": total, "lease_ttl": lease_ttl,
+        "run_id": run_id, "updated_unix": time.time()})
 
 
 def read_batch(run_dir: str | Path) -> dict | None:

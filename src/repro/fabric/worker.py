@@ -17,7 +17,8 @@ its ``run()``, and land the outcome as one checksummed ``done/`` record:
 
 A forked worker then wakes the broker through its pipe.  A daemon
 heartbeat thread renews the census entry and the held claim every
-``lease_ttl / 3`` seconds with fsynced mtime bumps.  The worker holds
+``lease_ttl / 3`` seconds with fsynced mtime bumps, where ``lease_ttl``
+is the one the broker wrote into the batch it serves.  The worker holds
 **no state the run depends on**: SIGKILL it at any point and the broker
 reaps its claim and reassigns the lease.
 
@@ -41,7 +42,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..experiments.faults import maybe_inject_chaos
-from .lease import FabricConfig
 from . import lease as lease_mod
 from .protocol import (BATCH_OPEN, ensure_layout, jobs_dir, lease_filename,
                        new_worker_id, read_batch, scan_leases, state_dir,
@@ -59,8 +59,10 @@ EXIT_NO_RUN = 3      # no open batch appeared within max_idle
 
 def discover_run(root: str | Path, run_id: str | None = None, *,
                  max_idle: float | None = None, poll: float = 0.25,
-                 sleep=time.sleep) -> Path | None:
-    """Wait for an open batch; newest one wins when ``run_id`` is None."""
+                 sleep=time.sleep) -> tuple[Path, dict] | None:
+    """Wait for an open batch; newest one wins when ``run_id`` is None.
+
+    Returns its run directory and its batch record."""
     root = Path(root)
     deadline = None if max_idle is None else time.monotonic() + max_idle
     while True:
@@ -69,16 +71,16 @@ def discover_run(root: str | Path, run_id: str | None = None, *,
             candidates = [root / run_id]
         elif root.is_dir():
             candidates = [d for d in root.iterdir() if d.is_dir()]
-        best: tuple[float, Path] | None = None
+        best: tuple[float, Path, dict] | None = None
         for run_dir in candidates:
             batch = read_batch(run_dir)
             if batch is None or batch.get("status") != BATCH_OPEN:
                 continue
             stamp = float(batch.get("updated_unix", 0.0))
             if best is None or stamp > best[0]:
-                best = (stamp, run_dir)
+                best = (stamp, run_dir, batch)
         if best is not None:
-            return best[1]
+            return best[1], best[2]
         if deadline is not None and time.monotonic() >= deadline:
             return None
         sleep(poll)
@@ -91,7 +93,8 @@ class FabricWorker:
     root: str | Path
     run_id: str | None = None
     worker_id: str = field(default_factory=new_worker_id)
-    config: FabricConfig = field(default_factory=FabricConfig)
+    #: Seconds between scans for an open lease while idle.
+    poll_interval: float = 0.5
     #: Give up looking for an open batch after this long (None = wait
     #: forever; the CLI defaults to a finite value so orphaned workers
     #: do not linger).
@@ -111,16 +114,18 @@ class FabricWorker:
 
     def run(self) -> int:
         """Serve one batch to completion; returns a process exit code."""
-        run_dir = discover_run(self.root, self.run_id,
-                               max_idle=self.max_idle, sleep=self.sleep)
-        if run_dir is None:
+        found = discover_run(self.root, self.run_id,
+                             max_idle=self.max_idle, sleep=self.sleep)
+        if found is None:
             log.warning("worker %s: no open batch under %s", self.worker_id,
                         self.root)
             return EXIT_NO_RUN
+        run_dir, batch = found
         ensure_layout(run_dir)
         self._register(run_dir)
         beats = threading.Thread(target=self._heartbeat_loop,
-                                 args=(run_dir,), daemon=True)
+                                 args=(run_dir, float(batch["lease_ttl"])),
+                                 daemon=True)
         beats.start()
         try:
             while True:
@@ -131,7 +136,7 @@ class FabricWorker:
                     return EXIT_OK
                 record = self._claim_next(run_dir)
                 if record is None:
-                    self.sleep(self.config.poll_interval)
+                    self.sleep(self.poll_interval)
                     continue
                 self._execute(run_dir, record)
         finally:
@@ -210,8 +215,8 @@ class FabricWorker:
         except OSError:  # pragma: no cover - census is best-effort
             pass
 
-    def _heartbeat_loop(self, run_dir: Path) -> None:
-        interval = max(0.01, self.config.lease_ttl / 3.0)
+    def _heartbeat_loop(self, run_dir: Path, lease_ttl: float) -> None:
+        interval = max(0.01, lease_ttl / 3.0)
         while not self._stop_beats.wait(interval):
             if self.freeze_heartbeat:
                 continue
@@ -221,12 +226,12 @@ class FabricWorker:
                 lease_mod.heartbeat(claim)
 
 
-def worker_from_env(root: str | Path, run_id: str | None,
-                    config: FabricConfig, *, worker_id: str | None = None,
+def worker_from_env(root: str | Path, run_id: str | None, *,
+                    poll_interval: float, worker_id: str | None = None,
                     max_idle: float | None = 60.0) -> FabricWorker:
     """Build a worker honouring the chaos environment knobs."""
     return FabricWorker(
-        root=root, run_id=run_id, config=config,
+        root=root, run_id=run_id, poll_interval=poll_interval,
         worker_id=worker_id or new_worker_id(), max_idle=max_idle,
         claim_hold=float(os.environ.get(CLAIM_HOLD_ENV, "0") or 0),
         freeze_heartbeat=bool(os.environ.get(FREEZE_HEARTBEAT_ENV)))

@@ -1,7 +1,7 @@
 """Declarative scenario catalog: spec-driven workloads.
 
 Workloads are authored as validated TOML spec documents (pattern recipe,
-scale, seed, sim-config overrides, ``expected:`` post-run assertions)
+scale, seed, ``expected:`` post-run assertions)
 and loaded uniformly by the CLI, the experiment suite runner, and the
 bench harness.  See ``docs/workloads.md`` for the full schema and
 ``scenarios/`` for the committed catalog (the paper's 125-trace suite
@@ -11,7 +11,6 @@ plus the extra families).
 from .catalog import (
     Catalog,
     CatalogNotFound,
-    apply_sim_config,
     cached_catalog,
     default_catalog_dir,
     invalidate_cache,
@@ -40,7 +39,6 @@ __all__ = [
     "SCENARIO_SCHEMA_VERSION",
     "ScenarioError",
     "ScenarioSpec",
-    "apply_sim_config",
     "cached_catalog",
     "default_catalog_dir",
     "dumps_scenarios",

@@ -20,7 +20,6 @@ sizes all resolve through :func:`scale_defaults`.
 from __future__ import annotations
 
 import os
-from dataclasses import replace
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -206,30 +205,3 @@ def scale_defaults(key: str, directory: str | Path | None = None) -> int:
     value = defaults.get("scale", {}).get(key)
     return int(value) if value is not None else _FALLBACK_SCALE[key]
 
-
-# ------------------------------------------------------- sim overrides
-
-def apply_sim_config(config, overrides: Mapping):
-    """Apply a scenario's ``sim.config`` table to a SystemConfig.
-
-    Keys are the flattened override names of
-    :data:`repro.scenarios.schema.SIM_CONFIG_KEYS`; unknown keys raise
-    (the schema validator reports them with context first).
-    """
-    out = config
-    for key, value in overrides.items():
-        if key == "dram_mt_per_sec":
-            out = out.with_dram_rate(value)
-        elif key == "dram_channels":
-            out = replace(out, dram=replace(out.dram, channels=value))
-        elif key == "llc_size_bytes":
-            out = out.with_llc_size(value)
-        elif key == "core_width":
-            out = replace(out, core=replace(out.core, width=value))
-        elif key == "rob_entries":
-            out = replace(out, core=replace(out.core, rob_entries=value))
-        elif key == "lq_entries":
-            out = replace(out, core=replace(out.core, lq_entries=value))
-        else:
-            raise KeyError(f"unknown sim.config override {key!r}")
-    return out

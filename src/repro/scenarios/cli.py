@@ -22,12 +22,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .catalog import (
-    CatalogNotFound,
-    apply_sim_config,
-    default_catalog_dir,
-    load_catalog,
-)
+from .catalog import CatalogNotFound, default_catalog_dir, load_catalog
 from .expect import ExpectationReport, evaluate_expected, prefetchers_under_test
 from .spec import ScenarioError, ScenarioSpec, parse_scenario_file
 
@@ -71,8 +66,6 @@ def _parser() -> argparse.ArgumentParser:
                        help="prefetcher(s) to simulate (default: the "
                             "scenario's sim.prefetchers, then whatever its "
                             "expected: block references, then pmp)")
-    p_run.add_argument("--warmup", type=float, default=None,
-                       help="warmup fraction override")
     p_run.add_argument("--no-fastpath", action="store_true",
                        help="force every access through the event kernel")
     p_run.add_argument("--no-gate", action="store_true",
@@ -162,7 +155,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     from ..experiments.runner import SuiteRunner
     from ..memtrace.workloads import expand_scenario
     from ..prefetchers import COMPETITORS
-    from ..sim.params import SystemConfig
     from .catalog import scale_defaults
 
     if args.accesses < 0:
@@ -193,13 +185,9 @@ def cmd_run(args: argparse.Namespace) -> int:
             factories[name] = COMPETITORS[name]
         accesses = (args.accesses or spec.accesses
                     or scale_defaults("experiment_accesses"))
-        warmup = args.warmup if args.warmup is not None \
-            else float(spec.sim.get("warmup_fraction", 0.2))
-        runner = SuiteRunner(
-            specs=expand_scenario(spec, base_dir), accesses=accesses,
-            config=apply_sim_config(SystemConfig.default(),
-                                    spec.sim.get("config", {})),
-            warmup_fraction=warmup, fastpath=not args.no_fastpath)
+        runner = SuiteRunner(specs=expand_scenario(spec, base_dir),
+                             accesses=accesses,
+                             fastpath=not args.no_fastpath)
 
         print(f"== scenario {spec.name} ({spec.kind}, family {spec.family}, "
               f"{accesses} accesses) ==")
@@ -238,7 +226,7 @@ def scenarios_main(argv: list[str] | None = None) -> int:
                "validate": cmd_validate, "run": cmd_run}[args.command]
     try:
         return handler(args)
-    # ScenarioError is a ValueError; so is an out-of-range --warmup.
+    # ScenarioError is a ValueError.
     except (CatalogNotFound, KeyError, ValueError) as exc:
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)

@@ -1,24 +1,23 @@
 """``expected:`` blocks — post-run assertions over simulation results.
 
 A scenario may declare what a correct run must look like: minimum
-normalized IPC per prefetcher, coverage/accuracy floors, memory-traffic
-ceilings, a NIPC ordering between prefetchers, and MPKI bounds on the
+normalized IPC per prefetcher, an L1D accuracy floor, memory-traffic
+ceilings, a NIPC ordering between prefetchers, and an MPKI floor on the
 trace itself.  :func:`evaluate_expected` checks every assertion and
 returns all passes and failures; ``pmp-repro scenarios run`` exits
 non-zero when any assertion fails.
 
-Bound assertions (``min_nipc``, ``max_nipc``, ``max_nmt``,
-``min_coverage``, ``min_accuracy``) take either a bare number — applied
-to every prefetcher the run simulated — or a ``{prefetcher = bound}``
-table.  Coverage is measured at ``coverage_level`` (default ``l1d``).
+Bound assertions (``min_nipc``, ``max_nmt``, ``min_accuracy``) take
+either a bare number — applied to every prefetcher the run simulated —
+or a ``{prefetcher = bound}`` table.
 
 ``tolerance`` (a relative fraction, e.g. ``0.05``) slackens every
 simulation-derived bound assertion and the ``nipc_order`` comparison:
 ``min_*`` bounds shrink to ``bound * (1 - tolerance)``, ``max_*`` bounds
 grow to ``bound * (1 + tolerance)``.  A scenario whose engines sit
 close together declares that margin once this way instead of
-hand-loosening each bound.  MPKI assertions are exact — they measure
-the trace, not the simulation.
+hand-loosening each bound.  ``min_mpki`` is exact — it measures the
+trace, not the simulation.
 """
 
 from __future__ import annotations
@@ -81,7 +80,7 @@ def evaluate_expected(expected: Mapping, *, trace: Trace,
     """Evaluate one scenario's assertions against one trace's runs.
 
     ``results`` maps prefetcher name to its run on this trace;
-    ``baseline`` is the no-prefetcher run (needed for NIPC/NMT/coverage
+    ``baseline`` is the no-prefetcher run (needed for NIPC/NMT
     assertions — their absence when required is itself a failure, not a
     crash).
     """
@@ -89,34 +88,21 @@ def evaluate_expected(expected: Mapping, *, trace: Trace,
     if not expected:
         return report
 
-    level = expected.get("coverage_level", "l1d")
     tolerance = float(expected.get("tolerance", 0.0))
     if not 0.0 <= tolerance < 1.0:
         raise ValueError(
             f"expected.tolerance must be in [0, 1), got {tolerance}")
 
-    if "min_mpki" in expected or "max_mpki" in expected:
+    if "min_mpki" in expected:
         mpki = trace.estimated_mpki()
-        if "min_mpki" in expected:
-            bound = float(expected["min_mpki"])
-            line = f"min_mpki: {mpki:.2f} >= {bound:.2f}"
-            (report.passed if mpki >= bound else report.failed).append(line)
-        if "max_mpki" in expected:
-            bound = float(expected["max_mpki"])
-            line = f"max_mpki: {mpki:.2f} <= {bound:.2f}"
-            (report.passed if mpki <= bound else report.failed).append(line)
-
-    if "min_ipc" in expected:
-        bound = float(expected["min_ipc"])
-        for name, result in results.items():
-            _check_bound(report, "min_ipc", name, result.ipc, bound,
-                         at_least=True, tolerance=tolerance)
+        bound = float(expected["min_mpki"])
+        line = f"min_mpki: {mpki:.2f} >= {bound:.2f}"
+        (report.passed if mpki >= bound else report.failed).append(line)
 
     # Baseline-relative assertions fail (not crash) without a baseline
-    # run — but only *those*: min_accuracy and the checks above need no
-    # baseline and must still be evaluated, so no early return here.
-    needs_baseline = [key for key in ("min_nipc", "max_nipc", "max_nmt",
-                                      "min_coverage", "nipc_order")
+    # run — but only *those*: min_accuracy and min_mpki need no baseline
+    # and must still be evaluated, so no early return here.
+    needs_baseline = [key for key in ("min_nipc", "max_nmt", "nipc_order")
                       if key in expected]
     if needs_baseline and baseline is None:
         report.failed.append(
@@ -124,13 +110,13 @@ def evaluate_expected(expected: Mapping, *, trace: Trace,
             "run to evaluate")
 
     if baseline is not None:
-        for key, at_least in (("min_nipc", True), ("max_nipc", False)):
-            if key in expected:
-                for name, bound in _bounds(expected[key], results).items():
-                    result = results.get(name)
-                    actual = result.nipc(baseline) if result else None
-                    _check_bound(report, key, name, actual, bound,
-                                 at_least=at_least, tolerance=tolerance)
+        if "min_nipc" in expected:
+            for name, bound in _bounds(expected["min_nipc"],
+                                       results).items():
+                result = results.get(name)
+                actual = result.nipc(baseline) if result else None
+                _check_bound(report, "min_nipc", name, actual, bound,
+                             at_least=True, tolerance=tolerance)
 
         if "max_nmt" in expected:
             for name, bound in _bounds(expected["max_nmt"],
@@ -140,20 +126,12 @@ def evaluate_expected(expected: Mapping, *, trace: Trace,
                 _check_bound(report, "max_nmt", name, actual, bound,
                              at_least=False, tolerance=tolerance)
 
-        if "min_coverage" in expected:
-            for name, bound in _bounds(expected["min_coverage"],
-                                       results).items():
-                result = results.get(name)
-                actual = result.coverage(baseline, level) if result else None
-                _check_bound(report, f"min_coverage@{level}", name, actual,
-                             bound, at_least=True, tolerance=tolerance)
-
     if "min_accuracy" in expected:
         for name, bound in _bounds(expected["min_accuracy"],
                                    results).items():
             result = results.get(name)
-            actual = result.accuracy(level) if result else None
-            _check_bound(report, f"min_accuracy@{level}", name, actual,
+            actual = result.accuracy("l1d") if result else None
+            _check_bound(report, "min_accuracy@l1d", name, actual,
                          bound, at_least=True, tolerance=tolerance)
 
     if "nipc_order" in expected and baseline is not None:
@@ -179,8 +157,7 @@ def evaluate_expected(expected: Mapping, *, trace: Trace,
 def prefetchers_under_test(expected: Mapping) -> set[str]:
     """Prefetcher names an ``expected:`` block references (to auto-run)."""
     names: set[str] = set()
-    for key in ("min_nipc", "max_nipc", "max_nmt", "min_coverage",
-                "min_accuracy"):
+    for key in ("min_nipc", "max_nmt", "min_accuracy"):
         value = expected.get(key)
         if isinstance(value, Mapping):
             names.update(value)

@@ -2,9 +2,10 @@
 
 A *scenario* is a validated document describing one workload end to end:
 what to generate (or which real ChampSim trace to ingest), at what scale,
-under which simulation overrides, and — optionally — an ``expected:``
-block of post-run assertions (minimum coverage, NIPC ordering, accuracy
-bounds) that ``pmp-repro scenarios run`` enforces with a non-zero exit.
+and — optionally — which prefetchers ``pmp-repro scenarios run``
+simulates and an ``expected:`` block of post-run assertions (NIPC
+floors, NIPC ordering, accuracy bounds) that it enforces with a
+non-zero exit.
 
 Scenarios are authored as TOML (stdlib :mod:`tomllib`), the one
 format the loaders read.  One file holds either a single ``[scenario]``

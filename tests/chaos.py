@@ -110,11 +110,12 @@ class FaultyPrefetcher(PMP):
 
 
 def spawn_fabric_worker(cache_dir: str | Path, *, run_id: str | None = None,
-                        lease_ttl: float = 2.0, poll: float = 0.05,
+                        poll: float = 0.05,
                         max_idle: float = 30.0, worker_id: str | None = None,
                         claim_hold: float = 0.0,
                         freeze_heartbeat: bool = False):
-    """Start a real fabric worker process against ``cache_dir``.
+    """Start a real fabric worker process against ``cache_dir``; it
+    heartbeats at a third of the lease TTL its batch carries.
 
     ``claim_hold`` and ``freeze_heartbeat`` arm the worker's chaos env
     knobs: the first widens the mid-lease window a SIGKILL needs, the
@@ -132,8 +133,8 @@ def spawn_fabric_worker(cache_dir: str | Path, *, run_id: str | None = None,
     if freeze_heartbeat:
         env["REPRO_FABRIC_FREEZE_HEARTBEAT"] = "1"
     cmd = [sys.executable, "-m", "repro.cli", "fabric", "worker",
-           "--cache-dir", str(cache_dir), "--lease-ttl", str(lease_ttl),
-           "--poll", str(poll), "--max-idle", str(max_idle)]
+           "--cache-dir", str(cache_dir), "--poll", str(poll),
+           "--max-idle", str(max_idle)]
     if run_id:
         cmd += ["--run-id", run_id]
     if worker_id:

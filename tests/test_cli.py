@@ -50,6 +50,44 @@ class TestParser:
         out = capsys.readouterr().out
         assert "Trigger Offset" in out
 
+    def test_fig5_draws_its_trace_from_the_selected_suite(self, capsys):
+        """``--scenario`` reaches Fig 5: its maps are of that scenario,
+        not of the quick suite's first trace."""
+        assert main(["fig5", "--scenario", "thrash-00",
+                     "--accesses", "2000"]) == 0
+        out = capsys.readouterr().out
+        assert "Fig 5 heat map — thrash-00 indexed by" in out
+        assert "spec06-00" not in out
+
+    def test_all_simulates_each_distinct_job_key_once(self, tmp_path,
+                                                      monkeypatch, capsys):
+        """``all`` runs every experiment on one runner, so a job key two
+        experiments share (the default PMP, the baseline suite) is
+        simulated once, and one manifest named after ``all`` counts the
+        whole invocation."""
+        import json
+
+        from repro import cli
+        from repro.experiments.engine import ExperimentEngine
+
+        monkeypatch.setitem(cli.COMMANDS, "fig13", lambda _args: None)
+        keys = []
+        run_jobs = ExperimentEngine.run_jobs
+
+        def recording(engine, jobs):
+            keys.extend(job.key() for job in jobs)
+            return run_jobs(engine, jobs)
+
+        monkeypatch.setattr(ExperimentEngine, "run_jobs", recording)
+        assert main(["all", "--accesses", "2000", "--traces", "1",
+                     "--no-cache", "--no-journal",
+                     "--cache-dir", str(tmp_path)]) == 0
+        (manifest,) = (tmp_path / "manifests").glob("*.json")
+        assert manifest.name.startswith("all-")
+        data = json.loads(manifest.read_text())
+        assert data["jobs"] == len(keys)
+        assert data["simulated"] == len(set(keys)) < len(keys)
+
     def test_table9_small(self, tmp_path, capsys):
         assert main(["table9", "--accesses", "3000", "--traces", "1",
                      "--cache-dir", str(tmp_path)]) == 0
@@ -289,7 +327,6 @@ class TestPositiveSeconds:
         ("fig8 --job-timeout 0", "--job-timeout"),
         ("fig8 --fabric --workers 2 --lease-ttl 0", "--lease-ttl"),
         ("fig8 --fabric --fabric-poll -0.5", "--fabric-poll"),
-        ("fabric worker --lease-ttl 0", "--lease-ttl"),
         ("fabric worker --poll -1", "--poll"),
     ])
     def test_exit_2_naming_the_flag(self, argv, flag, ran, tmp_path, capsys):

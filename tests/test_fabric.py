@@ -98,10 +98,8 @@ def assert_no_live_work(run_dir):
         assert not os.listdir(state_dir(run_dir, state)), state
 
 
-def start_worker_threads(tmp_path, count=2, ttl=5.0):
-    workers = [FabricWorker(root=tmp_path / "runs",
-                            config=FabricConfig(lease_ttl=ttl,
-                                                poll_interval=0.05),
+def start_worker_threads(tmp_path, count=2):
+    workers = [FabricWorker(root=tmp_path / "runs", poll_interval=0.05,
                             max_idle=30.0)
                for _ in range(count)]
     threads = [threading.Thread(target=worker.run, daemon=True)
@@ -298,6 +296,26 @@ class TestFabricEndToEnd:
         assert fab["completed_by_workers"] == len(SPECS)
         assert sum(w.get("jobs_done", 0) for w in fab["workers"]) >= len(SPECS)
 
+    def test_default_worker_heartbeats_at_the_batch_lease_ttl(
+            self, tmp_path, clean_outcome):
+        """A worker built with default settings serves a batch with a
+        1 s lease TTL: it reads the TTL from ``batch.json`` and
+        heartbeats at a third of it, so a claim held past the TTL is
+        never reaped."""
+        ttl = 1.0
+        runner = fabric_runner(tmp_path, ttl=ttl, run_id="run-short-ttl")
+        worker = FabricWorker(root=tmp_path / "runs", claim_hold=1.5 * ttl)
+        thread = threading.Thread(target=worker.run, daemon=True)
+        thread.start()
+        results = runner.run(PMP)
+        thread.join(timeout=30.0)
+        assert not thread.is_alive()
+        assert result_dicts(results) == clean_outcome
+        counters = runner.engine.counters
+        assert counters.lease_expired == 0
+        assert counters.retried == 0
+        assert counters.fabric_completed == worker.jobs_done == len(SPECS)
+
     def test_zero_workers_without_fallback_fails_structured(
             self, tmp_path, clean_outcome):
         """No worker ever appears: after ``lease_ttl`` without a live
@@ -391,7 +409,7 @@ class TestFabricEndToEnd:
         runner = fabric_runner(tmp_path, run_id="run-harvest")
         run_dir = runner.journal.directory
         ensure_layout(run_dir)
-        jobs = runner._jobs(PMP, runner.config)
+        jobs = runner._jobs(PMP, None)
         for job, result in zip(jobs, clean_outcome):
             lease.publish(run_dir, job.key(), 0)
             lease.complete(run_dir, lease.claim(run_dir, job.key(), 0,
@@ -601,6 +619,15 @@ class TestFabricCli:
         out = capsys.readouterr().out
         assert "run-status" in out
         assert "status: complete" in out
+
+    def test_worker_takes_no_lease_ttl(self, capsys):
+        """The broker's TTL reaches every worker through ``batch.json``,
+        so ``fabric worker`` has no TTL of its own to get wrong."""
+        from repro.fabric.cli import fabric_main
+        with pytest.raises(SystemExit) as excinfo:
+            fabric_main(["worker", "--lease-ttl", "2"])
+        assert excinfo.value.code == 2
+        assert "--lease-ttl" in capsys.readouterr().err
 
     def test_status_without_run_is_an_error(self, tmp_path, capsys):
         from repro.fabric.cli import fabric_main

@@ -44,13 +44,11 @@ def result_dicts(results):
     return [r.to_dict() for r in results]
 
 
-def start_worker_thread(tmp_path, run_id, ttl=1.5) -> threading.Thread:
+def start_worker_thread(tmp_path, run_id) -> threading.Thread:
     """An in-process worker: it serves at once, where a subprocess would
     first spend its interpreter start-up."""
     worker = FabricWorker(root=tmp_path / "runs", run_id=run_id,
-                          config=FabricConfig(lease_ttl=ttl,
-                                              poll_interval=0.05),
-                          max_idle=30.0)
+                          poll_interval=0.05, max_idle=30.0)
     thread = threading.Thread(target=worker.run, daemon=True)
     thread.start()
     return thread
@@ -83,16 +81,14 @@ class TestSigkilledWorker:
         run_dir = tmp_path / "runs" / run_id
         # claim_hold parks the worker *after* claiming, so the SIGKILL
         # reliably lands mid-lease, before any result exists.
-        proc = spawn_fabric_worker(tmp_path, run_id=run_id, lease_ttl=3.0,
-                                   claim_hold=30.0)
+        proc = spawn_fabric_worker(tmp_path, run_id=run_id, claim_hold=30.0)
         replacement = []
 
         def kill_once_claimed():
             record = wait_for_fabric_claim(run_dir)
             assert claim_holder_pid(record) == proc.pid
             proc.kill()
-            replacement.append(start_worker_thread(tmp_path, run_id,
-                                                   ttl=3.0))
+            replacement.append(start_worker_thread(tmp_path, run_id))
 
         killer = threading.Thread(target=kill_once_claimed, daemon=True)
         killer.start()
@@ -127,14 +123,13 @@ class TestFrozenHeartbeat:
         # start-up before the broker gives up on the batch.
         runner = fabric_runner(tmp_path, run_id, ttl=3.0)
         run_dir = tmp_path / "runs" / run_id
-        frozen = spawn_fabric_worker(tmp_path, run_id=run_id, lease_ttl=3.0,
+        frozen = spawn_fabric_worker(tmp_path, run_id=run_id,
                                      claim_hold=60.0, freeze_heartbeat=True)
         healthy = {"proc": None}
 
         def start_healthy_after_freeze_claims():
             wait_for_fabric_claim(run_dir)
-            healthy["proc"] = spawn_fabric_worker(tmp_path, run_id=run_id,
-                                                  lease_ttl=3.0)
+            healthy["proc"] = spawn_fabric_worker(tmp_path, run_id=run_id)
 
         orchestrator = threading.Thread(
             target=start_healthy_after_freeze_claims, daemon=True)
@@ -299,7 +294,7 @@ class TestWorkerCliLifecycle:
         # A generous lease_ttl: the broker must not give up on the batch
         # while the worker's interpreter starts.
         runner = fabric_runner(tmp_path, run_id, ttl=10.0)
-        proc = spawn_fabric_worker(tmp_path, run_id=run_id, lease_ttl=2.0)
+        proc = spawn_fabric_worker(tmp_path, run_id=run_id)
         results = runner.run(PMP)
         assert proc.wait(timeout=30.0) == 0
         assert result_dicts(results) == clean_outcome

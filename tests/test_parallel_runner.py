@@ -183,7 +183,8 @@ class TestManifest:
         assert loaded.jobs == len(SPECS)
         assert loaded.simulated == len(SPECS)
         assert loaded.traces == [spec.name for spec in SPECS]
-        assert loaded.config_fingerprint == runner.config.fingerprint()
+        assert (loaded.config_fingerprint
+                == SystemConfig.default().fingerprint())
         assert loaded.wall_seconds > 0
         assert loaded.git_sha  # "unknown" outside git, a SHA inside
 
