@@ -19,13 +19,11 @@ from repro.memtrace.trace import Trace
 
 def _mcf_like_trace(accesses=20_000):
     rng = np.random.default_rng(20)
-    trace = Trace("mcf-like", family="spec06")
-    trace.extend(syn.compose(rng, [
+    return Trace.from_arrays("mcf-like", syn.compose(rng, [
         (syn.backward_scan, {"segment": 2}, 0.4),
         (syn.neighborhood_walk, {"segment": 3}, 0.4),
         (syn.pointer_chase, {"segment": 5}, 0.2),
-    ], accesses))
-    return trace
+    ], accesses), family="spec06")
 
 
 def test_fig5_heatmaps(benchmark):

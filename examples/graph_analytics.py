@@ -20,14 +20,12 @@ from repro.storage import table_v
 
 def build_graph_trace(name: str, avg_degree: int, accesses: int = 25_000) -> Trace:
     rng = np.random.default_rng(hash(name) % (1 << 32))
-    trace = Trace(name, family="ligra")
-    trace.extend(syn.compose(rng, [
+    return Trace.from_arrays(name, syn.compose(rng, [
         (syn.graph_traversal,
          {"segment": 6, "n_vertices": 1 << 14, "avg_degree": avg_degree}, 0.6),
         (syn.pointer_chase, {"segment": 5, "working_lines": 1 << 14}, 0.2),
         (syn.pattern_replay, {"segment": 4, "noise": 0.08}, 0.2),
-    ], accesses))
-    return trace
+    ], accesses), family="ligra")
 
 
 def main() -> None:

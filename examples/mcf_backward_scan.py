@@ -31,16 +31,14 @@ from repro.sim.engine import simulate
 def build_mcf_like(accesses: int = 25_000) -> Trace:
     """Two pred-pointer loops (different PCs) + neighbourhood accesses."""
     rng = np.random.default_rng(42)
-    trace = Trace("mcf-like", family="spec06")
-    trace.extend(syn.compose(rng, [
+    return Trace.from_arrays("mcf-like", syn.compose(rng, [
         # for(; iplus != w; iplus = iplus->pred) { ... }
         (syn.backward_scan, {"segment": 2, "pc": 0x401000}, 0.30),
         # for(; jplus != w; jplus = jplus->pred) { ... }
         (syn.backward_scan, {"segment": 7, "pc": 0x402000}, 0.30),
         (syn.neighborhood_walk, {"segment": 3}, 0.30),
         (syn.pointer_chase, {"segment": 5}, 0.10),
-    ], accesses))
-    return trace
+    ], accesses), family="spec06")
 
 
 def main() -> None:

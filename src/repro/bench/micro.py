@@ -5,8 +5,9 @@ event dispatch (the observer bus), cache lookup/fill (the per-level
 storage), fill-queue churn (deferred fills), PMP counter-vector training
 and pattern extraction/prediction (the prefetcher's hot loops), the zoo
 engines' per-miss train/predict paths plus the hybrid's set-dueling
-arbitration, and trace decode (packed arrays → columns, the path every
-leased job's trace takes when a worker unpickles it).  Inputs are
+arbitration, trace decode (packed arrays → columns, the path every
+leased job's trace takes when a worker unpickles it) and trace build
+(synthesizing the pinned trace from its seed).  Inputs are
 pinned — fixed seeds, fixed stream lengths — so two runs of the same
 code measure the same work and a ``--compare`` delta means the *code*
 changed speed, not the workload.
@@ -55,10 +56,13 @@ class MicroBench:
     # build(ops) -> (setup, fn, ops_per_call, meta)
 
 
+def _pinned_spec():
+    """The pinned workload micro inputs derive from (spec06-00)."""
+    return next(s for s in full_suite() if s.name == "spec06-00")
+
+
 def _pinned_trace(accesses: int) -> Trace:
-    """The pinned workload sample micro inputs derive from (spec06-00)."""
-    spec = next(s for s in full_suite() if s.name == "spec06-00")
-    return spec.build(accesses)
+    return _pinned_spec().build(accesses)
 
 
 def _build_event_dispatch(ops: int):
@@ -317,6 +321,17 @@ def _build_trace_decode(ops: int):
     return None, fn, float(ops), {"accesses_per_call": ops}
 
 
+def _build_trace_build(ops: int):
+    """Synthesize the pinned trace from its seed (what every run does for
+    each workload it does not load from a trace store)."""
+    spec = _pinned_spec()
+
+    def fn() -> None:
+        spec.build(ops)
+
+    return None, fn, float(ops), {"accesses_per_call": ops}
+
+
 MICRO_BENCHMARKS: tuple[MicroBench, ...] = (
     MicroBench("event_dispatch", "events/s", _build_event_dispatch),
     MicroBench("cache_lookup_fill", "accesses/s", _build_cache_lookup_fill),
@@ -330,6 +345,7 @@ MICRO_BENCHMARKS: tuple[MicroBench, ...] = (
     MicroBench("triangel_filter", "accesses/s", _build_triangel_filter),
     MicroBench("hybrid_duel", "duels/s", _build_hybrid_duel),
     MicroBench("trace_decode", "accesses/s", _build_trace_decode),
+    MicroBench("trace_build", "accesses/s", _build_trace_build),
 )
 
 

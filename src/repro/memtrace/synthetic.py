@@ -14,19 +14,36 @@ generator emits the *spatial structure* the paper's observations rest on:
   address-bearing features index it redundantly (Observation 2).
 
 Generators take an explicit :class:`numpy.random.Generator` so every trace
-in the suite is reproducible from its seed, and return plain
-``(pc, address, is_write, gap)`` rows, which :meth:`Trace.extend` stores
-as columns.
+in the suite is reproducible from its seed, and return the four trace
+columns (:data:`~repro.memtrace.trace.TraceArrays`: pcs, addresses,
+writes, gaps); :func:`compose` splices column slices and
+:meth:`Trace.from_arrays` stores the result.
+
+A loop that makes one kind of random draw makes it as one vector call:
+``stream``, ``strided``, ``backward_scan``, ``pointer_chase`` and
+``hot_loop`` draw in bulk and compute their addresses in numpy, and
+``graph_traversal`` draws each vertex's edge targets at once.  That is
+exact: numpy's ``Generator`` fills a vector with the routine a scalar
+draw runs once per element, and keeps its 32-bit half-word buffer in the
+bit generator, so ``n`` scalar ``integers(lo, hi)`` calls and one
+``integers(lo, hi, size=n)`` call return the same values and leave the
+same state.  A loop that mixes kinds of draw keeps its scalar order
+(``neighborhood_walk``, ``pattern_replay`` and ``graph_traversal``'s
+vertex loop): ``random()`` takes a whole 64-bit word and a bounded
+integer half of one, so per-kind vector calls would reorder the stream.
+``tests/test_perf_equivalence.py`` holds every generator to the
+per-access loop it replaced.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .access import CACHELINE_BITS, CACHELINE_BYTES
-from .trace import Row, Trace
+from .trace import Trace, TraceArrays
 
 LINES_PER_REGION = 64
 REGION_BYTES = LINES_PER_REGION * CACHELINE_BYTES
@@ -39,104 +56,112 @@ def _segment_base(segment: int) -> int:
     return (segment + 1) * _SEGMENT_BYTES
 
 
-def _emit(out: list[Row], pc: int, region: int, offset: int,
-          gap: int, is_write: bool = False) -> None:
-    # A plain row with an inline line address: this runs once per
-    # generated access.
-    out.append((pc, region + ((offset % LINES_PER_REGION) << CACHELINE_BITS),
-                is_write, gap))
+def _line_addresses(segment: int, lines: np.ndarray) -> np.ndarray:
+    # Line l of a segment sits in region l // 64 at offset l % 64, which
+    # (with floor division) is byte base + 64 * l.  Every synthetic
+    # address is below 2**38, so int64 holds it.
+    return _segment_base(segment) + np.asarray(lines, dtype=np.int64) \
+        * CACHELINE_BYTES
+
+
+def _columns(pcs, addresses: np.ndarray, gaps,
+             writes=False) -> TraceArrays:
+    """The four trace columns; a scalar pc, gap or write flag repeats."""
+    count = len(addresses)
+    return (np.full(count, pcs, dtype=np.int64), addresses,
+            np.full(count, writes, dtype=bool),
+            np.full(count, gaps, dtype=np.int64))
 
 
 def stream(rng: np.random.Generator, count: int, *, segment: int = 0,
-           pc: int = 0x400100, gap: int = 48) -> list[Row]:
+           pc: int = 0x400100, gap: int = 48) -> TraceArrays:
     """Forward unit-stride stream sweeping sequential regions.
 
     Produces the all-ones region pattern with trigger offset 0 — the
     canonical stream pattern the ARE scheme fails on (Section V-E2).
     """
-    out: list[Row] = []
-    base = _segment_base(segment)
     line = int(rng.integers(0, 1 << 20)) * LINES_PER_REGION
-    for _ in range(count):
-        region = base + (line // LINES_PER_REGION) * REGION_BYTES
-        _emit(out, pc, region, line % LINES_PER_REGION, gap)
-        line += 1
-    return out
+    lines = np.arange(line, line + count, dtype=np.int64)
+    return _columns(pc, _line_addresses(segment, lines), gap)
 
 
 def strided(rng: np.random.Generator, count: int, stride: int, *,
             segment: int = 1, pc: int = 0x400200, gap: int = 44,
-            start_offset: int | None = None) -> list[Row]:
+            start_offset: int | None = None) -> TraceArrays:
     """Constant-stride walk (Astar-style slashes in the Fig 5 heat map).
 
     The anchored pattern depends only on the stride, not on which offset
     the walk enters a region at, so different trigger offsets see shifted
     copies of one structure.
     """
-    out: list[Row] = []
-    base = _segment_base(segment)
     line = int(rng.integers(0, 1 << 20)) * LINES_PER_REGION
     if start_offset is not None:
         line += start_offset
-    for _ in range(count):
-        region = base + (line // LINES_PER_REGION) * REGION_BYTES
-        _emit(out, pc, region, line % LINES_PER_REGION, gap)
-        line += stride
-    return out
+    lines = line + stride * np.arange(count, dtype=np.int64)
+    return _columns(pc, _line_addresses(segment, lines), gap)
 
 
 def backward_scan(rng: np.random.Generator, count: int, *, segment: int = 2,
-                  pc: int = 0x400300, gap: int = 40, stride: int = 1) -> list[Row]:
+                  pc: int = 0x400300, gap: int = 40,
+                  stride: int = 1) -> TraceArrays:
     """MCF-style backward walk over a big array (pred-pointer loops).
 
     Enters each region near its end (big trigger offsets) and walks down,
     producing the horizontal lines at the bottom of Fig 5a.
     """
-    out: list[Row] = []
-    base = _segment_base(segment)
-    line = int(rng.integers(1 << 18, 1 << 20)) * LINES_PER_REGION + LINES_PER_REGION - 1
-    for _ in range(count):
-        if line < LINES_PER_REGION:
-            line = int(rng.integers(1 << 18, 1 << 20)) * LINES_PER_REGION + LINES_PER_REGION - 1
-        region = base + (line // LINES_PER_REGION) * REGION_BYTES
-        _emit(out, pc, region, line % LINES_PER_REGION, gap)
-        line -= stride
-    return out
+    def top() -> int:
+        return (int(rng.integers(1 << 18, 1 << 20)) * LINES_PER_REGION
+                + LINES_PER_REGION - 1)
+
+    # A walk that would drop below the first region starts again at the
+    # top of a freshly drawn one.
+    walks = []
+    left = count
+    line = top()
+    while True:
+        steps = left if stride <= 0 else \
+            min(left, (line - LINES_PER_REGION) // stride + 1)
+        walks.append(line - stride * np.arange(steps, dtype=np.int64))
+        left -= steps
+        if left <= 0:
+            break
+        line = top()
+    return _columns(pc, _line_addresses(segment, np.concatenate(walks)), gap)
 
 
 def neighborhood_walk(rng: np.random.Generator, count: int, *, segment: int = 3,
                       pc_pool: Sequence[int] = (0x400400, 0x400410, 0x400420),
                       gap: int = 56, spread: int = 3,
-                      revisit: float = 0.6) -> list[Row]:
+                      revisit: float = 0.6) -> TraceArrays:
     """Random walk touching a small neighbourhood around the current line.
 
     Models the "blue dotted slash" of Fig 5a: most accesses land within a
     few lines of the current position, so anchored patterns concentrate
     close to the trigger offset regardless of its value.
     """
-    out: list[Row] = []
-    base = _segment_base(segment)
-    line = int(rng.integers(0, 1 << 18)) * LINES_PER_REGION
+    random, integers = rng.random, rng.integers
+    line = int(integers(0, 1 << 18)) * LINES_PER_REGION
     pcs = list(pc_pool)
+    n_pcs = len(pcs)
+    lines: list[int] = []
+    picked: list[int] = []
     for _ in range(count):
-        if rng.random() < revisit:
-            delta = int(rng.integers(1, spread + 1))
+        if random() < revisit:
+            line += int(integers(1, spread + 1))
         else:
-            line = int(rng.integers(0, 1 << 18)) * LINES_PER_REGION + int(
-                rng.integers(0, LINES_PER_REGION))
-            delta = 0
-        line += delta
-        region = base + (line // LINES_PER_REGION) * REGION_BYTES
-        pc = pcs[int(rng.integers(0, len(pcs)))]
-        _emit(out, pc, region, line % LINES_PER_REGION, gap)
-    return out
+            line = int(integers(0, 1 << 18)) * LINES_PER_REGION + int(
+                integers(0, LINES_PER_REGION))
+        lines.append(line)
+        picked.append(pcs[integers(0, n_pcs)])
+    return _columns(np.array(picked, dtype=np.int64),
+                    _line_addresses(segment, lines), gap)
 
 
 def pattern_replay(rng: np.random.Generator, count: int,
                    library: Sequence[tuple[int, Sequence[int]]] | None = None, *,
                    segment: int = 4, n_regions: int = 4096, gap: int = 72,
                    zipf_a: float = 1.4, noise: float = 0.05,
-                   pc_base: int = 0x400500) -> list[Row]:
+                   pc_base: int = 0x400500) -> TraceArrays:
     """Replay a small library of anchored region patterns with Zipf frequency.
 
     Each library entry is ``(trigger_offset, deltas)``: on visiting a region
@@ -148,40 +173,54 @@ def pattern_replay(rng: np.random.Generator, count: int,
     """
     if library is None:
         library = default_pattern_library()
-    out: list[Row] = []
+    random, integers, shuffle = rng.random, rng.integers, rng.shuffle
     base = _segment_base(segment)
+    bodies = [(trigger, [int(d) for d in deltas]) for trigger, deltas in library]
     ranks = np.arange(1, len(library) + 1, dtype=float)
     weights = ranks ** (-zipf_a)
     weights /= weights.sum()
+    # rng.choice(len(library), p=weights) is one random() placed in this
+    # cdf by bisect_right, without choice's per-call checks.
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    cdf = cdf.tolist()
+    pcs: list[int] = []
+    addresses: list[int] = []
     emitted = 0
     while emitted < count:
-        idx = int(rng.choice(len(library), p=weights))
-        trigger, deltas = library[idx]
-        region = base + int(rng.integers(0, n_regions)) * REGION_BYTES
+        idx = bisect_right(cdf, random())
+        trigger, deltas = bodies[idx]
+        region = base + int(integers(0, n_regions)) * REGION_BYTES
         # A handful of loop PCs serve many data shapes (paper Fig 5d: the
         # PC feature shows overlapped distributions with limited pattern
         # recognition) — PCs must not be a perfect pattern oracle.
         pc = pc_base + (idx % 3) * 0x40
-        _emit(out, pc, region, trigger, gap)
+        pcs.append(pc)
+        addresses.append(region + ((trigger % LINES_PER_REGION) << CACHELINE_BITS))
         emitted += 1
         # The *set* of touched offsets is stable per loop body but the
         # *order* varies between visits (hash iteration, out-of-order
         # issue, work stealing).  This is exactly the structure bit-vector
         # pattern forms capture and delta-sequence forms cannot (Section
         # VI-B): shuffled orders fracture SPP-style signatures while
-        # leaving PMP's anchored counter vectors untouched.
-        deltas = [int(d) for d in rng.permutation(list(deltas))]
+        # leaving PMP's anchored counter vectors untouched.  Shuffling a
+        # copy draws what rng.permutation(deltas) draws.
+        deltas = deltas.copy()
+        shuffle(deltas)
         for delta in deltas:
-            if rng.random() < noise:
+            if random() < noise:
                 continue  # dropped access: pattern variant
             offset = trigger + delta
-            if rng.random() < noise:
-                offset += int(rng.integers(-1, 2))
-            _emit(out, pc, region, offset, gap)
+            if random() < noise:
+                offset += int(integers(-1, 2))
+            pcs.append(pc)
+            addresses.append(region + ((offset % LINES_PER_REGION)
+                                       << CACHELINE_BITS))
             emitted += 1
             if emitted >= count:
                 break
-    return out
+    return _columns(np.array(pcs, dtype=np.int64),
+                    np.array(addresses, dtype=np.int64), gap)
 
 
 def default_pattern_library() -> list[tuple[int, list[int]]]:
@@ -211,24 +250,19 @@ def default_pattern_library() -> list[tuple[int, list[int]]]:
 
 def pointer_chase(rng: np.random.Generator, count: int, *, segment: int = 5,
                   pc: int = 0x400600, gap: int = 56,
-                  working_lines: int = 1 << 16) -> list[Row]:
+                  working_lines: int = 1 << 16) -> TraceArrays:
     """Uniform pointer chasing over a working set — near-unprefetchable.
 
     Supplies the irregular tail of the workload mix: distinct, rarely
     repeating region patterns (the 75.6% seen-once mass of Observation 1).
     """
-    out: list[Row] = []
-    base = _segment_base(segment)
-    for _ in range(count):
-        line = int(rng.integers(0, working_lines))
-        region = base + (line // LINES_PER_REGION) * REGION_BYTES
-        _emit(out, pc, region, line % LINES_PER_REGION, gap)
-    return out
+    lines = rng.integers(0, working_lines, size=count)
+    return _columns(pc, _line_addresses(segment, lines), gap)
 
 
 def graph_traversal(rng: np.random.Generator, count: int, *, segment: int = 6,
                     n_vertices: int = 1 << 14, avg_degree: int = 8,
-                    gap: int = 36) -> list[Row]:
+                    gap: int = 36) -> TraceArrays:
     """Ligra-style frontier traversal: CSR offsets (stream) + edge targets (random).
 
     Interleaves a sequential sweep of the vertex/offset arrays with bursts
@@ -236,40 +270,44 @@ def graph_traversal(rng: np.random.Generator, count: int, *, segment: int = 6,
     with irregularity, which is what makes graph workloads expensive for
     heavyweight pattern tables.
     """
-    out: list[Row] = []
-    base = _segment_base(segment)
-    vertex_base = base
-    edge_base = base + (1 << 28)
-    data_base = base + (1 << 29)
-    pc_vertex, pc_edge, pc_data = 0x400700, 0x400710, 0x400720
+    poisson, integers = rng.poisson, rng.integers
+    vertices = n_vertices // 8
+    edge_range = n_vertices * avg_degree // 8
+    # 0: vertex/offset array, 1: edge array, 2: neighbour data array.
+    kinds: list[int] = []
+    lines: list[int] = []
     vertex_line = 0
     emitted = 0
     while emitted < count:
-        region = vertex_base + (vertex_line // LINES_PER_REGION) * REGION_BYTES
-        _emit(out, pc_vertex, region, vertex_line % LINES_PER_REGION, gap)
-        vertex_line = (vertex_line + 1) % (n_vertices // 8)
+        kinds.append(0)
+        lines.append(vertex_line)
+        vertex_line = (vertex_line + 1) % vertices
         emitted += 1
-        degree = int(rng.poisson(avg_degree))
-        edge_line = int(rng.integers(0, n_vertices * avg_degree // 8))
-        for e in range(degree):
-            if emitted >= count:
-                break
-            line = edge_line + e
-            region = edge_base + (line // LINES_PER_REGION) * REGION_BYTES
-            _emit(out, pc_edge, region, line % LINES_PER_REGION, gap)
-            emitted += 1
-            if emitted >= count:
-                break
-            target_line = int(rng.integers(0, n_vertices))
-            region = data_base + (target_line // LINES_PER_REGION) * REGION_BYTES
-            _emit(out, pc_data, region, target_line % LINES_PER_REGION, gap)
-            emitted += 1
-    return out
+        degree = int(poisson(avg_degree))
+        edge_line = int(integers(0, edge_range))
+        # Edge, target, edge, target, ...: the visit stops when the trace
+        # is full, which may leave its last edge without a target.  Only
+        # targets are drawn in this loop, so they are drawn at once.
+        left = count - emitted
+        edges = min(degree, (left + 1) // 2)
+        targets = integers(0, n_vertices, size=min(degree, left // 2)).tolist()
+        for e in range(edges):
+            kinds.append(1)
+            lines.append(edge_line + e)
+            if e < len(targets):
+                kinds.append(2)
+                lines.append(targets[e])
+        emitted += edges + len(targets)
+    kind = np.array(kinds, dtype=np.intp)
+    addresses = (np.array([0, 1 << 28, 1 << 29], dtype=np.int64)[kind]
+                 + _line_addresses(segment, lines))
+    pcs = np.array([0x400700, 0x400710, 0x400720], dtype=np.int64)[kind]
+    return _columns(pcs, addresses, gap)
 
 
 def hot_loop(rng: np.random.Generator, count: int, *, segment: int = 7,
              lines: int = 512, pc_pool_size: int = 16, write_every: int = 7,
-             max_gap: int = 4) -> list[Row]:
+             max_gap: int = 4) -> TraceArrays:
     """Repeated sweep of a small L1-resident working set — hit-heavy.
 
     After one cold lap every access is an L1 hit with no structural
@@ -280,26 +318,20 @@ def hot_loop(rng: np.random.Generator, count: int, *, segment: int = 7,
     :func:`~repro.memtrace.workloads.full_suite` so the golden evaluation
     fixtures are untouched by its existence.
     """
-    out: list[Row] = []
-    base = _segment_base(segment)
     start = int(rng.integers(0, 1 << 16)) * LINES_PER_REGION
     gaps = rng.integers(0, max_gap + 1, size=count)
-    for i in range(count):
-        slot = i % lines
-        line = start + slot
-        region = base + (line // LINES_PER_REGION) * REGION_BYTES
-        pc = 0x400800 + 8 * (slot % pc_pool_size)
-        _emit(out, pc, region, line % LINES_PER_REGION, int(gaps[i]),
-              is_write=slot % write_every == 0)
-    return out
+    slots = np.arange(count, dtype=np.int64) % lines
+    return _columns(0x400800 + 8 * (slots % pc_pool_size),
+                    _line_addresses(segment, start + slots), gaps,
+                    writes=slots % write_every == 0)
 
 
-Generator = Callable[..., list[Row]]
+Generator = Callable[..., TraceArrays]
 
 
 def compose(rng: np.random.Generator, parts: Sequence[tuple[Generator, dict, float]],
             total: int, *, chunk: int = 2048,
-            epochs: int = 1) -> list[Row]:
+            epochs: int = 1) -> TraceArrays:
     """Interleave several generators with given weights into one access stream.
 
     Each part is ``(generator, kwargs, weight)``.  Generators are run for
@@ -315,41 +347,56 @@ def compose(rng: np.random.Generator, parts: Sequence[tuple[Generator, dict, flo
     weights /= weights.sum()
     if epochs <= 1:
         return _compose_epoch(rng, parts, weights, total, chunk)
-    out: list[Row] = []
+    pieces = []
+    made = 0
     per_epoch = total // epochs
     for epoch in range(epochs):
         rotated = np.roll(weights, epoch)
-        want = per_epoch if epoch < epochs - 1 else total - len(out)
-        out.extend(_compose_epoch(rng, parts, rotated, want, chunk))
-    return out[:total]
+        want = per_epoch if epoch < epochs - 1 else total - made
+        pieces.append(_compose_epoch(rng, parts, rotated, want, chunk))
+        made += len(pieces[-1][0])
+    return _splice(pieces, total)
 
 
 def _compose_epoch(rng: np.random.Generator,
                    parts: Sequence[tuple[Generator, dict, float]],
                    weights: np.ndarray, total: int,
-                   chunk: int) -> list[Row]:
+                   chunk: int) -> TraceArrays:
     streams = []
     for (gen, kwargs, _), share in zip(parts, weights):
         # Overshoot per-stream shares so rounding can never leave the
         # composed epoch short of its requested length.
         n = max(1, int(total * share) + 2)
         streams.append(gen(rng, n, **kwargs))
-    out: list[Row] = []
+    # Each round takes up to max(1, chunk * weight) accesses from every
+    # stream in turn; the rounds after the epoch is full add nothing.
+    pieces = []
+    made = 0
     cursors = [0] * len(streams)
-    while any(cursors[i] < len(s) for i, s in enumerate(streams)):
-        for i, s in enumerate(streams):
-            take = min(max(1, int(chunk * weights[i])), len(s) - cursors[i])
+    lengths = [len(stream[0]) for stream in streams]
+    while made < total and any(cursor < length for cursor, length
+                               in zip(cursors, lengths)):
+        for i, stream in enumerate(streams):
+            take = min(max(1, int(chunk * weights[i])),
+                       lengths[i] - cursors[i])
             if take <= 0:
                 continue
-            out.extend(s[cursors[i]:cursors[i] + take])
-            cursors[i] += take
-    return out[:total]
+            start, cursors[i] = cursors[i], cursors[i] + take
+            pieces.append(tuple(column[start:cursors[i]] for column in stream))
+            made += take
+    return _splice(pieces, total)
+
+
+def _splice(pieces: Sequence[TraceArrays], total: int) -> TraceArrays:
+    """The first ``total`` accesses of the pieces, end to end."""
+    if not pieces:
+        return _columns(0, np.empty(0, dtype=np.int64), 0)
+    return tuple(np.concatenate(columns)[:total] for columns in zip(*pieces))
 
 
 def build_trace(name: str, family: str, seed: int,
                 parts: Sequence[tuple[Generator, dict, float]], total: int) -> Trace:
     """Build a named, seeded trace from weighted generator parts."""
     rng = np.random.default_rng(seed)
-    trace = Trace(name=name, family=family, seed=seed)
-    trace.extend(compose(rng, parts, total))
-    return trace
+    return Trace.from_arrays(name, compose(rng, parts, total), family=family,
+                             seed=seed)

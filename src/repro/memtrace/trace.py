@@ -158,7 +158,8 @@ class Trace:
     @classmethod
     def from_arrays(cls, name: str, arrays: TraceArrays,
                     family: str = "synthetic", seed: int = 0) -> "Trace":
-        """Rebuild a trace from :meth:`to_arrays` output."""
+        """Build a trace from four columns: :meth:`to_arrays` output, or
+        what a :mod:`~repro.memtrace.synthetic` generator returns."""
         pcs, addresses, writes, gaps = arrays
         # .tolist() converts each column to native ints (and bools) in one
         # C pass.

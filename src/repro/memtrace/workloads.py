@@ -31,14 +31,14 @@ import json
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from ..scenarios.catalog import Catalog, cached_catalog, scale_defaults
 from ..scenarios.spec import GENERATORS, ScenarioSpec
 from . import synthetic as syn
-from .trace import Row, Trace
+from .trace import Trace, TraceArrays
 
 # The one source of truth for trace lengths is the catalog's
 # [defaults.scale] table (scenarios/catalog.toml); this module-level
@@ -61,15 +61,14 @@ class WorkloadSpec:
     name: str
     family: str
     seed: int
-    recipe: Callable[[np.random.Generator, int], Iterable[Row]]
+    recipe: Callable[[np.random.Generator, int], TraceArrays]
     digest: str
 
     def build(self, accesses: int = DEFAULT_TRACE_ACCESSES) -> Trace:
         """Materialise the trace at the requested length."""
         rng = np.random.default_rng(self.seed)
-        trace = Trace(name=self.name, family=self.family, seed=self.seed)
-        trace.extend(self.recipe(rng, accesses))
-        return trace
+        return Trace.from_arrays(self.name, self.recipe(rng, accesses),
+                                 family=self.family, seed=self.seed)
 
 
 # ----------------------------------------------------- spec compilation
@@ -97,10 +96,10 @@ def _build_digest(**inputs) -> str:
 
 
 def _synthetic_recipe(spec: ScenarioSpec,
-                      ) -> Callable[[np.random.Generator, int], list[Row]]:
+                      ) -> Callable[[np.random.Generator, int], TraceArrays]:
     """Compile a synthetic scenario's parts into a compose() recipe."""
 
-    def recipe(rng: np.random.Generator, total: int) -> list[Row]:
+    def recipe(rng: np.random.Generator, total: int) -> TraceArrays:
         parts = [(GENERATORS[part.generator], dict(part.params), part.weight)
                  for part in spec.parts]
         return syn.compose(rng, parts, total, epochs=spec.epochs)
@@ -109,10 +108,10 @@ def _synthetic_recipe(spec: ScenarioSpec,
 
 
 def _champsim_recipe(spec: ScenarioSpec, path: Path,
-                     ) -> Callable[[np.random.Generator, int], Iterable[Row]]:
+                     ) -> Callable[[np.random.Generator, int], TraceArrays]:
     """Compile a champsim scenario into a bounded trace-file loader."""
 
-    def recipe(rng: np.random.Generator, total: int) -> Iterable[Row]:
+    def recipe(rng: np.random.Generator, total: int) -> TraceArrays:
         from .champsim import read_champsim
 
         trace = read_champsim(
@@ -120,7 +119,7 @@ def _champsim_recipe(spec: ScenarioSpec, path: Path,
             skip_instructions=int(spec.source.get("skip_instructions", 0)),
             max_instructions=spec.source.get("max_instructions"),
             max_accesses=total)
-        return zip(trace.pcs, trace.addresses, trace.writes, trace.gaps)
+        return trace.to_arrays()
 
     return recipe
 

@@ -163,8 +163,13 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 2
     selected: list[tuple[ScenarioSpec, Path | None]] = []
     for file in args.spec:
-        for spec in parse_scenario_file(file):
-            selected.append((spec, Path(file).parent))
+        try:
+            specs = parse_scenario_file(file)
+        except OSError as exc:
+            print(f"error: cannot read --spec {file}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 2
+        selected.extend((spec, Path(file).parent) for spec in specs)
     if args.names:
         catalog = _load(args)
         for name in args.names:

@@ -155,8 +155,7 @@ class TestHeatmaps:
 
 class TestEndToEnd:
     def test_capture_patterns_on_synthetic_trace(self):
-        trace = Trace("s")
-        trace.extend(syn.stream(np.random.default_rng(0), 2000))
+        trace = Trace.from_arrays("s", syn.stream(np.random.default_rng(0), 2000))
         patterns = capture_patterns(trace)
         assert patterns
         assert all(p.length == 64 for p in patterns)
@@ -165,8 +164,7 @@ class TestEndToEnd:
         """The Fig 5a/5c contrast: trigger-offset maps of a backward-scan
         trace concentrate mass; hashed PC+Address maps scatter it."""
         from repro.analysis.heatmap import heatmap_for_trace
-        trace = Trace("mcf")
-        trace.extend(syn.backward_scan(np.random.default_rng(0), 4000))
+        trace = Trace.from_arrays("mcf", syn.backward_scan(np.random.default_rng(0), 4000))
         by_offset = heatmap_for_trace(trace, "Trigger Offset")
         by_pc_addr = heatmap_for_trace(trace, "PC+Address")
         assert row_concentration(by_offset) > row_concentration(by_pc_addr)

@@ -203,15 +203,13 @@ class TestConversion:
 class TestRoundtrip:
     def test_synthetic_trace_roundtrips(self):
         rng = np.random.default_rng(0)
-        trace = Trace("s")
-        trace.extend(syn.pattern_replay(rng, 500))
+        trace = Trace.from_arrays("s", syn.pattern_replay(rng, 500))
         back = roundtrip(trace)
         assert back.accesses == trace.accesses
 
     def test_roundtrip_preserves_instruction_count(self):
         rng = np.random.default_rng(1)
-        trace = Trace("s")
-        trace.extend(syn.stream(rng, 200))
+        trace = Trace.from_arrays("s", syn.stream(rng, 200))
         back = roundtrip(trace)
         assert back.instruction_count == trace.instruction_count
 
@@ -219,8 +217,7 @@ class TestRoundtrip:
         from repro import PMP
         from repro.sim.engine import simulate
         rng = np.random.default_rng(2)
-        trace = Trace("s")
-        trace.extend(syn.stream(rng, 3000))
+        trace = Trace.from_arrays("s", syn.stream(rng, 3000))
         back = roundtrip(trace)
         result = simulate(back, PMP())
         assert result.ipc > 0

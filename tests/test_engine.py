@@ -12,9 +12,7 @@ from repro.sim.params import SystemConfig
 
 
 def stream_trace(n=4000):
-    trace = Trace("stream")
-    trace.extend(syn.stream(np.random.default_rng(0), n))
-    return trace
+    return Trace.from_arrays("stream", syn.stream(np.random.default_rng(0), n))
 
 
 class TestSimulate:
@@ -78,8 +76,8 @@ class TestConfigKnobs:
 
     def test_bigger_llc_never_hurts_misses(self):
         rng = np.random.default_rng(1)
-        trace = Trace("chase")
-        trace.extend(syn.pointer_chase(rng, 6000, working_lines=1 << 16))
+        trace = Trace.from_arrays(
+            "chase", syn.pointer_chase(rng, 6000, working_lines=1 << 16))
         small = simulate(trace, config=SystemConfig.default())
         big = simulate(trace,
                        config=SystemConfig.default().with_llc_size(8 << 20))

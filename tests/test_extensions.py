@@ -62,8 +62,7 @@ class TestBandwidthAdaptivePMP:
     def test_helps_at_low_bandwidth(self):
         """The extension's purpose: close PMP's Fig 12a gap at 800 MT/s."""
         rng = np.random.default_rng(3)
-        trace = Trace("mix")
-        trace.extend(syn.compose(rng, [
+        trace = Trace.from_arrays("mix", syn.compose(rng, [
             (syn.pattern_replay, {"segment": 4}, 0.5),
             (syn.neighborhood_walk, {"segment": 3}, 0.3),
             (syn.pointer_chase, {"segment": 5}, 0.2),
@@ -77,9 +76,7 @@ class TestBandwidthAdaptivePMP:
 
 class TestOracle:
     def _trace(self, n=3000):
-        trace = Trace("s")
-        trace.extend(syn.stream(np.random.default_rng(0), n))
-        return trace
+        return Trace.from_arrays("s", syn.stream(np.random.default_rng(0), n))
 
     def test_prefetches_actual_future(self):
         trace = self._trace(50)

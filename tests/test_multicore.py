@@ -11,9 +11,8 @@ from repro.sim.params import SystemConfig
 
 
 def stream_trace(seed, n=2500, segment=0):
-    trace = Trace(f"s{seed}")
-    trace.extend(syn.stream(np.random.default_rng(seed), n, segment=segment))
-    return trace
+    return Trace.from_arrays(
+        f"s{seed}", syn.stream(np.random.default_rng(seed), n, segment=segment))
 
 
 class TestSimulateMulticore:

@@ -3,7 +3,8 @@
 The load-bearing test is :class:`TestGoldenBitIdentity`: the committed
 catalog must rebuild the legacy 125-trace suite (and the bench pins)
 bit-identically, pinned by content hashes captured from the pre-catalog
-hard-coded recipes.
+hard-coded recipes, and the other catalog scenarios and the long builds
+as the row-emitting generators built them.
 """
 
 import json
@@ -272,6 +273,28 @@ class TestGoldenBitIdentity:
             assert golden["hashes"][f"{name}@{bench}"] == \
                 workload.build(bench).content_hash()
 
+    def test_non_suite_scenarios_are_pinned(self):
+        golden = json.loads(GOLDEN.read_text())
+        pin = golden["pin_accesses"]
+        catalog = cached_catalog()
+        built = {spec.name: compile_scenario(spec, catalog.directory)
+                 .build(pin).content_hash()
+                 for spec in catalog.select() if "suite" not in spec.tags}
+        assert built == golden["non_suite_hashes"]
+
+    def test_benchmark_recipes_are_pinned_at_length(self):
+        """At 25,000 accesses compose splices each stream over a dozen
+        rounds, not the one or two of the 2,000-access pins.  CI's
+        scenario-catalog job checks every scenario at this length."""
+        golden = json.loads(GOLDEN.read_text())
+        accesses = golden["long_accesses"]
+        catalog = cached_catalog()
+        assert len(golden["long_hashes"]) == len(catalog.select())
+        for name in ("spec06-00", "spec17-02", "ligra-00", "parsec-00"):
+            workload = compile_scenario(catalog.get(name), catalog.directory)
+            assert golden["long_hashes"][name] == \
+                workload.build(accesses).content_hash(), name
+
     def test_quick_suite_still_spans_families(self):
         assert {s.family for s in quick_suite()} == \
             {"spec06", "spec17", "ligra", "parsec"}
@@ -465,6 +488,13 @@ weight = 1.0
         path = tmp_path / "bad.toml"
         path.write_text("schema_version = 1\n")
         assert scenarios_main(["run", "--spec", str(path)]) == 2
+
+    def test_missing_spec_file_exits_two(self, tmp_path, capsys):
+        missing = tmp_path / "nope.toml"
+        assert scenarios_main(["run", "--spec", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err
+        assert "Traceback" not in err
 
     def test_unknown_scenario_exits_two(self, capsys):
         assert scenarios_main(["run", "no-such-scenario"]) == 2
