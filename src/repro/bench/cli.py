@@ -35,7 +35,8 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=".", metavar="DIR",
                         help="directory for BENCH_*.json (default: .)")
     parser.add_argument("--repeats", type=int, default=0,
-                        help="timing repeats (default: 5 micro, 3 macro)")
+                        help="timing repeats (default, or 0: 5 micro, "
+                             "3 macro)")
     parser.add_argument("--scale", choices=["smoke", "default", "large"],
                         default="default",
                         help="micro input sizes; smoke also shrinks the "
@@ -44,8 +45,8 @@ def _parser() -> argparse.ArgumentParser:
                         metavar="NAME",
                         help="run only this micro benchmark (repeatable)")
     parser.add_argument("--macro-accesses", type=int, default=0,
-                        help=f"macro sample length (default {MACRO_ACCESSES}, "
-                             f"smoke {MACRO_SMOKE_ACCESSES})")
+                        help=f"macro sample length (default, or 0: "
+                             f"{MACRO_ACCESSES}, smoke {MACRO_SMOKE_ACCESSES})")
     parser.add_argument("--no-fastpath", action="store_true",
                         help="measure the macro samples with the vectorized "
                              "fast path disabled (every access through the "
@@ -78,7 +79,13 @@ def _summary_lines(records) -> list[str]:
 
 def bench_main(argv: list[str] | None = None) -> int:
     """Entry point for ``repro bench``; returns the process exit code."""
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
+    negative = [f"{flag} {value:g}" for flag, value in (
+        ("--repeats", args.repeats), ("--macro-accesses", args.macro_accesses),
+        ("--threshold", args.threshold)) if value < 0]
+    if negative:
+        parser.error(f"must be at least 0: {', '.join(negative)}")
     if args.list_benches:
         for bench in MICRO_BENCHMARKS:
             print(f"{bench.name:<22} [{bench.units}]")

@@ -13,10 +13,12 @@ Two pinned workload samples:
   hits: the regime the vectorized fast path batches, and therefore the
   record that demonstrates its speedup.
 
-Each sample is deterministic in (name, seed, accesses): its content hash
-and the simulation's final counters are recorded in the document's
-``meta`` so a determinism drift is visible in the JSON itself, not just
-in a failing comparison.  ``meta`` also records the ``fastpath`` mode
+Both samples are :data:`MACRO_ACCESSES` long, or
+:data:`MACRO_SMOKE_ACCESSES` at ``--scale smoke``.  Each is
+deterministic in (name, seed, accesses): its content hash and the
+simulation's final counters are recorded in the document's ``meta`` so
+a determinism drift is visible in the JSON itself, not just in a
+failing comparison.  ``meta`` also records the ``fastpath`` mode
 the numbers were measured in — the comparator treats it as part of the
 workload shape, so a fastpath-on baseline refuses to gate a
 ``--no-fastpath`` rerun (and vice versa) instead of reporting the mode
@@ -28,15 +30,15 @@ from __future__ import annotations
 from ..memtrace.trace import Trace
 from ..memtrace.workloads import WorkloadSpec, compile_scenario
 from ..prefetchers.pmp import make_pmp
-from ..scenarios.catalog import cached_catalog, scale_defaults
+from ..scenarios.catalog import cached_catalog
 from ..sim.engine import simulate
 from .harness import BenchRecord, measure
 
 MACRO_TRACE_NAME = "spec06-00"
 MACRO_HOT_TRACE_NAME = "hot-loop-00"
 MACRO_HOT_SEED = 20260807  # pinned: the hot sample derives from this
-MACRO_ACCESSES = scale_defaults("bench_accesses")
-MACRO_SMOKE_ACCESSES = scale_defaults("smoke_accesses")
+MACRO_ACCESSES = 12_000
+MACRO_SMOKE_ACCESSES = 4_000
 
 
 def _pinned(name: str) -> WorkloadSpec:

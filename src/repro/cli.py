@@ -72,29 +72,30 @@ from .experiments.faults import FaultPolicy
 from .experiments.runner import DEFAULT_ACCESSES
 from .experiments.sensitivity import sweep_report as sensitivity_report
 from .memtrace.workloads import compile_catalog, full_suite, quick_suite
+from .scenarios.catalog import CatalogNotFound, cached_catalog
 from .storage import table_v
 from .experiments.report import event_counter_report, format_table
 
 
 def _specs(args: argparse.Namespace):
-    if getattr(args, "scenario", None):
-        from .scenarios import load_catalog
+    """The workloads that ``--scenario``, ``--full-suite`` or ``--traces``
+    select from the catalog.
 
-        catalog = load_catalog(args.catalog)
+    Raises ``CatalogNotFound``, ``KeyError`` (an unknown scenario) or
+    ``ValueError`` (an invalid spec document, or no suite to run).
+    """
+    catalog = cached_catalog(args.catalog)
+    if args.scenario:
         return compile_catalog([catalog.get(name) for name in args.scenario],
                                catalog.directory)
     if args.full_suite:
-        return full_suite(_catalog(args))
-    suite = quick_suite(_catalog(args))
+        suite = full_suite(catalog)
+        if not suite:
+            raise ValueError(f"no scenario in {catalog.directory} is tagged "
+                             "'suite'")
+        return suite
+    suite = quick_suite(catalog)
     return suite[:args.traces] if args.traces else suite
-
-
-def _catalog(args: argparse.Namespace):
-    if not getattr(args, "catalog", None):
-        return None
-    from .scenarios import load_catalog
-
-    return load_catalog(args.catalog)
 
 
 def _journal(args: argparse.Namespace) -> RunJournal | None:
@@ -145,7 +146,7 @@ def _runner(args: argparse.Namespace) -> SuiteRunner:
             from .memtrace.store import TraceStore
             store = TraceStore(args.trace_cache)
         args.runner = SuiteRunner(
-            specs=_specs(args), accesses=args.accesses, store=store,
+            specs=args.specs, accesses=args.accesses, store=store,
             workers=args.workers,
             cache=args.cache_dir if args.cache else None,
             trace_events=args.trace_events,
@@ -174,25 +175,25 @@ def cmd_fig9(args: argparse.Namespace) -> None:
 
 def cmd_table1(args: argparse.Namespace) -> None:
     """Table I: PCR/PDR per indexing feature."""
-    traces = [spec.build(args.accesses) for spec in _specs(args)]
+    traces = [spec.build(args.accesses) for spec in args.specs]
     print(table_i_report(run_table_i(traces)))
 
 
 def cmd_fig2(args: argparse.Namespace) -> None:
     """Fig 2: pattern frequency census."""
-    traces = [spec.build(args.accesses) for spec in _specs(args)]
+    traces = [spec.build(args.accesses) for spec in args.specs]
     print(fig2_report(run_fig2(traces)))
 
 
 def cmd_fig4(args: argparse.Namespace) -> None:
     """Fig 4: ICDD similarity per clustering feature."""
-    traces = [spec.build(args.accesses) for spec in _specs(args)]
+    traces = [spec.build(args.accesses) for spec in args.specs]
     print(fig4_report(run_fig4(traces)))
 
 
 def cmd_fig5(args: argparse.Namespace) -> None:
     """Fig 5: pattern heat maps for the first selected trace."""
-    trace = _specs(args)[0].build(args.accesses)
+    trace = args.specs[0].build(args.accesses)
     print(fig5_report(trace, features=("Trigger Offset", "PC", "PC+Address")))
 
 
@@ -267,7 +268,7 @@ def cmd_fig13(args: argparse.Namespace) -> None:
     """Fig 13: 4-core homogeneous and heterogeneous mixes."""
     policy = FaultPolicy(job_timeout=args.job_timeout,
                          fail_fast=args.fail_fast)
-    print(fig13_report(fig13(_specs(args), accesses=args.accesses // 2,
+    print(fig13_report(fig13(args.specs, accesses=args.accesses // 2,
                              workers=args.workers, policy=policy)))
 
 
@@ -336,7 +337,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="which table/figure to regenerate")
     parser.add_argument("--accesses", type=int, default=DEFAULT_ACCESSES,
                         help="trace length (memory accesses) per workload "
-                             "(default: the catalog's scale defaults)")
+                             f"(default {DEFAULT_ACCESSES})")
     parser.add_argument("--traces", type=int, default=0,
                         help="limit the number of quick-suite traces "
                              "(0 = all)")
@@ -462,8 +463,14 @@ def main(argv: list[str] | None = None) -> int:
                          f"halves it per core, got {args.accesses}")
     args.runner = None
     args.journal_obj = None
+    # Fail fast on a bad catalog, scenario or run id, before any
+    # simulation starts.  ScenarioError is a ValueError.
+    try:
+        args.specs = None if args.experiment == "storage" else _specs(args)
+    except (CatalogNotFound, KeyError, ValueError) as exc:
+        print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
+        return 2
     if args.resume:
-        # Fail fast on a bad run id, before any simulation starts.
         try:
             _journal(args)
         except (FileNotFoundError, ValueError) as exc:

@@ -31,14 +31,13 @@ from .faults import (BatchFailed, FaultPolicy, JobFailure, JobTimeout,
                      RunInterrupted)
 from .journal import RunJournal
 from .manifest import RunManifest, current_git_sha
-from .report import format_percent, format_series, format_table
+from .report import format_percent, format_table
 from .runner import SuiteRunner
 from .sensitivity import bandwidth_sweep, llc_size_sweep
 from .single_core import (
     SingleCoreResults,
     family_breakdown,
     family_report,
-    prefetch_depth_report,
     run_single_core,
 )
 
@@ -71,12 +70,10 @@ __all__ = [
     "fig4_report",
     "fig5_report",
     "format_percent",
-    "format_series",
     "format_table",
     "llc_size_sweep",
     "monitoring_range_sweep",
     "pattern_length_sweep",
-    "prefetch_depth_report",
     "run_fig2",
     "run_fig4",
     "run_single_core",

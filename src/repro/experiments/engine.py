@@ -70,7 +70,7 @@ from typing import TYPE_CHECKING
 
 from ..memtrace.trace import Trace
 from ..prefetchers.base import Prefetcher
-from ..sim.engine import simulate
+from ..sim.engine import WARMUP_FRACTION, simulate
 from ..sim.invariants import audit_requested
 from ..sim.observers import merge_counter_snapshots
 from ..sim.params import SystemConfig
@@ -88,12 +88,12 @@ log = logging.getLogger("repro.experiments.engine")
 
 @dataclass
 class SimJob:
-    """One (trace, fresh prefetcher, config) simulation to run."""
+    """One (trace, fresh prefetcher, config) simulation to run, with the
+    :data:`~repro.sim.engine.WARMUP_FRACTION` warmup."""
 
     trace: Trace
     prefetcher: Prefetcher
     config: SystemConfig
-    warmup_fraction: float = 0.2
     trace_events: bool = False
     # Attach the invariant auditor to this run.  Deliberately NOT part of
     # key(): auditing is pure observation (results are identical with it
@@ -126,7 +126,7 @@ class SimJob:
             CACHE_VERSION,
             self.trace.content_hash(),
             *self.config_parts,
-            repr(self.warmup_fraction),
+            repr(WARMUP_FRACTION),
         ]
         if self.trace_events:
             parts.append("trace-events")
@@ -136,7 +136,7 @@ class SimJob:
         """Simulate this job: the engine's one call of ``simulate()``,
         made by the serial loop and by lease workers alike."""
         return simulate(self.trace, self.prefetcher, self.config,
-                        self.warmup_fraction, trace_events=self.trace_events,
+                        WARMUP_FRACTION, trace_events=self.trace_events,
                         check_invariants=self.check_invariants or None,
                         fastpath=self.fastpath)
 

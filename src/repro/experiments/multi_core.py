@@ -26,8 +26,8 @@ from ..memtrace.trace import Trace, rebase
 from ..memtrace.workloads import WorkloadSpec, classify_suite, quick_suite
 from ..prefetchers import COMPETITORS
 from ..prefetchers.base import NoPrefetcher, Prefetcher
-from ..sim.multicore import (WARMUP_FRACTION, multicore_speedup,
-                             simulate_multicore)
+from ..sim.engine import WARMUP_FRACTION
+from ..sim.multicore import multicore_speedup, simulate_multicore
 from ..sim.params import SystemConfig
 from ..sim.stats import SimResult, geomean
 from .cache import CACHE_VERSION, fingerprint, prefetcher_fingerprint

@@ -1,4 +1,4 @@
-"""Plain-text table and series formatting for experiment outputs.
+"""Plain-text table formatting for experiment outputs.
 
 Every experiment runner returns structured data and renders it through
 these helpers so benchmark logs read like the paper's tables.
@@ -46,11 +46,6 @@ def event_counter_report(totals: dict,
     if not rows:
         return f"{title}: (no events recorded)"
     return format_table(["event", "component", "count"], rows, title=title)
-
-
-def format_series(name: str, points: Sequence[tuple[object, float]]) -> str:
-    """One figure series as `name: x=y x=y ...`."""
-    return f"{name}: " + " ".join(f"{x}={y:.3f}" for x, y in points)
 
 
 def format_percent(value: float) -> str:

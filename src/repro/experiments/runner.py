@@ -1,7 +1,8 @@
 """Shared experiment plumbing: build traces once, run prefetcher matrices.
 
 All per-table/per-figure experiment modules go through :class:`SuiteRunner`,
-which builds the suite's traces once and hands every request to one
+which builds the suite's traces once, at :data:`DEFAULT_ACCESSES` per
+trace unless told otherwise, and hands every request to one
 :class:`ExperimentEngine`.  The engine runs each distinct job key once, so
 the runner keeps no memo of its own: a baseline suite is an ordinary
 ``NoPrefetcher`` entry in every batch that needs it, simulated the first
@@ -38,7 +39,7 @@ from ..memtrace.store import TraceStore
 from ..memtrace.trace import Trace
 from ..memtrace.workloads import WorkloadSpec, quick_suite
 from ..prefetchers.base import NoPrefetcher, Prefetcher
-from ..scenarios.catalog import scale_defaults
+from ..sim.engine import WARMUP_FRACTION
 from ..sim.params import SystemConfig
 from ..sim.stats import SimResult, geomean
 from .cache import ResultCache
@@ -52,22 +53,23 @@ if TYPE_CHECKING:  # imported lazily at runtime (repro.fabric imports us)
 
 PrefetcherFactory = Callable[[], Prefetcher]
 
-# The experiment trace length resolves through the scenario catalog's
-# [defaults.scale] table (scenarios/catalog.toml) — one source of truth
-# shared with the CLI default and the bench harness.
-DEFAULT_ACCESSES = scale_defaults("experiment_accesses")
+#: Accesses per trace when no length is given: the runner's default,
+#: ``--accesses``'s and ``pmp-repro scenarios run``'s fallback.
+DEFAULT_ACCESSES = 25_000
 
 
 @dataclass
 class SuiteRunner:
     """Runs prefetcher configurations over a workload suite with caching.
 
-    Every run uses the 20% warmup that ``SimJob`` keys, and
-    ``SystemConfig.default()`` unless a call passes another ``config``
-    (the Fig 12 sweeps).  ``workers=0`` (or 1) runs serially in-process;
-    ``workers=N`` runs each batch on N forked lease workers.  ``cache``
-    may be a :class:`ResultCache` or a directory path; ``None`` disables
-    the persistent cache (the engine still runs each job key once).
+    Every run uses the :data:`~repro.sim.engine.WARMUP_FRACTION` warmup
+    that ``SimJob`` keys, and ``SystemConfig.default()`` unless a call
+    passes another ``config`` (the Fig 12 sweeps).  Traces are built at
+    ``accesses`` (:data:`DEFAULT_ACCESSES` unless given).  ``workers=0``
+    (or 1) runs serially in-process; ``workers=N`` runs each batch on N
+    forked lease workers.  ``cache`` may be a :class:`ResultCache` or a
+    directory path; ``None`` disables the persistent cache (the engine
+    still runs each job key once).
     """
 
     specs: Sequence[WorkloadSpec] = field(default_factory=quick_suite)
@@ -249,7 +251,7 @@ class SuiteRunner:
     def _manifest_extra(self, counters) -> dict:
         """The manifest's free-form section (event counters when traced)."""
         extra = {"batches": counters.batches,
-                 "warmup_fraction": SimJob.warmup_fraction}
+                 "warmup_fraction": WARMUP_FRACTION}
         if counters.audited:
             # Every audited simulation completed, i.e. raised no
             # InvariantViolation (a violation aborts the run).

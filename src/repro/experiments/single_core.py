@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..prefetchers import COMPETITORS
-from ..prefetchers.base import FillLevel
 from ..prefetchers.pmp import make_pmp_limit
 from ..sim.stats import geomean
 from .report import format_percent, format_table
@@ -123,18 +122,3 @@ def family_report(breakdown: dict[str, float]) -> str:
     return format_table(["family", "NIPC (geomean)"], rows,
                         title="Section V-B — PMP per workload family")
 
-
-def prefetch_depth_report(runner: SuiteRunner | None = None) -> str:
-    """Issued prefetch volume per prefetcher (the V-D depth discussion)."""
-    runner = runner or SuiteRunner()
-    rows = []
-    for name, factory in COMPETITORS.items():
-        results = runner.run(factory)
-        issued = mean([sum(r.issued_prefetches.values()) for r in results])
-        l1_share = mean([
-            r.issued_prefetches.get(FillLevel.L1D, 0) /
-            max(1, sum(r.issued_prefetches.values()))
-            for r in results])
-        rows.append((name, f"{issued:.0f}", format_percent(l1_share)))
-    return format_table(["prefetcher", "prefetches/trace", "L1D share"], rows,
-                        title="Issued prefetch volume")

@@ -13,19 +13,16 @@ from .access import (
 from .store import TraceStore
 from .trace import Trace, rebase
 from .workloads import (
-    DEFAULT_TRACE_ACCESSES,
     WorkloadSpec,
     build_suite,
     classify_suite,
     full_suite,
     quick_suite,
-    suite_by_family,
 )
 
 __all__ = [
     "CACHELINE_BYTES",
     "DEFAULT_REGION_BYTES",
-    "DEFAULT_TRACE_ACCESSES",
     "MemoryAccess",
     "Trace",
     "TraceStore",
@@ -40,5 +37,4 @@ __all__ = [
     "quick_suite",
     "rebase",
     "region_of",
-    "suite_by_family",
 ]

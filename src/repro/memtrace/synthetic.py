@@ -43,7 +43,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .access import CACHELINE_BITS, CACHELINE_BYTES
-from .trace import Trace, TraceArrays
+from .trace import TraceArrays
 
 LINES_PER_REGION = 64
 REGION_BYTES = LINES_PER_REGION * CACHELINE_BYTES
@@ -392,11 +392,3 @@ def _splice(pieces: Sequence[TraceArrays], total: int) -> TraceArrays:
     if not pieces:
         return _columns(0, np.empty(0, dtype=np.int64), 0)
     return tuple(np.concatenate(columns)[:total] for columns in zip(*pieces))
-
-
-def build_trace(name: str, family: str, seed: int,
-                parts: Sequence[tuple[Generator, dict, float]], total: int) -> Trace:
-    """Build a named, seeded trace from weighted generator parts."""
-    rng = np.random.default_rng(seed)
-    return Trace.from_arrays(name, compose(rng, parts, total), family=family,
-                             seed=seed)

@@ -18,10 +18,11 @@ declarative scenario spec in the committed catalog under
   trace files via :mod:`repro.memtrace.champsim`, so DPC/Pythia traces
   and the synthetic catalog run through one code path.
 
-Every trace is deterministic in its (name, seed); ``build()``
-materialises it at a chosen size.  ``quick_suite`` picks a small
-representative subset for fast experiment/benchmark runs; ``full_suite``
-enumerates all 125 (the catalog scenarios tagged ``suite``).
+Every trace is deterministic in its (name, seed); ``build(accesses)``
+materialises it at the length its caller names, since this module sets
+no default length.  ``quick_suite`` picks a small representative subset
+for fast experiment/benchmark runs; ``full_suite`` enumerates all 125
+(the catalog scenarios tagged ``suite``).
 """
 
 from __future__ import annotations
@@ -35,15 +36,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..scenarios.catalog import Catalog, cached_catalog, scale_defaults
+from ..scenarios.catalog import Catalog, cached_catalog
 from ..scenarios.spec import GENERATORS, ScenarioSpec
 from . import synthetic as syn
 from .trace import Trace, TraceArrays
-
-# The one source of truth for trace lengths is the catalog's
-# [defaults.scale] table (scenarios/catalog.toml); this module-level
-# constant is its import-time snapshot.
-DEFAULT_TRACE_ACCESSES = scale_defaults("accesses")
 
 
 @dataclass(frozen=True)
@@ -64,7 +60,7 @@ class WorkloadSpec:
     recipe: Callable[[np.random.Generator, int], TraceArrays]
     digest: str
 
-    def build(self, accesses: int = DEFAULT_TRACE_ACCESSES) -> Trace:
+    def build(self, accesses: int) -> Trace:
         """Materialise the trace at the requested length."""
         rng = np.random.default_rng(self.seed)
         return Trace.from_arrays(self.name, self.recipe(rng, accesses),
@@ -191,14 +187,19 @@ def full_suite(catalog: Catalog | None = None) -> list[WorkloadSpec]:
     ``suite``, in seed order (which reproduces the legacy spec06 →
     spec17 → ligra → parsec enumeration).
     """
-    catalog = catalog or cached_catalog()
+    if catalog is None:
+        catalog = cached_catalog()
     return [compile_scenario(spec, catalog.directory)
             for spec in catalog.suite()]
 
 
 def quick_suite(catalog: Catalog | None = None) -> list[WorkloadSpec]:
-    """A small representative subset (2 per family + extremes) for fast runs."""
-    by_name = {spec.name: spec for spec in full_suite(catalog)}
+    """A small representative subset (2 per family + extremes) for fast runs.
+
+    Raises ``KeyError`` naming a scenario the catalog lacks.
+    """
+    if catalog is None:
+        catalog = cached_catalog()
     names = [
         "spec06-00",   # MCF-like (backward-heavy)
         "spec06-01",
@@ -209,17 +210,12 @@ def quick_suite(catalog: Catalog | None = None) -> list[WorkloadSpec]:
         "parsec-00",
         "parsec-04",
     ]
-    return [by_name[name] for name in names]
+    return [compile_scenario(catalog.get(name), catalog.directory)
+            for name in names]
 
 
-def suite_by_family(family: str,
-                    catalog: Catalog | None = None) -> list[WorkloadSpec]:
-    """All suite specs of one family ('spec06', 'spec17', 'ligra', 'parsec')."""
-    return [spec for spec in full_suite(catalog) if spec.family == family]
-
-
-def build_suite(specs: Sequence[WorkloadSpec] | None = None,
-                accesses: int = DEFAULT_TRACE_ACCESSES) -> list[Trace]:
+def build_suite(specs: Sequence[WorkloadSpec] | None = None, *,
+                accesses: int) -> list[Trace]:
     """Materialise a list of specs (default: the quick suite)."""
     if specs is None:
         specs = quick_suite()

@@ -15,7 +15,6 @@ from .catalog import (
     default_catalog_dir,
     invalidate_cache,
     load_catalog,
-    scale_defaults,
 )
 from .expect import ExpectationReport, evaluate_expected, prefetchers_under_test
 from .schema import validate_scenario, validate_scenario_doc
@@ -48,7 +47,6 @@ __all__ = [
     "parse_scenario_file",
     "parse_scenario_text",
     "prefetchers_under_test",
-    "scale_defaults",
     "validate_scenario",
     "validate_scenario_doc",
 ]

@@ -60,7 +60,7 @@ def _parser() -> argparse.ArgumentParser:
     p_run.add_argument("--accesses", type=int, default=0,
                        help="override the build length (default, or 0: "
                             "the scenario's scale.accesses, then the "
-                            "catalog experiment default)")
+                            "experiment default)")
     p_run.add_argument("--prefetcher", action="append", default=[],
                        metavar="NAME",
                        help="prefetcher(s) to simulate (default: the "
@@ -113,8 +113,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
             print(f"error: no catalog directory at {directory}",
                   file=sys.stderr)
             return 2
-        paths = sorted(p for p in directory.rglob("*.toml")
-                       if p.name != "catalog.toml")
+        paths = sorted(directory.rglob("*.toml"))
     failures = 0
     names: dict[str, str] = {}
     for path in paths:
@@ -152,10 +151,9 @@ def _run_prefetchers(args: argparse.Namespace,
 
 def cmd_run(args: argparse.Namespace) -> int:
     # Imported here so `scenarios list/validate` stay sim-free and fast.
-    from ..experiments.runner import SuiteRunner
+    from ..experiments.runner import DEFAULT_ACCESSES, SuiteRunner
     from ..memtrace.workloads import expand_scenario
     from ..prefetchers import COMPETITORS
-    from .catalog import scale_defaults
 
     if args.accesses < 0:
         print(f"error: --accesses must be at least 0 (0 = the scenario's "
@@ -188,8 +186,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                       f"{sorted(COMPETITORS)}", file=sys.stderr)
                 return 2
             factories[name] = COMPETITORS[name]
-        accesses = (args.accesses or spec.accesses
-                    or scale_defaults("experiment_accesses"))
+        accesses = args.accesses or spec.accesses or DEFAULT_ACCESSES
         runner = SuiteRunner(specs=expand_scenario(spec, base_dir),
                              accesses=accesses,
                              fastpath=not args.no_fastpath)

@@ -280,6 +280,11 @@ def validate_scenario_doc(doc: Any) -> list[str]:
     if not isinstance(doc, Mapping):
         problems.append(f"document: expected a table, got {type(doc).__name__}")
         return problems
+    # A table nothing reads, such as a [defaults] table, is named even
+    # when the document holds no scenario.
+    unknown = set(doc) - {"schema_version", "scenario"}
+    if unknown:
+        problems.append(f"document: unknown field(s) {sorted(unknown)}")
     version = doc.get("schema_version")
     if version != SCENARIO_SCHEMA_VERSION:
         problems.append(f"document.schema_version: expected "
@@ -305,9 +310,4 @@ def validate_scenario_doc(doc: Any) -> list[str]:
     else:
         problems.append("document.scenario: expected a table or an array "
                         "of tables")
-    # Catalog-wide [defaults] live in catalog.toml alone, which is not a
-    # scenario document.
-    unknown = set(doc) - {"schema_version", "scenario"}
-    if unknown:
-        problems.append(f"document: unknown field(s) {sorted(unknown)}")
     return problems

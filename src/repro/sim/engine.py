@@ -1,8 +1,9 @@
 """Simulation: one :class:`Run` per core, stepped by every set-up.
 
 Mirrors the paper's methodology at reduced scale: the first
-``warmup_fraction`` of the trace warms caches and prefetcher state with
-stats discarded, the remainder is measured.  On every L1D load the run
+:data:`WARMUP_FRACTION` of the trace (the paper's 50M of 250M
+instructions) warms caches and prefetcher state with stats discarded,
+the remainder is measured.  On every L1D load the run
 (1) serves the demand through the hierarchy, (2) hands the access to the
 prefetcher, and (3) issues whatever prefetches the prefetcher returned,
 subject to PQ/MSHR admission in the hierarchy.
@@ -23,6 +24,9 @@ from .invariants import InvariantAuditor, audit_requested
 from .observers import EventTrace
 from .params import SystemConfig
 from .stats import SimResult, snapshot_level
+
+#: The share of every trace that warms the system before measurement.
+WARMUP_FRACTION = 0.2
 
 
 def warmup_boundary(total: int, fraction: float) -> int:
@@ -168,7 +172,7 @@ class Run:
 
 def simulate(trace: Trace, prefetcher: Prefetcher | None = None,
              config: SystemConfig | None = None,
-             warmup_fraction: float = 0.2,
+             warmup_fraction: float = WARMUP_FRACTION,
              trace_events: bool = False,
              check_invariants: bool | None = None,
              fastpath: bool = True) -> SimResult:

@@ -226,7 +226,3 @@ class EventBus:
         if handlers:
             for handler in handlers:
                 handler(event)
-
-    def has_listeners(self, event_type: type) -> bool:
-        """True when at least one handler is subscribed to ``event_type``."""
-        return bool(self._subscribers.get(event_type))

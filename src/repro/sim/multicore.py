@@ -29,16 +29,13 @@ from ..memtrace.trace import Trace
 from ..prefetchers.base import NoPrefetcher, Prefetcher
 from .cache import Cache
 from .dram import Dram
-from .engine import Run, warmup_boundary
+from .engine import WARMUP_FRACTION, Run, warmup_boundary
 from .hierarchy import Hierarchy, SharedLLC
 from .invariants import audit_requested
 from .params import SystemConfig
 from .stats import SimResult, geomean
 
 PrefetcherFactory = Callable[[], Prefetcher]
-
-#: Every lane's default warmup fraction.
-WARMUP_FRACTION = 0.2
 
 
 def _warmup_ends(traces: Sequence[Trace],

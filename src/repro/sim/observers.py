@@ -284,12 +284,6 @@ class EventTrace:
         """Total count of one event type across components."""
         return sum(self.counts.get(kind, {}).values())
 
-    def summary_rows(self) -> list[tuple[str, str, int]]:
-        """Flat ``(event, component, count)`` rows for table rendering."""
-        return [(kind, component, count)
-                for kind, per_component in sorted(self.counts.items())
-                for component, count in sorted(per_component.items())]
-
 
 def merge_counter_snapshots(totals: dict[str, dict[str, int]],
                             snapshot: dict[str, dict[str, int]] | None) -> None:

@@ -275,6 +275,28 @@ class TestCli:
         assert bench_main([*FAST_MICRO, "--out", str(tmp_path), "--compare",
                            str(tmp_path / "absent.json")]) == 2
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["micro", "--repeats", "-1"], "--repeats"),
+        (["micro", "--threshold", "-5", "--compare", "base.json"],
+         "--threshold"),
+        (["macro", "--macro-accesses", "-5"], "--macro-accesses"),
+    ])
+    def test_negative_value_exits_2_before_measuring(self, argv, flag,
+                                                     tmp_path, monkeypatch,
+                                                     capsys):
+        from repro.bench import cli
+
+        measured = []
+        monkeypatch.setattr(cli, "run_micro",
+                            lambda **_: measured.append("micro"))
+        monkeypatch.setattr(cli, "run_macro",
+                            lambda **_: measured.append("macro"))
+        with pytest.raises(SystemExit) as excinfo:
+            bench_main([*argv, "--out", str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert measured == []
+        assert flag in capsys.readouterr().err.strip().splitlines()[-1]
+
 
 # ------------------------------------------------------ macro determinism
 

@@ -38,6 +38,7 @@ from repro.prefetchers.base import FillLevel, NoPrefetcher
 from repro.prefetchers.design_b import DesignB
 from repro.prefetchers.pmp import PMP, PMPConfig, make_pmp_limit
 from repro.prefetchers.pythia import Pythia
+from repro.sim.engine import WARMUP_FRACTION
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -114,7 +115,7 @@ class TestPerConfigurationKeys:
             expected.extend(fingerprint([
                 CACHE_VERSION, job.trace.content_hash(),
                 prefetcher_fingerprint(job.prefetcher),
-                job.config.fingerprint(), repr(job.warmup_fraction)])
+                job.config.fingerprint(), repr(WARMUP_FRACTION)])
                 for job in jobs)
             return run_jobs(engine, jobs)
 

@@ -338,6 +338,55 @@ class TestPositiveSeconds:
         assert flag in message and "positive" in message
 
 
+class TestCatalogErrors:
+    """A catalog the run cannot use is a usage error, as it is for
+    ``pmp-repro scenarios``: exit 2 with an ``error:`` line, before any
+    experiment starts."""
+
+    @pytest.mark.parametrize("experiment", ["fig8", "table1"])
+    def test_missing_catalog_exits_2(self, experiment, ran, tmp_path,
+                                     capsys):
+        missing = tmp_path / "nowhere"
+        assert main([experiment, "--catalog", str(missing),
+                     "--cache-dir", str(tmp_path)]) == 2
+        assert ran == []
+        assert capsys.readouterr().err.startswith(
+            f"error: no scenario catalog at {missing}")
+
+    def test_unknown_scenario_exits_2(self, ran, tmp_path, capsys):
+        assert main(["fig8", "--scenario", "nope",
+                     "--cache-dir", str(tmp_path)]) == 2
+        assert ran == []
+        assert capsys.readouterr().err.startswith(
+            "error: no scenario named 'nope'")
+
+    def test_invalid_spec_in_catalog_exits_2(self, ran, tmp_path, capsys):
+        catalog = tmp_path / "scenarios"
+        catalog.mkdir()
+        (catalog / "bad.toml").write_text(
+            'schema_version = 1\n\n[scenario]\nname = "bad"\n')
+        assert main(["fig8", "--catalog", str(catalog),
+                     "--cache-dir", str(tmp_path)]) == 2
+        assert ran == []
+        assert capsys.readouterr().err.startswith(
+            f"error: {catalog / 'bad.toml'}: invalid scenario document")
+
+    @pytest.mark.parametrize("selector, error", [
+        ([], "no scenario named 'spec06-00'"),
+        (["--full-suite"], "is tagged 'suite'"),
+    ])
+    def test_catalog_without_the_suite_exits_2(self, selector, error, ran,
+                                               tmp_path, capsys):
+        """The ``--catalog`` directory is the one that runs: an empty one
+        is an error, not a fallback to the committed catalog."""
+        catalog = tmp_path / "scenarios"
+        catalog.mkdir()
+        assert main(["fig8", "--catalog", str(catalog), *selector,
+                     "--cache-dir", str(tmp_path)]) == 2
+        assert ran == []
+        assert error in capsys.readouterr().err
+
+
 class TestSuiteSelectors:
     """``--scenario`` names the traces and ``--full-suite`` takes all of
     them, so a suite flag either one overrides exits 2 naming it instead

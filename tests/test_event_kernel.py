@@ -62,14 +62,6 @@ class TestEventBus:
         assert len(seen) == 1
         unsubscribe()                    # double-unsubscribe is harmless
 
-    def test_has_listeners(self):
-        bus = EventBus()
-        assert not bus.has_listeners(Eviction)
-        unsubscribe = bus.subscribe(Eviction, lambda e: None)
-        assert bus.has_listeners(Eviction)
-        unsubscribe()
-        assert not bus.has_listeners(Eviction)
-
     def test_delivery_is_typed(self):
         bus = EventBus()
         seen = []
@@ -170,14 +162,6 @@ class TestEventTrace:
         tracer.reset()
         assert tracer.log == [] and tracer.counts == {}
         assert tracer.dropped_log_rows == 0
-
-    def test_summary_rows_are_sorted(self):
-        bus = EventBus()
-        tracer = EventTrace(bus)
-        bus.publish(Eviction(FillLevel.L2C, 1, False, False, 0.0))
-        bus.publish(CacheAccess(FillLevel.L1D, 1, True, False, 0.0))
-        rows = tracer.summary_rows()
-        assert rows == [("CacheAccess", "L1D", 1), ("Eviction", "L2C", 1)]
 
     def test_merge_counter_snapshots(self):
         totals = {}

@@ -11,7 +11,7 @@ from repro.experiments.multi_core import (
     TABLE_VII_MIXES,
     build_heterogeneous_mixes,
 )
-from repro.experiments.report import format_percent, format_series, format_table
+from repro.experiments.report import format_percent, format_table
 from repro.experiments.runner import SuiteRunner
 from repro.experiments.single_core import run_single_core
 from repro.memtrace.workloads import quick_suite
@@ -102,9 +102,6 @@ class TestReport:
         assert len(lines) == 4
         assert "1.235" in text
 
-    def test_format_series(self):
-        assert format_series("s", [(1, 1.0)]) == "s: 1=1.000"
-
     def test_format_percent(self):
         assert format_percent(0.1234) == "12.3%"
 
@@ -117,14 +114,6 @@ class TestFamilyBreakdown:
         assert set(breakdown) == expected
         assert all(value > 0 for value in breakdown.values())
         assert "family" in family_report(breakdown)
-
-
-class TestDepthReport:
-    def test_prefetch_depth_report_renders(self, tiny_runner):
-        from repro.experiments.single_core import prefetch_depth_report
-        text = prefetch_depth_report(tiny_runner)
-        assert "prefetches/trace" in text
-        assert "pmp" in text
 
 
 class TestEventCounterReport:

@@ -15,7 +15,6 @@ import pytest
 from repro.memtrace import champsim
 from repro.memtrace.champsim import pack_record
 from repro.memtrace.workloads import (
-    DEFAULT_TRACE_ACCESSES,
     compile_scenario,
     expand_scenario,
     full_suite,
@@ -29,7 +28,6 @@ from repro.scenarios import (
     dumps_scenarios,
     load_catalog,
     parse_scenario_text,
-    scale_defaults,
     validate_scenario_doc,
 )
 from repro.scenarios.cli import scenarios_main
@@ -219,26 +217,22 @@ class TestCatalog:
         with pytest.raises(CatalogNotFound):
             load_catalog(tmp_path / "nowhere")
 
-    def test_scale_defaults_are_the_one_source_of_truth(self):
-        assert DEFAULT_TRACE_ACCESSES == scale_defaults("accesses")
-        from repro.bench.macro import MACRO_ACCESSES, MACRO_SMOKE_ACCESSES
-        from repro.experiments.runner import DEFAULT_ACCESSES
-        assert DEFAULT_ACCESSES == scale_defaults("experiment_accesses")
-        assert MACRO_ACCESSES == scale_defaults("bench_accesses")
-        assert MACRO_SMOKE_ACCESSES == scale_defaults("smoke_accesses")
-
-    def test_invalid_scale_defaults_raise_as_load_catalog_does(self,
-                                                              tmp_path):
-        """A catalog.toml that fails validation is an error wherever it
-        is read; a missing one still falls back to the built-in scale."""
+    def test_defaults_table_in_catalog_toml_fails_by_name(self, tmp_path,
+                                                          capsys):
+        """A catalog holds scenario documents only: a ``catalog.toml``
+        carrying ``[defaults.scale]`` is read like every other file, so
+        loading the catalog and validating it both fail naming the
+        table."""
+        (tmp_path / "demo.toml").write_text(MINIMAL)
         (tmp_path / "catalog.toml").write_text(
-            "[defaults.scale]\nexperiment_accesses = 0\n")
-        with pytest.raises(ScenarioError, match="experiment_accesses"):
+            "[defaults.scale]\nexperiment_accesses = 1000\n")
+        with pytest.raises(ScenarioError, match="'defaults'"):
             load_catalog(tmp_path)
-        with pytest.raises(ScenarioError, match="experiment_accesses"):
-            scale_defaults("experiment_accesses", directory=tmp_path)
-        assert scale_defaults("experiment_accesses",
-                              directory=tmp_path / "nowhere") == 25_000
+        assert scenarios_main(["--catalog", str(tmp_path), "validate"]) == 1
+        out = capsys.readouterr().out
+        assert f"FAIL {tmp_path / 'catalog.toml'}" in out
+        assert "'defaults'" in out
+        assert f"ok   {tmp_path / 'demo.toml'}" in out
 
     def test_env_override_changes_default_dir(self, tmp_path, monkeypatch):
         (tmp_path / "only.toml").write_text(MINIMAL)

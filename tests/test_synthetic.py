@@ -4,7 +4,6 @@ import numpy as np
 
 from repro.memtrace import synthetic as syn
 from repro.memtrace.access import MemoryAccess, offset_of, region_of
-from repro.memtrace.trace import Trace
 from repro.prefetchers.sms import PatternCaptureFramework
 
 
@@ -139,9 +138,3 @@ class TestCompose:
         second = [a for a in out[1000:] if a.pc == 0x400100]
         # The rotated weights flip the dominant phase between epochs.
         assert len(first) != len(second)
-
-    def test_build_trace_wrapper(self):
-        trace = syn.build_trace("x", "fam", 11,
-                                [(syn.stream, {}, 1.0)], total=200)
-        assert isinstance(trace, Trace)
-        assert trace.name == "x" and len(trace) == 200

@@ -5,7 +5,6 @@ from repro.memtrace.workloads import (
     classify_suite,
     full_suite,
     quick_suite,
-    suite_by_family,
 )
 
 
@@ -29,10 +28,6 @@ class TestSuiteShape:
     def test_quick_suite_covers_all_families(self):
         families = {spec.family for spec in quick_suite()}
         assert families == {"spec06", "spec17", "ligra", "parsec"}
-
-    def test_suite_by_family(self):
-        assert len(suite_by_family("ligra")) == 42
-        assert all(s.family == "parsec" for s in suite_by_family("parsec"))
 
 
 class TestBuild:
